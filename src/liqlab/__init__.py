@@ -23,6 +23,6 @@ from .impact import (GrowthModel, ImpactPoint, growth_at_fraction, growth_rate,
                      optimal_size_numeric, simulate_self_financing,
                      wealth_closed_form)
 from .paths import (FouParams, SamplePath, fbm_covariance, generate_fbm,
-                    generate_fbm_batch, refine_linear, simulate_fou)
+                    generate_fbm_batch, iter_fbm, refine_linear, simulate_fou)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

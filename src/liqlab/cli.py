@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"liqlab: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     names = ", ".join(name for name, _, _ in manifest.outputs)
-    print(f"{args.experiment}: wrote {names} and manifest.txt to {args.out}")
+    print(f"{args.experiment}: wrote {names}, manifest.txt and run.json to {args.out}")
     return EXIT_OK
 
 

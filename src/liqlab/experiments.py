@@ -2,12 +2,14 @@
 
 Every float is serialized with 17 significant digits and LF line endings,
 so reruns with the same configuration and seed are byte-identical.  The
-manifest lists every output file with its SHA-256 checksum.
+manifest lists every output file with its SHA-256 checksum; facts that
+change from run to run (the duration) go to ``run.json`` instead.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +22,7 @@ from . import catbond, cpmm, impact
 from .config import Field, Value, validate_config
 from .cycle import CycleConfig, Stage3Formula, run_cycle
 from .errors import ConfigError, DomainError
-from .paths import NORMAL_LABEL, PRNG_LABEL, SamplePath, generate_fbm
+from .paths import NORMAL_LABEL, PRNG_LABEL, iter_fbm
 
 EXPERIMENT_NAMES = ("fbm-gen", "impact-curve", "impact-verify", "cpmm-compare",
                     "cycle-run", "catbond-optimize", "catbond-sensitivity")
@@ -35,10 +37,34 @@ def fmt(value: Any) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> Path:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def _column(cells: list[Any]) -> tuple[str, list[Any]]:
+    """Row-template field and cells for one column.
+
+    ``"%.17g" % x`` gives the bytes of ``fmt(x)`` for every float ``x``, so
+    an all-float column is formatted by the row template itself.
+    """
+    if all(isinstance(cell, float) for cell in cells):
+        return "%.17g", cells
+    return "%s", [fmt(cell) for cell in cells]
+
+
+def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray) -> Path:
+    """Write ``header`` and ``rows`` as CSV with LF line endings.
+
+    ``rows`` is a list of rows or a 2-d float64 array.  Every cell gets the
+    text :func:`fmt` gives it, but a column of floats is formatted with one
+    ``%`` operation per row instead of one call per cell.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.float64 or rows.ndim != 2:
+            raise TypeError(f"expected a 2-d float64 array, got {rows.dtype} "
+                            f"with {rows.ndim} dimensions")
+        columns = [("%.17g", cells) for cells in rows.T.tolist()]
+    else:
+        columns = [_column(list(cells)) for cells in zip(*rows)]
+    template = ",".join(field for field, _ in columns) + "\n"
+    body = "".join(map(template.__mod__, zip(*(cells for _, cells in columns))))
+    path.write_text(",".join(header) + "\n" + body, newline="\n")
     return path
 
 
@@ -52,7 +78,6 @@ class RunManifest:
     normal_transform: str
     version: str
     outputs: list[tuple[str, str, int]]  # (name, sha256, bytes)
-    duration_seconds: float
 
     def to_text(self) -> str:
         lines = [
@@ -66,7 +91,6 @@ class RunManifest:
         for key in sorted(self.config):
             if key != "seed":
                 lines.append(f"config.{key}={fmt(self.config[key])}")
-        lines.append(f"duration_seconds={self.duration_seconds:.6f}")
         for i, (name, digest, size) in enumerate(self.outputs):
             lines.append(f"output.{i}.path={name}")
             lines.append(f"output.{i}.sha256={digest}")
@@ -103,19 +127,15 @@ def _log_grid(q_min: float, q_max: float, n_points: int) -> np.ndarray:
     return np.logspace(np.log10(q_min), np.log10(q_max), n_points)
 
 
-def _path_rows(path: SamplePath) -> list[list[Any]]:
-    return [[t, v] for t, v in zip(path.times, path.values)]
-
-
 def _run_fbm_gen(cfg: dict[str, Any], out: Path):
+    paths = iter_fbm(cfg["n_paths"], cfg["n_steps"], cfg["dt"], cfg["hurst"],
+                     cfg["seed"], method=cfg["method"])
     files = []
     method_label = ""
-    for i in range(cfg["n_paths"]):
-        path = generate_fbm(cfg["n_steps"], cfg["dt"], cfg["hurst"],
-                            cfg["seed"] + i, method=cfg["method"])
+    for i, path in enumerate(paths):
         method_label = path.meta.split(";", 1)[0]
         files.append(write_csv(out / f"fbm_{i:04d}.csv", ["t", "value"],
-                               _path_rows(path)))
+                               np.column_stack((path.times, path.values))))
     return files, method_label
 
 
@@ -347,7 +367,12 @@ assert set(_RUNNERS) == set(EXPERIMENT_NAMES)
 
 def run_experiment(name: str, config: Mapping[str, Value],
                    out_dir: str | Path = ".") -> RunManifest:
-    """Run one named experiment deterministically and write its manifest."""
+    """Run one named experiment deterministically and write its manifest.
+
+    ``manifest.txt`` depends only on the experiment, config and seed, so
+    reruns write it byte for byte again; the wall-clock duration goes to
+    ``run.json`` beside it.
+    """
     if name not in _RUNNERS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
     schema, runner = _RUNNERS[name]
@@ -367,6 +392,8 @@ def run_experiment(name: str, config: Mapping[str, Value],
         experiment=name, config=cfg, seed=cfg["seed"],
         fbm_method=fbm_method or "n/a", prng=PRNG_LABEL,
         normal_transform=NORMAL_LABEL, version=__version__,
-        outputs=outputs, duration_seconds=duration)
+        outputs=outputs)
     (out / "manifest.txt").write_text(manifest.to_text(), newline="\n")
+    (out / "run.json").write_text(
+        json.dumps({"duration_seconds": duration}, indent=2) + "\n", newline="\n")
     return manifest

@@ -15,6 +15,7 @@ inputs therefore reproduce bit-identical paths.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,18 +134,28 @@ def _embedding_eigenvalues(n_steps: int, hurst: float) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def _fgn_from_eigenvalues(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One unit-spacing fGn sample given precomputed embedding eigenvalues."""
+def _davies_harte_sampler(lam: np.ndarray):
+    """Per-path unit-spacing fGn sampler for precomputed embedding eigenvalues.
+
+    The coloring (eigenvalue square roots) is computed here, once, so each
+    draw costs one normal vector, one complex multiply and one FFT.
+    """
     m = lam.size
     n = m // 2
-    z = rng.standard_normal(m)
-    w = np.empty(m, dtype=np.complex128)
-    w[0] = math.sqrt(lam[0] / m) * z[0]
-    w[n] = math.sqrt(lam[n] / m) * z[1]
-    k = np.arange(1, n)
-    w[k] = np.sqrt(lam[k] / (2.0 * m)) * (z[2 * k] + 1j * z[2 * k + 1])
-    w[m - k] = np.conj(w[k])
-    return np.fft.fft(w).real[:n]
+    head = math.sqrt(lam[0] / m)
+    middle = math.sqrt(lam[n] / m)
+    coloring = np.sqrt(lam[1:n] / (2.0 * m))
+
+    def sample(rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(m)
+        w = np.empty(m, dtype=np.complex128)
+        w[0] = head * z[0]
+        w[n] = middle * z[1]
+        w[1:n] = coloring * (z[2:m:2] + 1j * z[3:m:2])
+        w[n + 1:] = np.conj(w[n - 1:0:-1])
+        return np.fft.fft(w).real[:n]
+
+    return sample
 
 
 def _cholesky_factor(n_steps: int, hurst: float) -> np.ndarray:
@@ -154,8 +165,8 @@ def _cholesky_factor(n_steps: int, hurst: float) -> np.ndarray:
     return np.linalg.cholesky(cov)
 
 
-def _path_rng(base_seed: int, path_index: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(base_seed) + path_index))
+def _path_rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
 def _meta(method: str) -> str:
@@ -167,7 +178,7 @@ def _resolve_method(n_steps: int, hurst: float, method: str):
     if method in ("auto", METHOD_DAVIES_HARTE):
         try:
             lam = _embedding_eigenvalues(n_steps, hurst)
-            return METHOD_DAVIES_HARTE, lambda rng: _fgn_from_eigenvalues(lam, rng)
+            return METHOD_DAVIES_HARTE, _davies_harte_sampler(lam)
         except EmbeddingError:
             if method == METHOD_DAVIES_HARTE:
                 raise
@@ -175,6 +186,50 @@ def _resolve_method(n_steps: int, hurst: float, method: str):
         raise DomainError(f"unknown fBM method {method!r}")
     factor = _cholesky_factor(n_steps, hurst)
     return METHOD_CHOLESKY, lambda rng: factor @ rng.standard_normal(n_steps)
+
+
+def _fbm_generator(n_steps: int, dt: float, hurst: float, method: str):
+    """Validate the grid, resolve the generator once; return (label, draw).
+
+    ``draw(seed, out)`` fills ``out`` (length ``n_steps + 1``) with the fBM
+    path of PRNG stream ``seed`` and returns it.
+    """
+    _check_hurst(hurst)
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    if not dt > 0.0:
+        raise DomainError(f"dt must be positive, got {dt}")
+    label, sampler = _resolve_method(n_steps, hurst, method)
+    scale = dt ** hurst
+
+    def draw(seed: int, out: np.ndarray) -> np.ndarray:
+        out[0] = 0.0
+        np.cumsum(sampler(_path_rng(seed)), out=out[1:])
+        out[1:] *= scale
+        return out
+
+    return label, draw
+
+
+def iter_fbm(n_paths: int, n_steps: int, dt: float, hurst: float,
+             base_seed: int, method: str = "auto") -> Iterator[SamplePath]:
+    """Fractional Brownian paths, one :class:`SamplePath` at a time.
+
+    The generator (circulant eigenvalues and coloring, or the Cholesky
+    factor) is resolved once, when this is called; each path is drawn only
+    when the iterator reaches it.  Path ``i`` uses the stream
+    ``base_seed + i`` and is bit-identical to
+    ``generate_fbm(n_steps, dt, hurst, base_seed + i, method)``.
+    """
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+    label, draw = _fbm_generator(n_steps, dt, hurst, method)
+    meta = _meta(label)
+    seeds = range(int(base_seed), int(base_seed) + n_paths)
+    return (SamplePath(times=np.arange(n_steps + 1) * dt,
+                       values=draw(seed, np.empty(n_steps + 1)),
+                       seed=seed, meta=meta)
+            for seed in seeds)
 
 
 def generate_fbm(n_steps: int, dt: float, hurst: float, seed: int,
@@ -185,19 +240,7 @@ def generate_fbm(n_steps: int, dt: float, hurst: float, seed: int,
     distribution.  Deterministic for fixed (seed, n_steps, dt, hurst,
     method).
     """
-    _check_hurst(hurst)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    label, sampler = _resolve_method(n_steps, hurst, method)
-    fgn = sampler(_path_rng(seed))
-    values = np.empty(n_steps + 1)
-    values[0] = 0.0
-    np.cumsum(fgn, out=values[1:])
-    values *= dt ** hurst
-    times = np.arange(n_steps + 1) * dt
-    return SamplePath(times=times, values=values, seed=int(seed), meta=_meta(label))
+    return next(iter_fbm(1, n_steps, dt, hurst, seed, method))
 
 
 def generate_fbm_batch(n_paths: int, n_steps: int, dt: float, hurst: float,
@@ -208,19 +251,12 @@ def generate_fbm_batch(n_paths: int, n_steps: int, dt: float, hurst: float,
     ``generate_fbm(n_steps, dt, hurst, base_seed + i, method)``, so batch
     work may be split across workers in any order.
     """
-    _check_hurst(hurst)
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    if n_steps < 1 or not dt > 0.0:
-        raise DomainError("n_steps must be >= 1 and dt positive")
-    _, sampler = _resolve_method(n_steps, hurst, method)
-    scale = dt ** hurst
+    _, draw = _fbm_generator(n_steps, dt, hurst, method)
     out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = 0.0
     for i in range(n_paths):
-        fgn = sampler(_path_rng(base_seed, i))
-        np.cumsum(fgn, out=out[i, 1:])
-        out[i, 1:] *= scale
+        draw(int(base_seed) + i, out[i])
     return out
 
 

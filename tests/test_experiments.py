@@ -1,11 +1,16 @@
 import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from liqlab import paths
 from liqlab.cli import main
 from liqlab.errors import ConfigError
-from liqlab.experiments import EXPERIMENT_NAMES, fmt, run_experiment
+from liqlab.experiments import EXPERIMENT_NAMES, fmt, run_experiment, write_csv
+from liqlab.paths import generate_fbm
 
 
 def read_csv(path):
@@ -23,6 +28,59 @@ class TestFmt:
     def test_ints_and_bools(self):
         assert fmt(5) == "5"
         assert fmt(True) == "true"
+
+
+def reference_csv(header, rows):
+    """The per-cell writer: every cell goes through fmt on its own."""
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+               1.0 / 3.0, 0.1, 1e16, 123456789012345678.0]
+float64s = st.floats(allow_nan=True, allow_infinity=True,
+                     allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
+cells = (float64s | st.integers(-10 ** 20, 10 ** 20) | st.booleans()
+         | st.text(alphabet="ab_%s1.", max_size=6))
+
+
+class TestWriteCsv:
+    @given(rows=st.lists(st.lists(float64s, min_size=3, max_size=3), max_size=20))
+    @example(rows=[[x, -x, x / 3.0] for x in EDGE_FLOATS])
+    def test_float_table_matches_per_cell_reference(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        expected = reference_csv(["a", "b", "c"], rows)
+        assert write_csv(path, ["a", "b", "c"], rows).read_bytes() == expected
+        array = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+        assert write_csv(path, ["a", "b", "c"], array).read_bytes() == expected
+
+    @given(rows=st.lists(st.lists(cells, min_size=4, max_size=4), max_size=12))
+    def test_mixed_cells_match_per_cell_reference(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = ["w", "x", "y", "z"]
+        assert write_csv(path, header, rows).read_bytes() == reference_csv(header, rows)
+
+    def test_pool_trace_and_cycle_report_shapes(self, tmp_path):
+        pool_trace = [[0, "init", 100.0, 100.0, 1.0],
+                      [1, "swap_x_for_y", 101.0, 99.00990099009901, 0.9802960494069208],
+                      [2, "swap_y_for_x", 100.00000000000001, 100.0, -0.0]]
+        cycle_report = [["Initial", 100.0, 100.0, 0.0, 0.0, 0.0, 0.0],
+                        ["AfterStage1", 90.0, 1000.0 / 9.0, 0.0, 0.0, 10.0, -1000.0 / 9.0 + 100.0],
+                        ["AfterStage2", 81.0, 100.0, 9.0, 100.0 / 9.0, 1.0, 5e-324]]
+        for rows in (pool_trace, cycle_report):
+            header = [f"c{j}" for j in range(len(rows[0]))]
+            path = write_csv(tmp_path / "t.csv", header, rows)
+            assert path.read_bytes() == reference_csv(header, rows)
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        assert write_csv(tmp_path / "t.csv", ["a", "b"], []).read_bytes() == b"a,b\n"
+
+    def test_rejects_non_float64_array(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "t.csv", ["a"], np.zeros((2, 1), dtype=np.float32))
 
 
 class TestRunExperiment:
@@ -44,6 +102,25 @@ class TestRunExperiment:
         assert header == ["t", "value"]
         assert len(rows) == 33
         assert float(rows[0][1]) == 0.0
+
+    def test_fbm_gen_cholesky_fallback(self, tmp_path, monkeypatch):
+        calls = []
+
+        def boom(n_steps, hurst):
+            calls.append(n_steps)
+            raise paths.EmbeddingError("forced")
+
+        monkeypatch.setattr(paths, "_embedding_eigenvalues", boom)
+        cfg = {"n_steps": 16, "n_paths": 3, "dt": 0.0625, "hurst": 0.6, "seed": 4}
+        manifest = run_experiment("fbm-gen", cfg, tmp_path)
+        assert calls == [16]  # the generator is resolved once per run
+        assert manifest.fbm_method == "cholesky"
+        assert "\nfbm_method=cholesky\n" in (tmp_path / "manifest.txt").read_text()
+        for i in range(3):
+            _, rows = read_csv(tmp_path / f"fbm_{i:04d}.csv")
+            expected = generate_fbm(16, 0.0625, 0.6, 4 + i, method="cholesky")
+            assert [float(t) for t, _ in rows] == expected.times.tolist()
+            assert [float(v) for _, v in rows] == expected.values.tolist()
 
     def test_manifest_lists_outputs_with_checksums(self, tmp_path):
         manifest = run_experiment("impact-curve", {}, tmp_path)
@@ -135,6 +212,12 @@ class TestRunExperiment:
         for (name_a, dig_a, _), (_, dig_b, _) in zip(ma.outputs, mb.outputs):
             assert dig_a == dig_b
             assert (a_dir / name_a).read_bytes() == (b_dir / name_a).read_bytes()
+        manifest = (a_dir / "manifest.txt").read_bytes()
+        assert manifest == (b_dir / "manifest.txt").read_bytes()
+        assert b"duration" not in manifest
+        for out in (a_dir, b_dir):
+            run = json.loads((out / "run.json").read_text())
+            assert run["duration_seconds"] >= 0.0
 
     def test_lf_line_endings(self, tmp_path):
         run_experiment("impact-curve", {}, tmp_path)

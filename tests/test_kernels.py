@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,10 @@ def test_env_flag_selects_numpy_fallback():
     code = ("import liqlab.kernels as k;"
             "print(k.NUMBA_ENABLED, k.fou_euler is k.fou_euler_numpy,"
             "      k.self_financing is k.self_financing_numpy)")
-    env = os.environ | {"LIQLAB_DISABLE_NUMBA": "1"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"LIQLAB_DISABLE_NUMBA": "1",
+                        "PYTHONPATH": os.pathsep.join(
+                            filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["False", "True", "True"]

@@ -6,7 +6,8 @@ import pytest
 from liqlab import paths
 from liqlab.errors import DomainError
 from liqlab.paths import (FouParams, SamplePath, fbm_covariance, generate_fbm,
-                          generate_fbm_batch, refine_linear, simulate_fou)
+                          generate_fbm_batch, iter_fbm, refine_linear,
+                          simulate_fou)
 
 
 class TestFbmCovariance:
@@ -119,11 +120,33 @@ class TestGenerateFbm:
             rho = paths.increment_autocorr(n_paths, 64, 0.01, 0.5, 51, lag=lag)
             assert abs(rho) < tol
 
-    def test_batch_rows_equal_single_paths(self):
-        batch = generate_fbm_batch(4, 32, 0.125, 0.7, 900)
+    @pytest.mark.parametrize("method", ["auto", "davies-harte", "cholesky"])
+    def test_batch_rows_equal_single_paths(self, method):
+        batch = generate_fbm_batch(4, 32, 0.125, 0.7, 900, method=method)
+        streamed = list(iter_fbm(4, 32, 0.125, 0.7, 900, method=method))
         for i in range(4):
-            single = generate_fbm(32, 0.125, 0.7, 900 + i)
+            single = generate_fbm(32, 0.125, 0.7, 900 + i, method=method)
             assert np.array_equal(batch[i], single.values)
+            assert np.array_equal(streamed[i].values, single.values)
+            assert np.array_equal(streamed[i].times, single.times)
+            assert (streamed[i].seed, streamed[i].meta) == (single.seed, single.meta)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 4096])
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    def test_precomputed_coloring_matches_per_draw_reference(self, n, hurst):
+        # reference: the coloring recomputed inside every draw
+        lam = paths._embedding_eigenvalues(n, hurst)
+        m = lam.size
+        z = np.random.Generator(np.random.PCG64(5)).standard_normal(m)
+        w = np.empty(m, dtype=np.complex128)
+        w[0] = math.sqrt(lam[0] / m) * z[0]
+        w[n] = math.sqrt(lam[n] / m) * z[1]
+        k = np.arange(1, n)
+        w[k] = np.sqrt(lam[k] / (2.0 * m)) * (z[2 * k] + 1j * z[2 * k + 1])
+        w[m - k] = np.conj(w[k])
+        sample = paths._davies_harte_sampler(lam)
+        got = sample(np.random.Generator(np.random.PCG64(5)))
+        assert np.array_equal(got, np.fft.fft(w).real[:n])
 
     def test_fallback_on_negative_eigenvalue(self, monkeypatch):
         def boom(n_steps, hurst):
