@@ -5,7 +5,7 @@ Usage::
     liqlab <experiment> [--config FILE] [--set key=value ...] [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(bracketing/optimizer), 4 I/O error.
+(bracketing/optimizer, overflow, division by zero), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> dict:
     config = {}
     if args.config is not None:
-        config = parse_config(args.config.read_text())
+        try:
+            text = args.config.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
+        config = parse_config(text)
     seen = set()
     for item in args.overrides:
         if "=" not in item:
@@ -71,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"liqlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BracketError, DomainError, RatioMismatchError, StageOrderError,
-            FloatingPointError) as exc:
+            ArithmeticError) as exc:
         print(f"liqlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -64,7 +64,7 @@ def _check_ratio(a: float, b: float, ref_a: float, ref_b: float) -> None:
     # compare a/b against ref_a/ref_b without dividing
     if abs(a * ref_b - b * ref_a) > RATIO_TOL * abs(b * ref_a):
         raise RatioMismatchError(
-            f"amount ratio {a / b} does not match pool ratio {ref_a / ref_b}")
+            f"amount ratio {a}:{b} does not match pool ratio {ref_a}:{ref_b}")
 
 
 def add_liquidity(pool: PoolState, m: float, n: float) -> PoolState:

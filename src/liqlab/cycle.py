@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .cpmm import PoolState
-from .errors import DomainError, RatioMismatchError, StageOrderError
-
-RATIO_TOL = 1e-9
+from .cpmm import PoolState, _check_ratio
+from .errors import DomainError, StageOrderError
 
 
 class Stage(Enum):
@@ -209,9 +207,7 @@ def stage4_remove(ledger: CycleLedger, g_amt: float, h_amt: float,
     if g_amt >= x or h_amt >= y:
         raise DomainError(f"removal ({g_amt}, {h_amt}) would drain reserves ({x}, {y})")
     if require_pool_ratio and (g_amt > 0.0 or h_amt > 0.0):
-        if abs(g_amt * y - h_amt * x) > RATIO_TOL * abs(h_amt * x):
-            raise RatioMismatchError(
-                f"removal ratio {g_amt}/{h_amt} does not match pool ratio {x}/{y}")
+        _check_ratio(g_amt, h_amt, x, y)
     new_pool = PoolState(x - g_amt, y - h_amt) if (g_amt or h_amt) else ledger.pool
     return replace(
         ledger,
@@ -233,7 +229,10 @@ def closure_parameters(config: CycleConfig,
     first three stages left in the pool.  Only the pool is guaranteed to
     close; the investor's positions generally stay open.
     """
-    after3 = _run_stages_123(config, stage3_mode)
+    return _closure_amounts(config, _run_stages_123(config, stage3_mode)[-1])
+
+
+def _closure_amounts(config: CycleConfig, after3: CycleLedger) -> tuple[float, float]:
     g_amt = config.m - config.alpha + config.sigma_amt
     h_amt = after3.pool.reserve_y - config.y0
     if g_amt < 0.0 or h_amt < 0.0:
@@ -242,22 +241,22 @@ def closure_parameters(config: CycleConfig,
     return g_amt, h_amt
 
 
-def _run_stages_123(config: CycleConfig, stage3_mode: Stage3Formula) -> CycleLedger:
-    ledger = new_cycle(config.x0, config.y0)
-    ledger = stage1_switch(ledger, config.alpha)
-    ledger = stage2_add(ledger, config.m)
-    return stage3_switch(ledger, config.sigma_amt, stage3_mode)
+def _run_stages_123(config: CycleConfig,
+                    stage3_mode: Stage3Formula) -> list[CycleLedger]:
+    """Snapshots at the start and after each of stages 1 to 3."""
+    snapshots = [new_cycle(config.x0, config.y0)]
+    snapshots.append(stage1_switch(snapshots[-1], config.alpha))
+    snapshots.append(stage2_add(snapshots[-1], config.m))
+    snapshots.append(stage3_switch(snapshots[-1], config.sigma_amt, stage3_mode))
+    return snapshots
 
 
 def run_cycle(config: CycleConfig,
               stage3_mode: Stage3Formula = Stage3Formula.EXACT_INVARIANT) -> CycleReport:
     """Execute stages 1 through 4 and summarize the investor's outcome."""
-    snapshots = [new_cycle(config.x0, config.y0)]
-    snapshots.append(stage1_switch(snapshots[-1], config.alpha))
-    snapshots.append(stage2_add(snapshots[-1], config.m))
-    snapshots.append(stage3_switch(snapshots[-1], config.sigma_amt, stage3_mode))
+    snapshots = _run_stages_123(config, stage3_mode)
     if config.closure:
-        g_amt, h_amt = closure_parameters(config, stage3_mode)
+        g_amt, h_amt = _closure_amounts(config, snapshots[-1])
         snapshots.append(stage4_remove(snapshots[-1], g_amt, h_amt,
                                        require_pool_ratio=False))
     else:

@@ -110,6 +110,10 @@ def _at_least_one(value: int) -> str | None:
     return None if value >= 1 else "must be >= 1"
 
 
+def _non_negative(value: int) -> str | None:
+    return None if value >= 0 else "must be >= 0"
+
+
 def _hurst_list(values: list[float]) -> str | None:
     return None if all(0.0 < h < 1.0 for h in values) else "every entry must be in (0, 1)"
 
@@ -118,7 +122,7 @@ def _positive_list(values: list[float]) -> str | None:
     return None if values and all(v > 0 for v in values) else "needs positive entries"
 
 
-_COMMON = {"seed": Field("int", 0)}
+_COMMON = {"seed": Field("int", 0, _non_negative)}
 
 
 def _log_grid(q_min: float, q_max: float, n_points: int) -> np.ndarray:

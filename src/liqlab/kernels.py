@@ -1,66 +1,30 @@
-"""Hot numeric kernels: sequential path recurrences.
+"""Hot numeric kernels: sequential path recurrences and pairwise sums.
 
-Each kernel exists twice: a scalar-loop version compiled with numba's
-``@njit`` and a pure-numpy version that vectorizes across paths while
-stepping through time.  Both apply the same floating-point operations in
-the same order per path, so their outputs are bit-identical; which one
-backs the public name is decided once at import time.
+The two recurrences step through time one column at a time and vectorize
+across paths (rows), so every path sees the same floating-point operations
+in the same order as a scalar loop over that path alone.  The tests keep
+such a loop as the reference.  FFT-based fractional noise generation lives
+in :mod:`liqlab.paths`.
 
-Set ``LIQLAB_DISABLE_NUMBA=1`` to force the numpy implementations (they
-are also used automatically when numba is not installed).  FFT-based
-fractional noise generation lives in :mod:`liqlab.paths` and stays on
-numpy, where the FFT already dominates.
-
-``benchmarks/bench_kernels.py`` compares both implementations.
+``pairwise_sum`` reduces in a fixed binary-tree order, so Monte Carlo
+moments do not depend on how paths were batched.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FALSY = {"", "0", "false", "no", "off"}
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("LIQLAB_DISABLE_NUMBA", "").strip().lower() not in _FALSY
-
-
+# Read by the benchmark harness for its run record; its next change drops it.
 NUMBA_ENABLED = False
-if not _numba_disabled():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via subprocess test
-        NUMBA_ENABLED = False
 
 
-def _fou_euler_steps(p0, kappa, level, dt, shocks, out):
-    """Euler recurrence p' = p + kappa*(p - level)*dt + shock, per path."""
-    n_paths, n_steps = shocks.shape
-    for i in range(n_paths):
-        out[i, 0] = p0
-        for j in range(n_steps):
-            p = out[i, j]
-            out[i, j + 1] = p + kappa * (p - level) * dt + shocks[i, j]
+def fou_euler(p0: float, kappa: float, level: float, dt: float,
+              shocks: np.ndarray) -> np.ndarray:
+    """Euler recurrence p' = p + kappa*(p - level)*dt + shock, per path.
 
-
-def _self_financing_steps(prices, kappa, level, sigma2, w0, out):
-    """Wealth recurrence w' = w + q*(p' - p), q = w*kappa*(p - level)/(p*sigma2)."""
-    n_paths, n_times = prices.shape
-    for i in range(n_paths):
-        out[i, 0] = w0
-        for j in range(n_times - 1):
-            edge = kappa * (prices[i, j] - level)
-            q = out[i, j] * edge / (prices[i, j] * sigma2)
-            out[i, j + 1] = out[i, j] + q * (prices[i, j + 1] - prices[i, j])
-
-
-def fou_euler_numpy(p0: float, kappa: float, level: float, dt: float,
-                    shocks: np.ndarray) -> np.ndarray:
-    """Numpy twin of the jitted Euler kernel (vectorized across paths)."""
+    ``shocks`` has shape ``(n_paths, n_steps)``; the result has shape
+    ``(n_paths, n_steps + 1)`` and starts every path at ``p0``.
+    """
     shocks = np.ascontiguousarray(shocks, dtype=np.float64)
     n_paths, n_steps = shocks.shape
     out = np.empty((n_paths, n_steps + 1))
@@ -71,9 +35,13 @@ def fou_euler_numpy(p0: float, kappa: float, level: float, dt: float,
     return out
 
 
-def self_financing_numpy(prices: np.ndarray, kappa: float, level: float,
-                         sigma2: float, w0: float) -> np.ndarray:
-    """Numpy twin of the jitted wealth kernel (vectorized across paths)."""
+def self_financing(prices: np.ndarray, kappa: float, level: float,
+                   sigma2: float, w0: float) -> np.ndarray:
+    """Wealth recurrence w' = w + q*(p' - p), q = w*kappa*(p - level)/(p*sigma2).
+
+    ``prices`` has shape ``(n_paths, n_times)``; the result has the same
+    shape and starts every path at ``w0``.
+    """
     prices = np.ascontiguousarray(prices, dtype=np.float64)
     out = np.empty_like(prices)
     out[:, 0] = w0
@@ -82,33 +50,6 @@ def self_financing_numpy(prices: np.ndarray, kappa: float, level: float,
         q = out[:, j] * edge / (prices[:, j] * sigma2)
         out[:, j + 1] = out[:, j] + q * (prices[:, j + 1] - prices[:, j])
     return out
-
-
-if NUMBA_ENABLED:
-    _fou_euler_jit = _njit(cache=True)(_fou_euler_steps)
-    _self_financing_jit = _njit(cache=True)(_self_financing_steps)
-
-    def fou_euler_jit(p0: float, kappa: float, level: float, dt: float,
-                      shocks: np.ndarray) -> np.ndarray:
-        shocks = np.ascontiguousarray(shocks, dtype=np.float64)
-        out = np.empty((shocks.shape[0], shocks.shape[1] + 1))
-        _fou_euler_jit(p0, kappa, level, dt, shocks, out)
-        return out
-
-    def self_financing_jit(prices: np.ndarray, kappa: float, level: float,
-                           sigma2: float, w0: float) -> np.ndarray:
-        prices = np.ascontiguousarray(prices, dtype=np.float64)
-        out = np.empty_like(prices)
-        _self_financing_jit(prices, kappa, level, sigma2, w0, out)
-        return out
-
-    fou_euler = fou_euler_jit
-    self_financing = self_financing_jit
-else:
-    fou_euler_jit = None
-    self_financing_jit = None
-    fou_euler = fou_euler_numpy
-    self_financing = self_financing_numpy
 
 
 def pairwise_sum(values: np.ndarray) -> np.ndarray:

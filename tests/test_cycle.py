@@ -152,9 +152,10 @@ class TestStage4AndClosure:
         assert after.pool == before.pool
         assert after.stage is Stage.AFTER_STAGE4
 
-    def test_ratio_enforced_by_default(self):
+    @pytest.mark.parametrize("g_amt, h_amt", [(0.0, 21.0), (1.0, 0.0)])
+    def test_ratio_enforced_by_default(self, g_amt, h_amt):
         with pytest.raises(RatioMismatchError):
-            stage4_remove(worked_after(3), 0.0, 21.0)
+            stage4_remove(worked_after(3), g_amt, h_amt)
 
     def test_ratio_matching_removal_passes(self):
         led = worked_after(3)

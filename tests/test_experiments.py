@@ -1,15 +1,17 @@
 import hashlib
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liqlab import paths
 from liqlab.cli import main
 from liqlab.errors import ConfigError
-from liqlab.experiments import EXPERIMENT_NAMES, fmt, run_experiment, write_csv
+from liqlab.experiments import (_RUNNERS, EXPERIMENT_NAMES, fmt, run_experiment,
+                                write_csv)
 from liqlab.paths import generate_fbm
 
 
@@ -273,7 +275,55 @@ class TestCli:
         assert main(["fbm-gen", "--set", "hurst=0.5", "--set", "hurst=0.6",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv, code", [
+        # float ** overflows: numerical failure
+        (["impact-curve", "--set", "sigma=1e200"], 3),
+        (["catbond-optimize", "--set", "q=0.5", "--set", "r=1e-300"], 3),
+        (["impact-verify", "--set", "q_values=1e300", "--set", "hursts=0.9"], 3),
+        # a subnormal capital scale divides by zero: numerical failure
+        (["impact-verify", "--set", "k=1e-320"], 3),
+        # a negative seed is a config error, not numpy's ValueError
+        (["fbm-gen", "--seed", "-1"], 2),
+        (["fbm-gen", "--set", "seed=-5"], 2),
+        # a config file that is not UTF-8 is a config error
+        (["fbm-gen", "--config", "latin1.cfg"], 2),
+    ])
+    def test_former_tracebacks_map_to_exit_codes(self, tmp_path, monkeypatch,
+                                                 argv, code):
+        (tmp_path / "latin1.cfg").write_bytes(b"hurst=0.5\n# caf\xe9\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "out"]) == code
+
     def test_experiment_names_wired(self):
         assert set(EXPERIMENT_NAMES) == {
             "fbm-gen", "impact-curve", "impact-verify", "cpmm-compare",
             "cycle-run", "catbond-optimize", "catbond-sensitivity"}
+
+
+# adversarial --set values, each a token as typed on the command line
+FUZZ_VALUES = ["nan", "inf", "-inf", "-0", "-1", "0", "5e-324", "1e-320",
+               "1e308", "", "abc", "true"]
+# keys that size an allocation; capped so that no example allocates much
+SIZE_KEYS = {"n_steps", "n_paths", "n_points"}
+
+
+@st.composite
+def cli_argvs(draw):
+    name = draw(st.sampled_from(EXPERIMENT_NAMES))
+    schema = sorted(_RUNNERS[name][0])
+    keys = draw(st.lists(st.sampled_from([*schema, "not_a_key"]),
+                         unique=True, max_size=4))
+    argv = [name]
+    for key in keys:
+        values = st.sampled_from(FUZZ_VALUES)
+        if key in SIZE_KEYS:
+            values |= st.integers(1, 16).map(str)
+        argv += ["--set", f"{key}={draw(values)}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argvs())
+def test_cli_fuzz_exits_with_a_known_code(argv):
+    with tempfile.TemporaryDirectory() as out:
+        assert main([*argv, "--out", out]) in {0, 2, 3, 4}
