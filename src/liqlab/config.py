@@ -8,6 +8,7 @@ rather than ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -57,6 +58,17 @@ class Field:
     check: Callable[[Any], str | None] | None = None
 
 
+def _finite(key: str, value: int | float) -> float:
+    """``float(value)``, or a :class:`ConfigError` if that is nan or +-inf."""
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r} expects a finite number, got {value!r}")
+    return number
+
+
 def _coerce(key: str, value: Value, kind: str) -> Any:
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -65,7 +77,7 @@ def _coerce(key: str, value: Value, kind: str) -> Any:
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"key {key!r} expects a number, got {value!r}")
-        return float(value)
+        return _finite(key, value)
     if kind == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"key {key!r} expects true/false, got {value!r}")
@@ -76,13 +88,14 @@ def _coerce(key: str, value: Value, kind: str) -> Any:
         return value
     if kind == "floats":
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return [float(value)]
+            return [_finite(key, value)]
         if isinstance(value, str):
             try:
-                return [float(tok) for tok in value.split(",") if tok.strip()]
+                numbers = [float(tok) for tok in value.split(",") if tok.strip()]
             except ValueError:
                 raise ConfigError(
                     f"key {key!r} expects comma-separated numbers, got {value!r}") from None
+            return [_finite(key, number) for number in numbers]
         raise ConfigError(f"key {key!r} expects comma-separated numbers, got {value!r}")
     raise ConfigError(f"unknown schema kind {kind!r} for key {key!r}")
 

@@ -113,12 +113,18 @@ def _growth_per_time_deriv(q: float, delta_p: float, model: GrowthModel) -> floa
 
 def optimal_impact_fou(q: float, model: GrowthModel) -> float:
     """Impact that makes q optimal per unit of time:
-    2 H khat^(2H-1) sigma^2 / k * q^(2H - 1/2)."""
+    2 H khat^(2H-1) sigma^2 / k * q^(2H - 1/2).
+
+    Raises :class:`OverflowError` when the impact is not a finite float.
+    """
     if not q > 0.0:
         raise DomainError("q must be positive")
     h = model.hurst
     pre = 2.0 * h * model.time_per_size_khat ** (2.0 * h - 1.0)
-    return pre * model.sigma ** 2 / model.capital_scale_k * q ** (2.0 * h - 0.5)
+    delta_p = pre * model.sigma ** 2 / model.capital_scale_k * float(q) ** (2.0 * h - 0.5)
+    if not math.isfinite(delta_p):
+        raise OverflowError(f"optimal impact is not finite at q={q}")
+    return delta_p
 
 
 def optimal_size_numeric(delta_p: float, model: GrowthModel,
@@ -187,8 +193,11 @@ def simulate_self_financing(path: SamplePath, params: FouParams, w0: float) -> S
     if nonpos.size:
         raise DomainError(
             f"price path must be strictly positive; first violation at index {nonpos[0]}")
+    sigma2 = params.sigma ** 2
+    if not path.values.min() * sigma2 > 0.0:
+        raise DomainError("price * sigma^2 underflows to zero; the position is undefined")
     wealth = kernels.self_financing(path.values.reshape(1, -1), params.kappa,
-                                    params.level, params.sigma ** 2, float(w0))[0]
+                                    params.level, sigma2, float(w0))[0]
     return SamplePath(times=path.times, values=wealth, seed=path.seed,
                       meta=f"self-financing;{path.meta}")
 

@@ -1,10 +1,13 @@
 """Hot numeric kernels: sequential path recurrences and pairwise sums.
 
-The two recurrences step through time one column at a time and vectorize
-across paths (rows), so every path sees the same floating-point operations
-in the same order as a scalar loop over that path alone.  The tests keep
-such a loop as the reference.  FFT-based fractional noise generation lives
-in :mod:`liqlab.paths`.
+The two recurrences run one path (row) at a time over plain Python floats
+and write each finished path back into the result array.  The library
+sends one path per call, and a numpy step per time column would spend its
+time on ufunc calls over one-element views.  Python floats and numpy
+float64 both round each operation to IEEE double, so every path is
+bit-identical to a scalar loop over that path alone, which the tests keep
+as the reference.  FFT-based fractional noise generation lives in
+:mod:`liqlab.paths`.
 
 ``pairwise_sum`` reduces in a fixed binary-tree order, so Monte Carlo
 moments do not depend on how paths were batched.
@@ -25,13 +28,17 @@ def fou_euler(p0: float, kappa: float, level: float, dt: float,
     ``shocks`` has shape ``(n_paths, n_steps)``; the result has shape
     ``(n_paths, n_steps + 1)`` and starts every path at ``p0``.
     """
-    shocks = np.ascontiguousarray(shocks, dtype=np.float64)
+    p0, kappa, level, dt = float(p0), float(kappa), float(level), float(dt)
+    shocks = np.asarray(shocks, dtype=np.float64)
     n_paths, n_steps = shocks.shape
     out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = p0
-    for j in range(n_steps):
-        p = out[:, j]
-        out[:, j + 1] = p + kappa * (p - level) * dt + shocks[:, j]
+    for i, row in enumerate(shocks.tolist()):
+        p = p0
+        values = [p]
+        for s in row:
+            p = p + kappa * (p - level) * dt + s
+            values.append(p)
+        out[i] = values
     return out
 
 
@@ -40,15 +47,20 @@ def self_financing(prices: np.ndarray, kappa: float, level: float,
     """Wealth recurrence w' = w + q*(p' - p), q = w*kappa*(p - level)/(p*sigma2).
 
     ``prices`` has shape ``(n_paths, n_times)``; the result has the same
-    shape and starts every path at ``w0``.
+    shape and starts every path at ``w0``.  A zero ``p*sigma2`` raises
+    :class:`ZeroDivisionError`.
     """
-    prices = np.ascontiguousarray(prices, dtype=np.float64)
+    kappa, level, sigma2, w0 = float(kappa), float(level), float(sigma2), float(w0)
+    prices = np.asarray(prices, dtype=np.float64)
     out = np.empty_like(prices)
-    out[:, 0] = w0
-    for j in range(prices.shape[1] - 1):
-        edge = kappa * (prices[:, j] - level)
-        q = out[:, j] * edge / (prices[:, j] * sigma2)
-        out[:, j + 1] = out[:, j] + q * (prices[:, j + 1] - prices[:, j])
+    for i, row in enumerate(prices.tolist()):
+        w = w0
+        values = [w]
+        for p, p_next in zip(row, row[1:]):
+            q = w * (kappa * (p - level)) / (p * sigma2)
+            w = w + q * (p_next - p)
+            values.append(w)
+        out[i] = values
     return out
 
 

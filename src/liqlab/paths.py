@@ -160,8 +160,11 @@ def _davies_harte_sampler(lam: np.ndarray):
 
 def _cholesky_factor(n_steps: int, hurst: float) -> np.ndarray:
     gamma = _fgn_autocov(n_steps - 1, hurst)
-    idx = np.arange(n_steps)
-    cov = gamma[np.abs(idx[:, None] - idx[None, :])]
+    # ring is gamma[n-1], ..., gamma[1], gamma[0], ..., gamma[n-1]; its
+    # length-n windows, last first, are the Toeplitz rows gamma[|j - i|],
+    # as a strided view with no n x n index matrices
+    ring = np.concatenate([gamma[:0:-1], gamma])
+    cov = np.lib.stride_tricks.sliding_window_view(ring, n_steps)[::-1]
     return np.linalg.cholesky(cov)
 
 
@@ -199,6 +202,8 @@ def _fbm_generator(n_steps: int, dt: float, hurst: float, method: str):
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if not dt > 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
+    if not math.isfinite(n_steps * dt):
+        raise DomainError(f"time grid overflows: n_steps * dt = {n_steps} * {dt}")
     label, sampler = _resolve_method(n_steps, hurst, method)
     scale = dt ** hurst
 

@@ -78,3 +78,12 @@ class TestValidateConfig:
         assert got["grid"] == [2.5]
         with pytest.raises(ConfigError, match="comma-separated"):
             validate_config({"grid": "a,b"}, SCHEMA, "demo")
+
+    @pytest.mark.parametrize("key, value", [
+        ("hurst", float("nan")), ("hurst", float("inf")), ("hurst", -float("inf")),
+        ("hurst", 10 ** 400), ("grid", float("inf")), ("grid", "0.5,nan"),
+        ("grid", "-inf,1.0"), ("grid", "1e400"),
+    ])
+    def test_non_finite_numbers_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="expects a finite number"):
+            validate_config({key: value}, SCHEMA, "demo")

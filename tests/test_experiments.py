@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,32 @@ class TestCli:
         (tmp_path / "latin1.cfg").write_bytes(b"hurst=0.5\n# caf\xe9\n")
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--out", "out"]) == code
+
+    @pytest.mark.parametrize("argv", [
+        # formerly exit 0 with delta_p=inf on every row
+        ["impact-curve", "--set", "sigma=inf"],
+        # formerly exit 0 with f_analytic 0.8 beside f_numeric ~1.0
+        ["catbond-optimize", "--set", "r=inf"],
+        # formerly numpy RuntimeWarnings from the time grid, then exit 3
+        ["fbm-gen", "--set", "dt=inf"],
+        ["impact-verify", "--set", "hursts=0.5,nan"],
+    ])
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "expects a finite number" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # formerly exit 0 with inf in the CSV after numpy overflow warnings
+        ["impact-verify", "--set", "khat=1e308", "--set", "q_max=1e308"],
+        ["impact-curve", "--set", "hurst=0.9", "--set", "khat=1e308",
+         "--set", "q_max=1e308"],
+    ])
+    def test_overflowing_impact_is_a_numerical_failure(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert "optimal impact is not finite" in capsys.readouterr().err
 
     def test_experiment_names_wired(self):
         assert set(EXPERIMENT_NAMES) == {

@@ -111,6 +111,12 @@ class TestOptimalImpactFou:
         assert optimal_impact_fou(16.0, m) == pytest.approx(0.5, rel=1e-14)
         assert optimal_impact_fou(0.01, m) == pytest.approx(0.5, rel=1e-14)
 
+    def test_non_finite_impact_overflows(self):
+        # formerly numpy's overflow warning, then delta_p = inf
+        m = model(khat=1e308, hurst=0.7)
+        with pytest.raises(OverflowError, match="not finite"):
+            optimal_impact_fou(np.float64(1e308), m)
+
 
 class TestOptimalSizeNumeric:
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
@@ -220,6 +226,15 @@ class TestSimulateSelfFinancing:
         path = SamplePath(times=np.arange(4.0), values=values, seed=0)
         params = FouParams(kappa=-0.5, level=0.0, sigma=0.4)
         with pytest.raises(DomainError, match="index 2"):
+            simulate_self_financing(path, params, 1.0)
+
+    @pytest.mark.parametrize("sigma, price", [(1e-170, 4.0), (1e-160, 1e-10)])
+    def test_zero_denominator_is_a_domain_error(self, sigma, price):
+        # sigma^2 (first case) or price * sigma^2 (second) underflows to 0
+        from liqlab.paths import SamplePath
+        path = SamplePath(times=np.arange(3.0), values=[price, 2.0 * price, price], seed=0)
+        params = FouParams(kappa=-0.5, level=0.0, sigma=sigma)
+        with pytest.raises(DomainError, match="underflows"):
             simulate_self_financing(path, params, 1.0)
 
     def test_refinement_converges_to_closed_form(self):

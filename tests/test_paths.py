@@ -88,6 +88,11 @@ class TestGenerateFbm:
             generate_fbm(8, -0.1, 0.5, 0)
         with pytest.raises(DomainError):
             generate_fbm(8, 0.1, 0.5, 0, method="magic")
+        # the grid's end time overflows (formerly a numpy RuntimeWarning first)
+        with pytest.raises(DomainError, match="time grid overflows"):
+            generate_fbm(16, 1e308, 0.5, 0)
+        with pytest.raises(DomainError, match="time grid overflows"):
+            generate_fbm(8, math.inf, 0.5, 0)
 
     @pytest.mark.parametrize("method", ["davies-harte", "cholesky"])
     @pytest.mark.parametrize("hurst", [0.3, 0.75])
@@ -147,6 +152,16 @@ class TestGenerateFbm:
         sample = paths._davies_harte_sampler(lam)
         got = sample(np.random.Generator(np.random.PCG64(5)))
         assert np.array_equal(got, np.fft.fft(w).real[:n])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 257])
+    @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.7, 0.9])
+    def test_cholesky_factor_matches_index_matrix_reference(self, n, hurst):
+        # reference: the Toeplitz covariance gathered through |i - j| indices
+        gamma = paths._fgn_autocov(n - 1, hurst)
+        idx = np.arange(n)
+        expected = np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx[None, :])])
+        got = paths._cholesky_factor(n, hurst)
+        assert got.tobytes() == expected.tobytes()
 
     def test_fallback_on_negative_eigenvalue(self, monkeypatch):
         def boom(n_steps, hurst):
