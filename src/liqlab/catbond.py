@@ -170,11 +170,3 @@ def implied_return(q: float, target_f: float) -> float:
         raise DomainError(f"target fraction must be in [0, 1 - q), got {target_f}")
     return q / margin
 
-
-def mean_variance_fraction(bond: BondSpec) -> float:
-    """First estimate of the optimal fraction: mean over variance of the payout."""
-    q, r = bond.default_prob_q, bond.return_r
-    p = 1.0 - q
-    mean = p * r - q
-    var = p * r * r + q - mean * mean
-    return mean / var

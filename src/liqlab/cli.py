@@ -5,7 +5,8 @@ Usage::
     liqlab <experiment> [--config FILE] [--set key=value ...] [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(bracketing/optimizer, overflow, division by zero), 4 I/O error.
+(no bracket, a solver that stops before it converges, overflow, division
+by zero), 4 I/O error.
 """
 
 from __future__ import annotations

@@ -220,43 +220,26 @@ def stage4_remove(ledger: CycleLedger, g_amt: float, h_amt: float,
     )
 
 
-def closure_parameters(config: CycleConfig,
-                       stage3_mode: Stage3Formula = Stage3Formula.EXACT_INVARIANT,
-                       ) -> tuple[float, float]:
-    """Stage-4 amounts (G, H) that restore the starting pool reserves.
+def run_cycle(config: CycleConfig,
+              stage3_mode: Stage3Formula = Stage3Formula.EXACT_INVARIANT) -> CycleReport:
+    """Execute stages 1 through 4 and summarize the investor's outcome.
 
-    G = M - alpha + sigma balances the X side; H is whatever Y excess the
-    first three stages left in the pool.  Only the pool is guaranteed to
-    close; the investor's positions generally stay open.
+    A closure run removes the stage-4 amounts (G, H) that restore the
+    starting pool reserves: G = M - alpha + sigma balances the X side; H is
+    whatever Y excess the first three stages left in the pool.  Only the
+    pool is guaranteed to close; the investor's positions generally stay
+    open.  A closure that needs a negative G or H raises :class:`DomainError`.
     """
-    return _closure_amounts(config, _run_stages_123(config, stage3_mode)[-1])
-
-
-def _closure_amounts(config: CycleConfig, after3: CycleLedger) -> tuple[float, float]:
-    g_amt = config.m - config.alpha + config.sigma_amt
-    h_amt = after3.pool.reserve_y - config.y0
-    if g_amt < 0.0 or h_amt < 0.0:
-        raise DomainError(
-            f"infeasible closure: G = {g_amt}, H = {h_amt} (both must be >= 0)")
-    return g_amt, h_amt
-
-
-def _run_stages_123(config: CycleConfig,
-                    stage3_mode: Stage3Formula) -> list[CycleLedger]:
-    """Snapshots at the start and after each of stages 1 to 3."""
     snapshots = [new_cycle(config.x0, config.y0)]
     snapshots.append(stage1_switch(snapshots[-1], config.alpha))
     snapshots.append(stage2_add(snapshots[-1], config.m))
     snapshots.append(stage3_switch(snapshots[-1], config.sigma_amt, stage3_mode))
-    return snapshots
-
-
-def run_cycle(config: CycleConfig,
-              stage3_mode: Stage3Formula = Stage3Formula.EXACT_INVARIANT) -> CycleReport:
-    """Execute stages 1 through 4 and summarize the investor's outcome."""
-    snapshots = _run_stages_123(config, stage3_mode)
     if config.closure:
-        g_amt, h_amt = _closure_amounts(config, snapshots[-1])
+        g_amt = config.m - config.alpha + config.sigma_amt
+        h_amt = snapshots[-1].pool.reserve_y - config.y0
+        if g_amt < 0.0 or h_amt < 0.0:
+            raise DomainError(
+                f"infeasible closure: G = {g_amt}, H = {h_amt} (both must be >= 0)")
         snapshots.append(stage4_remove(snapshots[-1], g_amt, h_amt,
                                        require_pool_ratio=False))
     else:

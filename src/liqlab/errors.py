@@ -9,6 +9,10 @@ class BracketError(RuntimeError):
     """No sign change / interior optimum could be bracketed."""
 
 
+class ConvergenceError(ArithmeticError):
+    """A solver stopped before its bracket reached the requested width."""
+
+
 class StageOrderError(RuntimeError):
     """A cycle stage was invoked out of order."""
 

@@ -1,13 +1,17 @@
-"""Golden-section search for unimodal maxima on a bracketed interval."""
+"""Bracketed one-dimensional solvers: golden-section maximization,
+sign-change bracketing and bisection.  A solver that stops short of its
+tolerance raises :class:`ConvergenceError`; none returns a bare midpoint.
+"""
 
 from __future__ import annotations
 
 import math
 from typing import Callable
 
-from .errors import BracketError
+from .errors import BracketError, ConvergenceError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_HALVINGS = 200
 
 
 def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
@@ -15,8 +19,9 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
     """Argmax of a unimodal ``fn`` on ``[lo, hi]``.
 
     The interval shrinks until its width falls below
-    ``rel_tol * max(1, |lo|, |hi|)``; the midpoint of the final interval
-    is returned.
+    ``tol = rel_tol * max(1, |lo|, |hi|)``; the midpoint of the final
+    interval is returned.  Raises :class:`ConvergenceError` when the
+    interval is still wider than ``tol`` after ``max_iter`` steps.
     """
     if not hi > lo:
         raise BracketError(f"empty bracket [{lo}, {hi}]")
@@ -36,6 +41,10 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = fn(d)
+    if b - a > tol:
+        raise ConvergenceError(
+            f"golden section stopped at width {b - a:.3e} > {tol:.3e} "
+            f"after {max_iter} steps")
     return 0.5 * (a + b)
 
 
@@ -64,3 +73,25 @@ def bracket_decreasing(deriv: Callable[[float], float], start: float = 1.0,
                 raise BracketError(
                     f"derivative non-positive down to {hi:.3e}; no interior maximum")
     return lo, hi
+
+
+def bisect_decreasing(fn: Callable[[float], float], rel_tol: float) -> float:
+    """Positive root of a decreasing ``fn``, by bisection of its bracket.
+
+    The bracket comes from :func:`bracket_decreasing`; it is halved, keeping
+    ``fn(lo) > 0 >= fn(hi)``, until ``hi - lo <= rel_tol * hi``, and the
+    midpoint is returned.  Raises :class:`ConvergenceError` if the bracket is
+    still wider after ``_MAX_HALVINGS`` halvings, as it is whenever
+    ``rel_tol`` asks for more than the float spacing allows (``0.0``, say).
+    """
+    lo, hi = bracket_decreasing(fn)
+    for _ in range(_MAX_HALVINGS):
+        if hi - lo <= rel_tol * hi:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if fn(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError(
+        f"bisection stopped at [{lo!r}, {hi!r}] after {_MAX_HALVINGS} halvings")

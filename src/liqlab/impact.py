@@ -17,13 +17,14 @@ form can be checked against an independent optimizer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import BracketError, DomainError
-from .golden import bracket_decreasing, golden_section_max
+from .errors import DomainError
+from .golden import bisect_decreasing, bracket_decreasing, golden_section_max
 from .paths import FouParams, SamplePath
 
 
@@ -207,10 +208,13 @@ def optimal_impact_leverage_form(q: float, price_level: float,
     """Impact recovered by optimizing leverage instead of size.
 
     For the leverage growth g(f) = (dp/P) f - sigma^2/(2 P^2) f^2 the
-    optimal f is located numerically (sign bisection of the derivative of
-    g), and dp is solved so that this optimum equals the fraction implied
-    by the capital constraint, f = P sqrt(q) / k.  The result agrees with
+    optimal f is the root of dg/df, found by
+    :func:`~liqlab.golden.bisect_decreasing`; a second bisection solves for
+    the dp at which this optimum equals the fraction implied by the capital
+    constraint, f = P sqrt(q) / k.  The result agrees with
     :func:`optimal_impact_sqrt` and is independent of ``price_level``.
+    Subnormal sigma^2/P^2 or dp/P raise :class:`DomainError`; an optimal f
+    or dp outside [1e-200, 1e200] raises :class:`BracketError`.
     """
     if model.hurst != 0.5:
         raise DomainError("leverage form is defined for hurst == 0.5")
@@ -219,40 +223,16 @@ def optimal_impact_leverage_form(q: float, price_level: float,
     if not price_level > 0.0:
         raise DomainError("price_level must be positive")
     p = price_level
-    sigma2 = model.sigma ** 2
+    curvature = model.sigma ** 2 / (p * p)
     f_target = p * math.sqrt(q) / model.capital_scale_k
+    # near the root both terms of dg/df are about dp/P = curvature * f_target;
+    # subnormal terms would cost the root its precision without any error
+    if not (curvature >= sys.float_info.min
+            and curvature * f_target >= sys.float_info.min):
+        raise DomainError("sigma^2/P^2 or dp/P falls below the normal float range")
 
-    def argmax_f(dp: float) -> float:
-        # d/df of the leverage growth; root located by sign bisection
-        dgdf = lambda f: dp / p - sigma2 / (p * p) * f
-        hi = 1.0
-        while dgdf(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e60:
-                raise BracketError("leverage optimum did not bracket")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if dgdf(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        return 0.5 * (lo + hi)
+    def shortfall(dp: float) -> float:
+        # f_target minus the root of dg/df; positive while dp is too small
+        return f_target - bisect_decreasing(lambda f: dp / p - curvature * f, 1e-15)
 
-    hi = 1.0
-    while argmax_f(hi) < f_target:
-        hi *= 2.0
-        if hi > 1e60:
-            raise BracketError("impact level did not bracket")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if argmax_f(mid) < f_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return bisect_decreasing(shortfall, 1e-14)

@@ -15,6 +15,7 @@ inputs therefore reproduce bit-identical paths.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -54,6 +55,9 @@ class FouParams:
             raise DomainError(f"hurst must be in (0, 1), got {self.hurst}")
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
+        # sigma * sigma, not sigma ** 2: float ** raises OverflowError itself
+        if not math.isfinite(self.sigma * self.sigma):
+            raise DomainError(f"sigma must have a finite square, got {self.sigma}")
         if not math.isfinite(self.kappa) or not math.isfinite(self.level):
             raise DomainError("kappa and level must be finite")
 
@@ -210,6 +214,8 @@ def _fbm_generator(n_steps: int, dt: float, hurst: float, method: str):
     def draw(seed: int, out: np.ndarray) -> np.ndarray:
         out[0] = 0.0
         np.cumsum(sampler(_path_rng(seed)), out=out[1:])
+        if scale > 1.0 and np.abs(out[1:]).max() > sys.float_info.max / scale:
+            raise DomainError(f"fBM values overflow when scaled by dt**hurst = {scale}")
         out[1:] *= scale
         return out
 

@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from liqlab.catbond import (BondSpec, Method, implied_return,
-                            iso_fraction_shift, mean_variance_fraction,
+from liqlab.catbond import (BondSpec, Method, implied_return, iso_fraction_shift,
                             single_bond_fraction, single_bond_fraction_numeric,
                             single_bond_growth, single_bond_growth_deriv,
                             two_bond_fraction_numeric, two_bond_fraction_series,
@@ -220,21 +219,6 @@ class TestImpliedReturn:
             implied_return(0.2, 0.8)
         with pytest.raises(DomainError):
             implied_return(0.2, -0.1)
-
-
-class TestMeanVarianceHeuristic:
-    def test_matches_kelly_in_the_small_edge_limit(self):
-        # edge vanishes at q = r/(1+r); the mean/variance estimate and the
-        # exact fraction agree to first order in the remaining edge
-        r = 1.0
-        ratios = []
-        for q in (0.45, 0.49, 0.499):
-            bond = BondSpec(q, r)
-            exact = single_bond_fraction(bond).fraction
-            ratios.append(mean_variance_fraction(bond) / exact)
-        gaps = [abs(x - 1.0) for x in ratios]
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] < 1e-3
 
 
 class TestBondSpec:

@@ -1,9 +1,8 @@
 import pytest
 
 from liqlab.cycle import (CycleConfig, CycleLedger, Stage, Stage3Formula,
-                          closure_parameters, new_cycle, run_cycle,
-                          stage1_switch, stage2_add, stage3_switch,
-                          stage4_remove)
+                          new_cycle, run_cycle, stage1_switch, stage2_add,
+                          stage3_switch, stage4_remove)
 from liqlab.errors import DomainError, RatioMismatchError, StageOrderError
 
 # worked configuration: start (100, 100), alpha=10, m=9, sigma=1
@@ -123,28 +122,24 @@ class TestStage3:
 
 class TestStage4AndClosure:
     def test_closure_parameters_worked_values(self):
-        config = CycleConfig(X0, Y0, ALPHA, M, SIG)
-        g, h = closure_parameters(config, Stage3Formula.EXACT_INVARIANT)
-        assert g == 0.0
-        assert h == pytest.approx(21.0, abs=1e-12)
+        report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG))
+        assert report.g_amt == 0.0
+        assert report.h_amt == pytest.approx(21.0, abs=1e-12)
 
     def test_degenerate_closure_identity(self):
         # alpha == sigma with no stage-2 add: the X side closes by itself
-        config = CycleConfig(X0, Y0, 5.0, 0.0, 5.0)
-        g, _ = closure_parameters(config, Stage3Formula.EXACT_INVARIANT)
-        assert g == 0.0
+        assert run_cycle(CycleConfig(X0, Y0, 5.0, 0.0, 5.0)).g_amt == 0.0
 
     def test_closure_restores_pool(self):
-        config = CycleConfig(X0, Y0, ALPHA, M, SIG)
-        g, h = closure_parameters(config, Stage3Formula.EXACT_INVARIANT)
-        led = stage4_remove(worked_after(3), g, h, require_pool_ratio=False)
+        report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG))
+        led = stage4_remove(worked_after(3), report.g_amt, report.h_amt,
+                            require_pool_ratio=False)
         assert led.pool.reserve_x == pytest.approx(X0, abs=1e-12)
         assert led.pool.reserve_y == pytest.approx(Y0, abs=1e-12)
 
     def test_infeasible_closure_reports_values(self):
-        config = CycleConfig(X0, Y0, ALPHA, M, 200.0)
         with pytest.raises(DomainError, match="infeasible closure"):
-            closure_parameters(config, Stage3Formula.EXACT_INVARIANT)
+            run_cycle(CycleConfig(X0, Y0, ALPHA, M, 200.0))
 
     def test_zero_removal_is_noop(self):
         before = worked_after(3)

@@ -288,6 +288,10 @@ class TestCli:
         (["fbm-gen", "--set", "seed=-5"], 2),
         # a config file that is not UTF-8 is a config error
         (["fbm-gen", "--config", "latin1.cfg"], 2),
+        # fBM values overflow when scaled by dt ** hurst: numerical failure,
+        # with no numpy RuntimeWarning on the way
+        (["fbm-gen", "--set", "n_steps=16", "--set", "dt=1e307",
+          "--set", "hurst=0.9999", "--seed", "3"], 3),
     ])
     def test_former_tracebacks_map_to_exit_codes(self, tmp_path, monkeypatch,
                                                  argv, code):

@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from liqlab.errors import BracketError
-from liqlab.golden import bracket_decreasing, golden_section_max
+from liqlab.errors import BracketError, ConvergenceError
+from liqlab.golden import bisect_decreasing, bracket_decreasing, golden_section_max
 
 
 def test_quadratic_argmax():
@@ -14,6 +14,12 @@ def test_quadratic_argmax():
 def test_boundary_maximum():
     # monotone decreasing: argmax collapses onto the left edge
     assert golden_section_max(lambda x: -x, 0.0, 1.0) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_stopping_short_raises():
+    # three steps shrink [0, 5] only to about 1.2, far above 1e-10
+    with pytest.raises(ConvergenceError):
+        golden_section_max(lambda x: -(x - 2.0) ** 2, 0.0, 5.0, max_iter=3)
 
 
 def test_empty_bracket_rejected():
@@ -50,3 +56,15 @@ def test_shrinks_to_interior_peak():
     peak = math.pi
     fn = lambda x: -abs(x - peak)
     assert golden_section_max(fn, 0.0, 1000.0, rel_tol=1e-12) == pytest.approx(peak, abs=1e-6)
+
+
+@pytest.mark.parametrize("root", [3.0, 1e-3])
+def test_bisect_decreasing_finds_root(root):
+    # brackets upwards from 1 for 3, downwards for 1e-3
+    assert bisect_decreasing(lambda x: root - x, 1e-15) == pytest.approx(root, rel=2e-15)
+
+
+def test_bisect_decreasing_raises_when_tolerance_unreachable():
+    # adjacent floats never satisfy hi - lo <= 0
+    with pytest.raises(ConvergenceError):
+        bisect_decreasing(lambda x: 3.0 - x, 0.0)

@@ -270,6 +270,17 @@ class TestLeverageForm:
         with pytest.raises(DomainError):
             optimal_impact_leverage_form(1.0, 1.0, model(hurst=0.6))
 
+    def test_small_impact_is_resolved(self):
+        # formerly a silent midpoint: 200 halvings of [0, 1] stopped at 2**-201
+        assert optimal_impact_leverage_form(1e-130, 1.0, model()) == pytest.approx(
+            1e-65, rel=1e-12)
+
+    @pytest.mark.parametrize("q, price, k", [(1.0, 1e160, 1.0), (1e-300, 1e150, 1e20)])
+    def test_subnormal_terms_rejected(self, q, price, k):
+        # sigma^2/P^2 (first case) or dp/P (second) below the normal range
+        with pytest.raises(DomainError, match="normal float range"):
+            optimal_impact_leverage_form(q, price, model(k=k))
+
 
 class TestModelValidation:
     def test_growth_model_domain(self):

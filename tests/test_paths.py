@@ -44,6 +44,12 @@ class TestFouParams:
         with pytest.raises(DomainError):
             FouParams(kappa=math.inf, level=0.0, sigma=1.0, hurst=0.5)
 
+    @pytest.mark.parametrize("sigma", [math.inf, 1e160])
+    def test_sigma_square_must_be_finite(self, sigma):
+        # formerly wealth frozen at w0 (inf), or OverflowError in sigma ** 2
+        with pytest.raises(DomainError, match="finite square"):
+            FouParams(kappa=1.0, level=0.0, sigma=sigma, hurst=0.5)
+
 
 class TestSamplePath:
     def test_grid_must_be_uniform(self):
