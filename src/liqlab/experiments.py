@@ -8,6 +8,7 @@ change from run to run (the duration) go to ``run.json`` instead.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -48,22 +49,39 @@ def _column(cells: list[Any]) -> tuple[str, list[Any]]:
     return "%s", [fmt(cell) for cell in cells]
 
 
+@functools.lru_cache(maxsize=1)
+def _file_template(first_column: bytes, n_cols: int) -> str:
+    """Whole-file ``%`` template for a float64 table with this first column.
+
+    Each row is the column's ``%.17g`` text, then a ``,%.17g`` slot per
+    remaining column.  ``%.17g`` of a float holds no ``%``, so the template
+    is a pure function of the column's bytes, and ``fbm-gen`` formats its
+    shared time column once per run.
+    """
+    row_end = ",%.17g" * (n_cols - 1) + "\n"
+    return "".join(["%.17g" % x + row_end
+                    for x in np.frombuffer(first_column).tolist()])
+
+
 def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray) -> Path:
     """Write ``header`` and ``rows`` as CSV with LF line endings.
 
     ``rows`` is a list of rows or a 2-d float64 array.  Every cell gets the
-    text :func:`fmt` gives it, but a column of floats is formatted with one
-    ``%`` operation per row instead of one call per cell.
+    text :func:`fmt` gives it.  A list is formatted with one ``%`` operation
+    per row.  An array is formatted with one ``%`` operation per file, on a
+    template that holds its first column's text already; the last template
+    is kept, so files that share a first column format it only once.
     """
     if isinstance(rows, np.ndarray):
-        if rows.dtype != np.float64 or rows.ndim != 2:
-            raise TypeError(f"expected a 2-d float64 array, got {rows.dtype} "
-                            f"with {rows.ndim} dimensions")
-        columns = [("%.17g", cells) for cells in rows.T.tolist()]
+        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] < 1:
+            raise TypeError(f"expected a 2-d float64 array with at least one "
+                            f"column, got {rows.dtype} with shape {rows.shape}")
+        template = _file_template(rows[:, 0].tobytes(), rows.shape[1])
+        body = template % tuple(rows[:, 1:].ravel().tolist())
     else:
         columns = [_column(list(cells)) for cells in zip(*rows)]
-    template = ",".join(field for field, _ in columns) + "\n"
-    body = "".join(map(template.__mod__, zip(*(cells for _, cells in columns))))
+        template = ",".join(field for field, _ in columns) + "\n"
+        body = "".join(map(template.__mod__, zip(*(cells for _, cells in columns))))
     path.write_text(",".join(header) + "\n" + body, newline="\n")
     return path
 

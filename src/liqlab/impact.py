@@ -42,12 +42,14 @@ class GrowthModel:
     hurst: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.capital_scale_k > 0.0:
-            raise DomainError("capital_scale_k must be positive")
-        if not self.time_per_size_khat > 0.0:
-            raise DomainError("time_per_size_khat must be positive")
-        if not self.sigma > 0.0:
-            raise DomainError("sigma must be positive")
+        if not 0.0 < self.capital_scale_k < math.inf:
+            raise DomainError(f"capital_scale_k must be positive and finite, "
+                              f"got {self.capital_scale_k}")
+        if not 0.0 < self.time_per_size_khat < math.inf:
+            raise DomainError(f"time_per_size_khat must be positive and finite, "
+                              f"got {self.time_per_size_khat}")
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 < self.hurst < 1.0:
             raise DomainError(f"hurst must be in (0, 1), got {self.hurst}")
 

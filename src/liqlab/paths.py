@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 PRNG_LABEL = "pcg64"
 NORMAL_LABEL = "ziggurat"
@@ -31,6 +31,10 @@ METHOD_CHOLESKY = "cholesky"
 
 # eigenvalues above -_EIG_TOL * max(eig) are treated as FFT round-off
 _EIG_TOL = 1e-12
+
+# the Cholesky factor and LAPACK's working copy are each n x n float64;
+# together they may take at most this many bytes (n <= 8192)
+_CHOLESKY_MAX_BYTES = 1 << 30
 
 
 class EmbeddingError(RuntimeError):
@@ -163,6 +167,12 @@ def _davies_harte_sampler(lam: np.ndarray):
 
 
 def _cholesky_factor(n_steps: int, hurst: float) -> np.ndarray:
+    needed = 2 * 8 * n_steps * n_steps
+    if needed > _CHOLESKY_MAX_BYTES:
+        raise ConfigError(
+            f"the Cholesky factor for n_steps={n_steps} needs {needed} bytes "
+            f"for two {n_steps}x{n_steps} float64 arrays, above the limit of "
+            f"{_CHOLESKY_MAX_BYTES} bytes")
     gamma = _fgn_autocov(n_steps - 1, hurst)
     # ring is gamma[n-1], ..., gamma[1], gamma[0], ..., gamma[n-1]; its
     # length-n windows, last first, are the Toeplitz rows gamma[|j - i|],

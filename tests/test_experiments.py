@@ -84,6 +84,30 @@ class TestWriteCsv:
     def test_rejects_non_float64_array(self, tmp_path):
         with pytest.raises(TypeError):
             write_csv(tmp_path / "t.csv", ["a"], np.zeros((2, 1), dtype=np.float32))
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "t.csv", [], np.zeros((2, 0)))
+
+    def test_arrays_sharing_a_first_column(self, tmp_path):
+        # the second write reuses the first column's template
+        t = np.arange(5) * 0.1
+        for values in ([0.0, 1 / 3, -2.5, 1e300, 5e-324],
+                       [math.nan, math.inf, -0.0, 7.0, 0.1]):
+            rows = np.column_stack((t, values, np.negative(values)))
+            path = write_csv(tmp_path / "t.csv", ["t", "a", "b"], rows)
+            assert path.read_bytes() == reference_csv(["t", "a", "b"], rows.tolist())
+
+    def test_zero_and_negative_zero_first_columns(self, tmp_path):
+        for first in (0.0, -0.0, 0.0):
+            rows = np.array([[first, 1.5], [first, -0.0]])
+            path = write_csv(tmp_path / "t.csv", ["t", "v"], rows)
+            assert path.read_bytes() == reference_csv(["t", "v"], rows.tolist())
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 1), (0, 1), (0, 3)])
+    def test_one_column_and_zero_row_arrays(self, tmp_path, shape):
+        rows = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) / 3.0
+        header = [f"c{j}" for j in range(shape[1])]
+        path = write_csv(tmp_path / "t.csv", header, rows)
+        assert path.read_bytes() == reference_csv(header, rows.tolist())
 
 
 class TestRunExperiment:
@@ -124,6 +148,18 @@ class TestRunExperiment:
             expected = generate_fbm(16, 0.0625, 0.6, 4 + i, method="cholesky")
             assert [float(t) for t, _ in rows] == expected.times.tolist()
             assert [float(v) for _, v in rows] == expected.values.tolist()
+
+    def test_fbm_gen_runs_with_different_dt(self, tmp_path):
+        # each run's time column replaces the last run's template
+        for dt in (0.25, 0.1, 0.25):
+            out = tmp_path / str(dt)
+            cfg = {"n_steps": 8, "n_paths": 2, "dt": dt, "seed": 3}
+            run_experiment("fbm-gen", cfg, out)
+            for i in range(2):
+                path = generate_fbm(8, dt, 0.5, 3 + i)
+                rows = np.column_stack((path.times, path.values)).tolist()
+                assert ((out / f"fbm_{i:04d}.csv").read_bytes()
+                        == reference_csv(["t", "value"], rows))
 
     def test_manifest_lists_outputs_with_checksums(self, tmp_path):
         manifest = run_experiment("impact-curve", {}, tmp_path)

@@ -291,6 +291,16 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             GrowthModel(1.0, 1.0, 1.0, 1.2)
 
+    @pytest.mark.parametrize("k, khat, sigma", [
+        (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),
+        (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+    ])
+    def test_growth_model_rejects_non_finite_scales(self, k, khat, sigma):
+        # formerly accepted: an infinite sigma gave optimal impact inf, an
+        # infinite k gave 0.0, with no error
+        with pytest.raises(DomainError, match="positive and finite"):
+            GrowthModel(k, khat, sigma, 0.5)
+
     def test_impact_point_domain(self):
         with pytest.raises(DomainError):
             ImpactPoint(0.0, 1.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from liqlab import paths
-from liqlab.errors import DomainError
+from liqlab.cli import main
+from liqlab.errors import ConfigError, DomainError
 from liqlab.paths import (FouParams, SamplePath, fbm_covariance, generate_fbm,
                           generate_fbm_batch, iter_fbm, refine_linear,
                           simulate_fou)
@@ -168,6 +169,25 @@ class TestGenerateFbm:
         expected = np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx[None, :])])
         got = paths._cholesky_factor(n, hurst)
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("method", ["cholesky", "auto"])
+    def test_oversized_cholesky_rejected_before_allocation(self, monkeypatch,
+                                                           tmp_path, method):
+        def unreachable(*args):
+            raise AssertionError("the factor must not be allocated")
+
+        def boom(n_steps, hurst):
+            raise paths.EmbeddingError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", unreachable)
+        monkeypatch.setattr(paths, "_embedding_eigenvalues", boom)
+        n = 8193  # 2 * 8 * n * n bytes is just above the 1 GiB limit
+        assert 2 * 8 * n * n > paths._CHOLESKY_MAX_BYTES >= 2 * 8 * 8192 ** 2
+        with pytest.raises(ConfigError, match=f"needs {2 * 8 * n * n} bytes"):
+            generate_fbm(n, 0.1, 0.6, 3, method=method)
+        assert main(["fbm-gen", "--set", f"n_steps={n}", "--set",
+                     f"method={method}", "--set", "hurst=0.6",
+                     "--out", str(tmp_path)]) == 2
 
     def test_fallback_on_negative_eigenvalue(self, monkeypatch):
         def boom(n_steps, hurst):
