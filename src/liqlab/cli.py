@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import infer_literal, parse_config
+from .config import parse_config
 from .errors import (BracketError, ConfigError, DomainError,
                      RatioMismatchError, StageOrderError)
 from .experiments import EXPERIMENT_NAMES, run_experiment
@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE", help="override one config value")
+                        metavar="KEY=VALUE",
+                        help="one config-file line; overrides --config")
     parser.add_argument("--seed", type=int, default=None,
                         help="base seed (overrides the config file)")
     parser.add_argument("--out", type=Path, default=Path("."),
@@ -51,17 +52,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
         config = parse_config(text)
-    seen = set()
-    for item in args.overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if not key:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        if key in seen:
-            raise ConfigError(f"duplicate --set key {key!r}")
-        seen.add(key)
-        config[key] = infer_literal(raw)
+    config.update(parse_config("\n".join(args.overrides)))
     if args.seed is not None:
         config["seed"] = args.seed
     return config

@@ -23,10 +23,7 @@ from . import catbond, cpmm, impact
 from .config import Field, Value, validate_config
 from .cycle import CycleConfig, Stage3Formula, run_cycle
 from .errors import ConfigError, DomainError
-from .paths import NORMAL_LABEL, PRNG_LABEL, iter_fbm
-
-EXPERIMENT_NAMES = ("fbm-gen", "impact-curve", "impact-verify", "cpmm-compare",
-                    "cycle-run", "catbond-optimize", "catbond-sensitivity")
+from .paths import MAX_ARRAY_BYTES, NORMAL_LABEL, PRNG_LABEL, iter_fbm
 
 
 def fmt(value: Any) -> str:
@@ -36,17 +33,6 @@ def fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-def _column(cells: list[Any]) -> tuple[str, list[Any]]:
-    """Row-template field and cells for one column.
-
-    ``"%.17g" % x`` gives the bytes of ``fmt(x)`` for every float ``x``, so
-    an all-float column is formatted by the row template itself.
-    """
-    if all(isinstance(cell, float) for cell in cells):
-        return "%.17g", cells
-    return "%s", [fmt(cell) for cell in cells]
 
 
 @functools.lru_cache(maxsize=1)
@@ -66,11 +52,12 @@ def _file_template(first_column: bytes, n_cols: int) -> str:
 def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray) -> Path:
     """Write ``header`` and ``rows`` as CSV with LF line endings.
 
-    ``rows`` is a list of rows or a 2-d float64 array.  Every cell gets the
-    text :func:`fmt` gives it.  A list is formatted with one ``%`` operation
-    per row.  An array is formatted with one ``%`` operation per file, on a
-    template that holds its first column's text already; the last template
-    is kept, so files that share a first column format it only once.
+    Every cell gets the text :func:`fmt` gives it.  A float table arrives as
+    a 2-d float64 array and is formatted with one ``%`` operation per file,
+    on a template that holds its first column's text already; the last
+    template is kept, so files that share a first column format it only
+    once.  A list of rows is for tables with text cells; it is formatted
+    cell by cell.
     """
     if isinstance(rows, np.ndarray):
         if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] < 1:
@@ -79,9 +66,7 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray)
         template = _file_template(rows[:, 0].tobytes(), rows.shape[1])
         body = template % tuple(rows[:, 1:].ravel().tolist())
     else:
-        columns = [_column(list(cells)) for cells in zip(*rows)]
-        template = ",".join(field for field, _ in columns) + "\n"
-        body = "".join(map(template.__mod__, zip(*(cells for _, cells in columns))))
+        body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
     path.write_text(",".join(header) + "\n" + body, newline="\n")
     return path
 
@@ -132,6 +117,23 @@ def _non_negative(value: int) -> str | None:
     return None if value >= 0 else "must be >= 0"
 
 
+def _sized(minimum: int, bytes_each: int) -> Callable[[int], str | None]:
+    """Check for a count of at least ``minimum`` units of ``bytes_each``.
+
+    ``bytes_each`` is the run's peak memory per unit, measured with
+    tracemalloc; the whole count must fit in ``MAX_ARRAY_BYTES``.
+    """
+    def check(count: int) -> str | None:
+        if count < minimum:
+            return f"must be >= {minimum}"
+        needed = count * bytes_each
+        if needed > MAX_ARRAY_BYTES:
+            return (f"needs about {needed} bytes at {bytes_each} bytes each, "
+                    f"above the limit of {MAX_ARRAY_BYTES} bytes")
+        return None
+    return check
+
+
 def _hurst_list(values: list[float]) -> str | None:
     return None if all(0.0 < h < 1.0 for h in values) else "every entry must be in (0, 1)"
 
@@ -162,7 +164,7 @@ def _run_fbm_gen(cfg: dict[str, Any], out: Path):
 
 
 _FBM_SCHEMA = _COMMON | {
-    "n_steps": Field("int", 1024, _at_least_one),
+    "n_steps": Field("int", 1024, _sized(1, 200)),
     "dt": Field("float", 1.0 / 1024.0, _positive),
     "hurst": Field("float", 0.5, _hurst_open),
     "n_paths": Field("int", 1, _at_least_one),
@@ -184,7 +186,7 @@ def _run_impact_curve(cfg: dict[str, Any], out: Path):
     rows = [[q, impact.optimal_impact_fou(q, model), exponent]
             for q in _log_grid(cfg["q_min"], cfg["q_max"], cfg["n_points"])]
     return [write_csv(out / "impact_curve.csv",
-                      ["q", "delta_p", "exponent_model"], rows)], ""
+                      ["q", "delta_p", "exponent_model"], np.array(rows))], ""
 
 
 _CURVE_SCHEMA = _COMMON | {
@@ -194,7 +196,7 @@ _CURVE_SCHEMA = _COMMON | {
     "khat": Field("float", 1.0, _positive),
     "q_min": Field("float", 1e-2, _positive),
     "q_max": Field("float", 1e4, _positive),
-    "n_points": Field("int", 25, lambda v: None if v >= 3 else "must be >= 3"),
+    "n_points": Field("int", 25, _sized(3, 350)),
 }
 
 
@@ -213,13 +215,14 @@ def _run_impact_verify(cfg: dict[str, Any], out: Path):
         slope = impact.impact_exponent(points)
         target = 2.0 * hurst - 0.5
         exponent_rows.append([hurst, slope, target, abs(slope - target)])
+    # an empty hursts list leaves both tables without rows
     return [
         write_csv(out / "impact_verify.csv",
                   ["hurst", "q", "delta_p", "q_recovered", "rel_err"],
-                  inversion_rows),
+                  np.array(inversion_rows).reshape(-1, 5)),
         write_csv(out / "impact_exponent.csv",
                   ["hurst", "slope_fit", "slope_model", "abs_err"],
-                  exponent_rows),
+                  np.array(exponent_rows).reshape(-1, 4)),
     ], ""
 
 
@@ -251,7 +254,7 @@ def _run_cpmm_compare(cfg: dict[str, Any], out: Path):
     return [
         write_csv(out / "cpmm_compare.csv",
                   ["u", "dx", "exact_impact", "linear_impact", "abs_err",
-                   "quad_bound"], compare_rows),
+                   "quad_bound"], np.array(compare_rows)),
         write_csv(out / "pool_trace.csv",
                   ["step", "action", "reserve_x", "reserve_y", "spot_price"],
                   trace_rows),
@@ -267,10 +270,6 @@ _CPMM_SCHEMA = _COMMON | {
 }
 
 
-_STAGE3_MODES = {"exact": Stage3Formula.EXACT_INVARIANT,
-                 "original-x": Stage3Formula.ORIGINAL_X}
-
-
 def _run_cycle_run(cfg: dict[str, Any], out: Path):
     try:
         config = CycleConfig(
@@ -280,7 +279,7 @@ def _run_cycle_run(cfg: dict[str, Any], out: Path):
             h_amt=None if cfg["closure"] else cfg["h_amt"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    report = run_cycle(config, _STAGE3_MODES[cfg["stage3_mode"]])
+    report = run_cycle(config, Stage3Formula(cfg["stage3_mode"]))
     rows = [[s.stage.value, s.pool.reserve_x, s.pool.reserve_y,
              s.inside_x, s.inside_y, s.outside_x, s.outside_y]
             for s in report.snapshots]
@@ -302,7 +301,7 @@ _CYCLE_SCHEMA = _COMMON | {
     "m": Field("float", 9.0),
     "sigma_amt": Field("float", 1.0),
     "stage3_mode": Field("str", "exact",
-                         lambda v: None if v in _STAGE3_MODES
+                         lambda v: None if v in [m.value for m in Stage3Formula]
                          else "must be exact or original-x"),
     "closure": Field("bool", True),
     "g_amt": Field("float", 0.0),
@@ -311,10 +310,7 @@ _CYCLE_SCHEMA = _COMMON | {
 
 
 def _run_catbond_optimize(cfg: dict[str, Any], out: Path):
-    try:
-        bond = catbond.BondSpec(default_prob_q=cfg["q"], return_r=cfg["r"])
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    bond = catbond.BondSpec(default_prob_q=cfg["q"], return_r=cfg["r"])
     single = catbond.single_bond_fraction(bond)
     single_num = catbond.single_bond_fraction_numeric(bond)
     two_series = catbond.two_bond_fraction_series(bond)
@@ -327,7 +323,7 @@ def _run_catbond_optimize(cfg: dict[str, Any], out: Path):
     return [write_csv(out / "catbond_optimize.csv",
                       ["q", "r", "f_analytic", "f_numeric", "single_abs_err",
                        "f_two_series", "f_two_numeric", "two_abs_err"],
-                      rows)], ""
+                      np.array(rows))], ""
 
 
 _CATBOND_OPT_SCHEMA = _COMMON | {
@@ -358,10 +354,10 @@ def _run_catbond_sensitivity(cfg: dict[str, Any], out: Path):
     return [
         write_csv(out / "catbond_sensitivity.csv",
                   ["q", "r", "f_analytic", "f_numeric", "f_series", "abs_err"],
-                  sweep_rows),
+                  np.array(sweep_rows)),
         write_csv(out / "iso_shift.csv",
                   ["q", "r", "delta_r", "delta_exact", "delta_first_order",
-                   "delta_geometric", "roundtrip_abs_err"], iso_rows),
+                   "delta_geometric", "roundtrip_abs_err"], np.array(iso_rows)),
     ], ""
 
 
@@ -383,8 +379,7 @@ _RUNNERS: dict[str, tuple[dict[str, Field], Callable[[dict, Path], tuple]]] = {
     "catbond-optimize": (_CATBOND_OPT_SCHEMA, _run_catbond_optimize),
     "catbond-sensitivity": (_CATBOND_SENS_SCHEMA, _run_catbond_sensitivity),
 }
-
-assert set(_RUNNERS) == set(EXPERIMENT_NAMES)
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiment(name: str, config: Mapping[str, Value],

@@ -32,12 +32,13 @@ METHOD_CHOLESKY = "cholesky"
 # eigenvalues above -_EIG_TOL * max(eig) are treated as FFT round-off
 _EIG_TOL = 1e-12
 
-# the Cholesky factor and LAPACK's working copy are each n x n float64;
-# together they may take at most this many bytes (n <= 8192)
-_CHOLESKY_MAX_BYTES = 1 << 30
+# bytes that an input size may make a run allocate: here the Cholesky factor
+# and LAPACK's working copy (two n x n float64 arrays, so n <= 8192); the
+# experiment schemas bound a run's peak per step or per point by it too
+MAX_ARRAY_BYTES = 1 << 30
 
 
-class EmbeddingError(RuntimeError):
+class EmbeddingError(DomainError):
     """Circulant embedding produced a genuinely negative eigenvalue."""
 
 
@@ -168,18 +169,23 @@ def _davies_harte_sampler(lam: np.ndarray):
 
 def _cholesky_factor(n_steps: int, hurst: float) -> np.ndarray:
     needed = 2 * 8 * n_steps * n_steps
-    if needed > _CHOLESKY_MAX_BYTES:
+    if needed > MAX_ARRAY_BYTES:
         raise ConfigError(
             f"the Cholesky factor for n_steps={n_steps} needs {needed} bytes "
             f"for two {n_steps}x{n_steps} float64 arrays, above the limit of "
-            f"{_CHOLESKY_MAX_BYTES} bytes")
+            f"{MAX_ARRAY_BYTES} bytes")
     gamma = _fgn_autocov(n_steps - 1, hurst)
     # ring is gamma[n-1], ..., gamma[1], gamma[0], ..., gamma[n-1]; its
     # length-n windows, last first, are the Toeplitz rows gamma[|j - i|],
     # as a strided view with no n x n index matrices
     ring = np.concatenate([gamma[:0:-1], gamma])
     cov = np.lib.stride_tricks.sliding_window_view(ring, n_steps)[::-1]
-    return np.linalg.cholesky(cov)
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DomainError(
+            f"the fGn covariance for n_steps={n_steps}, hurst={hurst} is not "
+            f"positive definite in float64") from None
 
 
 def _path_rng(seed: int) -> np.random.Generator:

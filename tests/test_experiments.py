@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liqlab import paths
+from liqlab import experiments, paths
 from liqlab.cli import main
+from liqlab.config import validate_config
 from liqlab.errors import ConfigError
 from liqlab.experiments import (_RUNNERS, EXPERIMENT_NAMES, fmt, run_experiment,
                                 write_csv)
@@ -258,6 +259,23 @@ class TestRunExperiment:
             run = json.loads((out / "run.json").read_text())
             assert run["duration_seconds"] >= 0.0
 
+    def test_only_text_tables_reach_write_csv_as_lists(self, tmp_path, monkeypatch):
+        kinds = {}
+
+        def spy(path, header, rows):
+            kinds[path.name] = type(rows)
+            return write_csv(path, header, rows)
+
+        monkeypatch.setattr(experiments, "write_csv", spy)
+        for name in EXPERIMENT_NAMES:
+            run_experiment(name, {}, tmp_path / name)
+        assert kinds == {
+            "fbm_0000.csv": np.ndarray, "impact_curve.csv": np.ndarray,
+            "impact_verify.csv": np.ndarray, "impact_exponent.csv": np.ndarray,
+            "cpmm_compare.csv": np.ndarray, "pool_trace.csv": list,
+            "cycle_report.csv": list, "catbond_optimize.csv": np.ndarray,
+            "catbond_sensitivity.csv": np.ndarray, "iso_shift.csv": np.ndarray}
+
     def test_lf_line_endings(self, tmp_path):
         run_experiment("impact-curve", {}, tmp_path)
         raw = (tmp_path / "impact_curve.csv").read_bytes()
@@ -308,9 +326,16 @@ class TestCli:
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
 
-    def test_duplicate_set_rejected(self, tmp_path):
+    def test_duplicate_set_rejected(self, tmp_path, capsys):
         assert main(["fbm-gen", "--set", "hurst=0.5", "--set", "hurst=0.6",
                      "--out", str(tmp_path)]) == 2
+        # parse_config's wording; line N is the N-th --set item
+        assert "line 2: duplicate key 'hurst'" in capsys.readouterr().err
+
+    def test_set_item_is_a_config_line(self, tmp_path):
+        assert main(["fbm-gen", "--set", "n_steps=16  # short run",
+                     "--out", str(tmp_path)]) == 0
+        assert "\nconfig.n_steps=16\n" in (tmp_path / "manifest.txt").read_text()
 
     @pytest.mark.parametrize("argv, code", [
         # float ** overflows: numerical failure
@@ -328,12 +353,44 @@ class TestCli:
         # with no numpy RuntimeWarning on the way
         (["fbm-gen", "--set", "n_steps=16", "--set", "dt=1e307",
           "--set", "hurst=0.9999", "--seed", "3"], 3),
+        # H near 1: a negative circulant eigenvalue, or a covariance that is
+        # not positive definite in float64
+        *[(["fbm-gen", "--set", "hurst=0.999999999", "--set", "n_steps=1024",
+            "--set", f"method={method}"], 3)
+          for method in ("auto", "cholesky", "davies-harte")],
     ])
     def test_former_tracebacks_map_to_exit_codes(self, tmp_path, monkeypatch,
                                                  argv, code):
         (tmp_path / "latin1.cfg").write_bytes(b"hurst=0.5\n# caf\xe9\n")
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--out", "out"]) == code
+
+    @pytest.mark.parametrize("argv, bytes_each", [
+        (["fbm-gen", "--set", "n_steps=1000000000000", "--set", "dt=1e-12"], 200),
+        (["impact-curve", "--set", "n_points=1000000000000"], 350),
+        (["impact-verify", "--set", "n_points=1000000000000"], 350),
+    ])
+    def test_oversized_inputs_rejected_before_allocation(self, tmp_path, monkeypatch,
+                                                         capsys, argv, bytes_each):
+        def unreachable(*args):
+            raise AssertionError("no input-sized array may be allocated")
+
+        monkeypatch.setattr(paths, "_fgn_autocov", unreachable)
+        monkeypatch.setattr(experiments, "_log_grid", unreachable)
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert (f"needs about {10 ** 12 * bytes_each} bytes at {bytes_each} bytes "
+                f"each, above the limit of {paths.MAX_ARRAY_BYTES} bytes"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, key, bytes_each", [
+        ("fbm-gen", "n_steps", 200), ("impact-curve", "n_points", 350),
+        ("impact-verify", "n_points", 350)])
+    def test_size_limit_boundary(self, name, key, bytes_each):
+        largest = paths.MAX_ARRAY_BYTES // bytes_each
+        schema = _RUNNERS[name][0]
+        assert validate_config({key: largest}, schema, name)[key] == largest
+        with pytest.raises(ConfigError, match="above the limit"):
+            validate_config({key: largest + 1}, schema, name)
 
     @pytest.mark.parametrize("argv", [
         # formerly exit 0 with delta_p=inf on every row

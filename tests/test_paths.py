@@ -182,7 +182,7 @@ class TestGenerateFbm:
         monkeypatch.setattr(np.linalg, "cholesky", unreachable)
         monkeypatch.setattr(paths, "_embedding_eigenvalues", boom)
         n = 8193  # 2 * 8 * n * n bytes is just above the 1 GiB limit
-        assert 2 * 8 * n * n > paths._CHOLESKY_MAX_BYTES >= 2 * 8 * 8192 ** 2
+        assert 2 * 8 * n * n > paths.MAX_ARRAY_BYTES >= 2 * 8 * 8192 ** 2
         with pytest.raises(ConfigError, match=f"needs {2 * 8 * n * n} bytes"):
             generate_fbm(n, 0.1, 0.6, 3, method=method)
         assert main(["fbm-gen", "--set", f"n_steps={n}", "--set",
@@ -196,6 +196,12 @@ class TestGenerateFbm:
         assert generate_fbm(16, 0.1, 0.6, 3).meta.startswith("cholesky")
         with pytest.raises(paths.EmbeddingError):
             generate_fbm(16, 0.1, 0.6, 3, method="davies-harte")
+
+    def test_fallback_needed_near_hurst_one(self):
+        # a real negative eigenvalue where the Cholesky factor still exists
+        with pytest.raises(paths.EmbeddingError):
+            generate_fbm(2048, 1 / 2048, 0.99999999, 1, method="davies-harte")
+        assert generate_fbm(2048, 1 / 2048, 0.99999999, 1).meta.startswith("cholesky")
 
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
     def test_variance_scaling_slope(self, hurst):
