@@ -64,6 +64,31 @@ PINS = {
         "manifest.txt":
             "183c9d37d494d4820119330fc1b138375abf3470455d49eca56955dceca770d2",
     },
+    # Signed-zero edges: every ledger field accumulates from a +0.0 start
+    # (0.0 - 0.0 is +0.0 where -0.0 alone is not), and zero-sized stages
+    # leave the pool as it was.  Keys compare -0.0 == 0.0, so the second
+    # entry lists its items in another order to stay a distinct key.
+    ("cycle-run", (("m", -0.0), ("sigma_amt", -0.0), ("closure", False),
+                   ("g_amt", 0.0), ("h_amt", 0.0))): {
+        "cycle_report.csv":
+            "3351e5592c3ea1013f9d5f24d28266c0a7b75d55b5756b5b08a648e0ce5a4566",
+        "manifest.txt":
+            "aea1a6526b07c1e7213ca4bfb96c9bec8c6715fe7b5ec50ef2cffc5219f75cd8",
+    },
+    ("cycle-run", (("closure", False), ("g_amt", -0.0), ("h_amt", -0.0),
+                   ("m", 0.0), ("sigma_amt", 0.0))): {
+        "cycle_report.csv":
+            "114760780a6757163621876af9582361832e05dce1a6a518cac58fab77c58d40",
+        "manifest.txt":
+            "a5a7bb2f133da5b21b2eb3a4e9eba2ee01e7676114626f19950388567f868bae",
+    },
+    ("cycle-run", (("alpha", 1e-300), ("m", 0.0), ("sigma_amt", 0.0),
+                   ("closure", False), ("g_amt", 0.0), ("h_amt", 0.0))): {
+        "cycle_report.csv":
+            "47a4f1a0e626ca296ae32a2081f601f6cdd01ee27ff6d299af0b20e89be6c29d",
+        "manifest.txt":
+            "53f16d3f0edf65b2ff4a61f1028d3e377c3bab5f86a265d3081d84c2322c7a8b",
+    },
     ("catbond-optimize", ()): {
         "catbond_optimize.csv":
             "a1ad8d1fe782ca5eb55c8466ed73821fb87ce687db80381ed5fe84db1fc5ea72",
