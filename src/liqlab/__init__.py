@@ -12,10 +12,9 @@ from .cpmm import (PoolState, add_liquidity, exact_relative_impact,
                    linearized_relative_impact, remove_liquidity, spot_price,
                    swap_x_for_y, swap_y_for_x)
 from .cycle import (CycleConfig, CycleLedger, CycleReport, Stage, Stage3Formula,
-                    new_cycle, run_cycle, stage1_switch, stage2_add,
-                    stage3_switch, stage4_remove)
+                    run_cycle)
 from .errors import (BracketError, ConfigError, ConvergenceError, DomainError,
-                     RatioMismatchError, StageOrderError)
+                     RatioMismatchError)
 from .impact import (GrowthModel, ImpactPoint, growth_at_fraction, growth_rate,
                      growth_rate_constrained, growth_per_time_fou,
                      impact_exponent, kelly_fraction_ou, optimal_impact_fou,

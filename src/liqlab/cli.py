@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import parse_config
-from .errors import (BracketError, ConfigError, DomainError,
-                     RatioMismatchError, StageOrderError)
+from .errors import BracketError, ConfigError, DomainError, RatioMismatchError
 from .experiments import EXPERIMENT_NAMES, run_experiment
 
 EXIT_OK = 0
@@ -66,8 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"liqlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BracketError, DomainError, RatioMismatchError, StageOrderError,
-            ArithmeticError) as exc:
+    except (BracketError, DomainError, RatioMismatchError, ArithmeticError) as exc:
         print(f"liqlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -34,7 +34,7 @@ def infer_literal(raw: str) -> Value:
 def parse_config(text: str) -> dict[str, Value]:
     """Parse a flat key=value document into a typed map."""
     out: dict[str, Value] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -1,8 +1,9 @@
 """Four-stage pool trading cycle as a double-entry token ledger.
 
 The investor alternates between taking liquidity (stages 1 and 3) and
-changing the pool size (stages 2 and 4).  Every stage moves tokens between
-the pool and the investor's outside wallet, so
+changing the pool size (stages 2 and 4); :func:`run_cycle` computes the
+four stages in turn and keeps a ledger snapshot after each.  Every stage
+moves tokens between the pool and the investor's outside wallet, so
 
     pool + outside == starting pool reserves        (componentwise)
 
@@ -10,12 +11,9 @@ holds at every snapshot; the in-pool position tracks the amounts the
 investor contributed in stage 2 minus what stage 4 removed, and is allowed
 to go negative, as are the outside balances (temporary shorts).
 
-Stage 3 ships with two price rules: ``EXACT_INVARIANT`` keeps the
-constant-product invariant of the pool; ``ORIGINAL_X`` is an alternative
-closed form whose denominator uses the pre-cycle X reserve plus the
-stage-2 addition (ignoring the stage-1 switch), which does not preserve
-the invariant.  Both are kept so the difference can be inspected side by
-side.
+Stage 3 ships with two price rules (:class:`Stage3Formula`), one that keeps
+the constant-product invariant and one that does not, so the difference
+can be inspected side by side.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .cpmm import PoolState, _check_ratio
-from .errors import DomainError, StageOrderError
+from .errors import DomainError
 
 
 class Stage(Enum):
@@ -52,7 +50,6 @@ class CycleLedger:
     stage: Stage = Stage.START
     start_x: float = 0.0
     start_y: float = 0.0
-    alpha_stage1: float = 0.0
 
     def conservation_error(self) -> tuple[float, float]:
         """Componentwise residual of pool + outside - start."""
@@ -111,143 +108,91 @@ class CycleReport:
         return self.snapshots[-1]
 
 
-def new_cycle(x0: float, y0: float) -> CycleLedger:
-    """Ledger at the starting point: full pool, empty investor."""
-    pool = PoolState(x0, y0)
-    return CycleLedger(pool=pool, start_x=x0, start_y=y0)
-
-
-def _require_stage(ledger: CycleLedger, expected: Stage) -> None:
-    if ledger.stage is not expected:
-        raise StageOrderError(
-            f"expected ledger at stage {expected.value}, got {ledger.stage.value}")
-
-
-def stage1_switch(ledger: CycleLedger, alpha: float) -> CycleLedger:
-    """Take ``alpha`` of X out of the pool against beta = XY/(X-alpha) - Y."""
-    _require_stage(ledger, Stage.START)
-    x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
-    if not 0.0 < alpha < x:
-        raise DomainError(f"alpha must be in (0, X), got {alpha}")
-    new_y = x * y / (x - alpha)
-    beta = new_y - y
-    return replace(
-        ledger,
-        pool=PoolState(x - alpha, new_y),
-        outside_x=ledger.outside_x + alpha,
-        outside_y=ledger.outside_y - beta,
-        stage=Stage.AFTER_STAGE1,
-        alpha_stage1=alpha,
-    )
-
-
-def stage2_add(ledger: CycleLedger, m: float) -> CycleLedger:
-    """Contribute ``m`` of X plus the ratio-matching amount of Y to the pool."""
-    _require_stage(ledger, Stage.AFTER_STAGE1)
-    if m < 0.0:
-        raise DomainError(f"m must be non-negative, got {m}")
-    x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
-    n = m * y / x
-    return replace(
-        ledger,
-        pool=PoolState(x + m, y + n) if m > 0.0 else ledger.pool,
-        inside_x=ledger.inside_x + m,
-        inside_y=ledger.inside_y + n,
-        outside_x=ledger.outside_x - m,
-        outside_y=ledger.outside_y - n,
-        stage=Stage.AFTER_STAGE2,
-    )
-
-
-def stage3_switch(ledger: CycleLedger, sigma_amt: float,
-                  formula: Stage3Formula = Stage3Formula.EXACT_INVARIANT) -> CycleLedger:
-    """Give ``sigma_amt`` of X back to the pool against delta of Y.
-
-    ``EXACT_INVARIANT`` sets delta = Y * sigma / (X + sigma), the unique
-    amount preserving the reserve product.  ``ORIGINAL_X`` sets
-    delta = sigma * Y / (X0 + M), keying the payout off the pre-cycle X
-    reserve (reconstructed as the current X reserve plus the stage-1
-    alpha); it does not preserve the product.
-    """
-    _require_stage(ledger, Stage.AFTER_STAGE2)
-    if sigma_amt < 0.0:
-        raise DomainError(f"sigma_amt must be non-negative, got {sigma_amt}")
-    x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
-    if formula is Stage3Formula.EXACT_INVARIANT:
-        delta = y * sigma_amt / (x + sigma_amt)
-    elif formula is Stage3Formula.ORIGINAL_X:
-        delta = sigma_amt * y / (x + ledger.alpha_stage1)
-    else:
-        raise DomainError(f"unknown stage-3 formula {formula!r}")
-    if delta >= y:
-        raise DomainError(f"stage-3 payout {delta} would drain the Y reserve {y}")
-    new_pool = PoolState(x + sigma_amt, y - delta) if sigma_amt > 0.0 else ledger.pool
-    return replace(
-        ledger,
-        pool=new_pool,
-        outside_x=ledger.outside_x - sigma_amt,
-        outside_y=ledger.outside_y + delta,
-        stage=Stage.AFTER_STAGE3,
-    )
-
-
-def stage4_remove(ledger: CycleLedger, g_amt: float, h_amt: float,
-                  require_pool_ratio: bool = True) -> CycleLedger:
-    """Withdraw ``g_amt`` of X and ``h_amt`` of Y from the pool.
-
-    By default the withdrawal must match the pool ratio like any liquidity
-    removal.  A pool-closing withdrawal generally cannot (its amounts are
-    dictated by the closure conditions instead), so closure runs pass
-    ``require_pool_ratio=False``.
-    """
-    _require_stage(ledger, Stage.AFTER_STAGE3)
-    if g_amt < 0.0 or h_amt < 0.0:
-        raise DomainError("removal amounts must be non-negative")
-    x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
-    if g_amt >= x or h_amt >= y:
-        raise DomainError(f"removal ({g_amt}, {h_amt}) would drain reserves ({x}, {y})")
-    if require_pool_ratio and (g_amt > 0.0 or h_amt > 0.0):
-        _check_ratio(g_amt, h_amt, x, y)
-    new_pool = PoolState(x - g_amt, y - h_amt) if (g_amt or h_amt) else ledger.pool
-    return replace(
-        ledger,
-        pool=new_pool,
-        inside_x=ledger.inside_x - g_amt,
-        inside_y=ledger.inside_y - h_amt,
-        outside_x=ledger.outside_x + g_amt,
-        outside_y=ledger.outside_y + h_amt,
-        stage=Stage.AFTER_STAGE4,
-    )
-
-
 def run_cycle(config: CycleConfig,
               stage3_mode: Stage3Formula = Stage3Formula.EXACT_INVARIANT) -> CycleReport:
-    """Execute stages 1 through 4 and summarize the investor's outcome.
+    """Run stages 1 through 4 and summarize the investor's outcome.
+
+    ``snapshots`` holds the ledger at the start and after each stage.
+    :class:`CycleConfig` has already checked alpha, M and sigma, so only
+    the checks that depend on the pool state are made here.
+
+    Stage 3 pays out delta of Y for sigma of X.  ``EXACT_INVARIANT`` sets
+    delta = Y * sigma / (X + sigma), the unique amount preserving the
+    reserve product.  ``ORIGINAL_X`` sets delta = sigma * Y / (X0 + M),
+    keying the payout off the pre-cycle X reserve (reconstructed as the
+    current X reserve plus alpha); it does not preserve the product.
 
     A closure run removes the stage-4 amounts (G, H) that restore the
     starting pool reserves: G = M - alpha + sigma balances the X side; H is
     whatever Y excess the first three stages left in the pool.  Only the
     pool is guaranteed to close; the investor's positions generally stay
     open.  A closure that needs a negative G or H raises :class:`DomainError`.
+    An explicit removal (``closure=False``) must be non-negative and match
+    the pool ratio like any liquidity removal.
     """
-    snapshots = [new_cycle(config.x0, config.y0)]
-    snapshots.append(stage1_switch(snapshots[-1], config.alpha))
-    snapshots.append(stage2_add(snapshots[-1], config.m))
-    snapshots.append(stage3_switch(snapshots[-1], config.sigma_amt, stage3_mode))
+    alpha, m, sigma_amt = config.alpha, config.m, config.sigma_amt
+    ledger = CycleLedger(pool=PoolState(config.x0, config.y0),
+                         start_x=config.x0, start_y=config.y0)
+    snapshots = [ledger]
+
+    # Stage 1: take alpha of X out of the pool against beta = XY/(X-alpha) - Y.
+    x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
+    new_y = x * y / (x - alpha)
+    beta = new_y - y
+    ledger = replace(ledger, pool=PoolState(x - alpha, new_y),
+                     outside_x=ledger.outside_x + alpha,
+                     outside_y=ledger.outside_y - beta, stage=Stage.AFTER_STAGE1)
+    snapshots.append(ledger)
+
+    # Stage 2: contribute M of X plus the ratio-matching n of Y to the pool.
+    x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
+    n = m * y / x
+    ledger = replace(ledger, pool=PoolState(x + m, y + n),
+                     inside_x=ledger.inside_x + m, inside_y=ledger.inside_y + n,
+                     outside_x=ledger.outside_x - m,
+                     outside_y=ledger.outside_y - n, stage=Stage.AFTER_STAGE2)
+    snapshots.append(ledger)
+
+    # Stage 3: give sigma of X back to the pool against delta of Y.
+    x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
+    if stage3_mode is Stage3Formula.EXACT_INVARIANT:
+        delta = y * sigma_amt / (x + sigma_amt)
+    elif stage3_mode is Stage3Formula.ORIGINAL_X:
+        delta = sigma_amt * y / (x + alpha)
+    else:
+        raise DomainError(f"unknown stage-3 formula {stage3_mode!r}")
+    if delta >= y:
+        raise DomainError(f"stage-3 payout {delta} would drain the Y reserve {y}")
+    ledger = replace(ledger, pool=PoolState(x + sigma_amt, y - delta),
+                     outside_x=ledger.outside_x - sigma_amt,
+                     outside_y=ledger.outside_y + delta, stage=Stage.AFTER_STAGE3)
+    snapshots.append(ledger)
+
+    # Stage 4: withdraw G of X and H of Y from the pool.
+    x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
     if config.closure:
-        g_amt = config.m - config.alpha + config.sigma_amt
-        h_amt = snapshots[-1].pool.reserve_y - config.y0
+        g_amt = m - alpha + sigma_amt
+        h_amt = y - config.y0
         if g_amt < 0.0 or h_amt < 0.0:
             raise DomainError(
                 f"infeasible closure: G = {g_amt}, H = {h_amt} (both must be >= 0)")
-        snapshots.append(stage4_remove(snapshots[-1], g_amt, h_amt,
-                                       require_pool_ratio=False))
     else:
         g_amt, h_amt = float(config.g_amt), float(config.h_amt)
-        snapshots.append(stage4_remove(snapshots[-1], g_amt, h_amt))
-    final = snapshots[-1]
+        if g_amt < 0.0 or h_amt < 0.0:
+            raise DomainError("removal amounts must be non-negative")
+    if g_amt >= x or h_amt >= y:
+        raise DomainError(f"removal ({g_amt}, {h_amt}) would drain reserves ({x}, {y})")
+    if not config.closure and (g_amt > 0.0 or h_amt > 0.0):
+        _check_ratio(g_amt, h_amt, x, y)
+    ledger = replace(ledger, pool=PoolState(x - g_amt, y - h_amt),
+                     inside_x=ledger.inside_x - g_amt,
+                     inside_y=ledger.inside_y - h_amt,
+                     outside_x=ledger.outside_x + g_amt,
+                     outside_y=ledger.outside_y + h_amt, stage=Stage.AFTER_STAGE4)
+    snapshots.append(ledger)
+
     p0 = config.y0 / config.x0
-    work = final.outside_x * p0 + final.outside_y
+    work = ledger.outside_x * p0 + ledger.outside_y
     short_x = max(max(0.0, -s.outside_x) for s in snapshots)
     short_y = max(max(0.0, -s.outside_y) for s in snapshots)
     return CycleReport(config=config, stage3_mode=stage3_mode, snapshots=snapshots,

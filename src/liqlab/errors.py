@@ -13,10 +13,6 @@ class ConvergenceError(ArithmeticError):
     """A solver stopped before its bracket reached the requested width."""
 
 
-class StageOrderError(RuntimeError):
-    """A cycle stage was invoked out of order."""
-
-
 class RatioMismatchError(ValueError):
     """Deposit or withdrawal amounts do not match the pool ratio."""
 

@@ -135,7 +135,8 @@ def _sized(minimum: int, bytes_each: int) -> Callable[[int], str | None]:
 
 
 def _hurst_list(values: list[float]) -> str | None:
-    return None if all(0.0 < h < 1.0 for h in values) else "every entry must be in (0, 1)"
+    return (None if values and all(0.0 < h < 1.0 for h in values)
+            else "needs entries in (0, 1)")
 
 
 def _positive_list(values: list[float]) -> str | None:
@@ -215,14 +216,13 @@ def _run_impact_verify(cfg: dict[str, Any], out: Path):
         slope = impact.impact_exponent(points)
         target = 2.0 * hurst - 0.5
         exponent_rows.append([hurst, slope, target, abs(slope - target)])
-    # an empty hursts list leaves both tables without rows
     return [
         write_csv(out / "impact_verify.csv",
                   ["hurst", "q", "delta_p", "q_recovered", "rel_err"],
-                  np.array(inversion_rows).reshape(-1, 5)),
+                  np.array(inversion_rows)),
         write_csv(out / "impact_exponent.csv",
                   ["hurst", "slope_fit", "slope_model", "abs_err"],
-                  np.array(exponent_rows).reshape(-1, 4)),
+                  np.array(exponent_rows)),
     ], ""
 
 
@@ -290,7 +290,8 @@ def _run_cycle_run(cfg: dict[str, Any], out: Path):
                "g_amt={} h_amt={}\n").format(
         fmt(report.work_analogue), fmt(report.gross_short_x),
         fmt(report.gross_short_y), fmt(report.g_amt), fmt(report.h_amt))
-    path.write_text(path.read_text() + summary, newline="\n")
+    with path.open("a", newline="\n") as f:
+        f.write(summary)
     return [path], ""
 
 

@@ -1,9 +1,7 @@
 import pytest
 
-from liqlab.cycle import (CycleConfig, CycleLedger, Stage, Stage3Formula,
-                          new_cycle, run_cycle, stage1_switch, stage2_add,
-                          stage3_switch, stage4_remove)
-from liqlab.errors import DomainError, RatioMismatchError, StageOrderError
+from liqlab.cycle import CycleConfig, CycleLedger, Stage, Stage3Formula, run_cycle
+from liqlab.errors import DomainError, RatioMismatchError
 
 # worked configuration: start (100, 100), alpha=10, m=9, sigma=1
 X0, Y0, ALPHA, M, SIG = 100.0, 100.0, 10.0, 9.0, 1.0
@@ -14,14 +12,15 @@ DELTA_ORIGINAL_X = 1100.0 / 981.0
 
 
 def worked_after(stage: int, mode=Stage3Formula.EXACT_INVARIANT) -> CycleLedger:
-    ledger = new_cycle(X0, Y0)
-    if stage >= 1:
-        ledger = stage1_switch(ledger, ALPHA)
-    if stage >= 2:
-        ledger = stage2_add(ledger, M)
-    if stage >= 3:
-        ledger = stage3_switch(ledger, SIG, mode)
-    return ledger
+    return run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG), mode).snapshots[stage]
+
+
+def open_run(alpha=ALPHA, m=M, sigma_amt=SIG, g_amt=0.0, h_amt=0.0,
+             mode=Stage3Formula.EXACT_INVARIANT) -> list[CycleLedger]:
+    """Snapshots of a run that removes explicit amounts instead of closing."""
+    config = CycleConfig(X0, Y0, alpha, m, sigma_amt, closure=False,
+                         g_amt=g_amt, h_amt=h_amt)
+    return run_cycle(config, mode).snapshots
 
 
 class TestStage1:
@@ -34,7 +33,7 @@ class TestStage1:
         assert led.inside_x == led.inside_y == 0.0
 
     def test_tiny_alpha_is_near_noop(self):
-        led = stage1_switch(new_cycle(X0, Y0), 1e-12)
+        led = open_run(alpha=1e-12, m=0.0, sigma_amt=0.0)[1]
         assert led.pool.reserve_y == pytest.approx(Y0, rel=1e-12)
         assert -led.outside_y == pytest.approx(0.0, abs=1e-10)
 
@@ -42,15 +41,6 @@ class TestStage1:
         led = worked_after(1)
         assert led.pool.invariant_k == pytest.approx(X0 * Y0, rel=1e-15)
 
-    def test_alpha_range(self):
-        with pytest.raises(DomainError):
-            stage1_switch(new_cycle(X0, Y0), 100.0)
-        with pytest.raises(DomainError):
-            stage1_switch(new_cycle(X0, Y0), 0.0)
-
-    def test_stage_order(self):
-        with pytest.raises(StageOrderError):
-            stage1_switch(worked_after(1), 1.0)
 
 
 class TestStage2:
@@ -64,20 +54,14 @@ class TestStage2:
         assert led.outside_y == pytest.approx(-BETA - N_ADD, rel=1e-13)
 
     def test_preserves_spot_price(self):
-        before = worked_after(1)
-        after = stage2_add(before, M)
+        before, after = worked_after(1), worked_after(2)
         price = lambda l: l.pool.reserve_y / l.pool.reserve_x
         assert price(after) == pytest.approx(price(before), rel=1e-14)
 
     def test_zero_add_is_noop(self):
-        before = worked_after(1)
-        after = stage2_add(before, 0.0)
+        _, before, after, _, _ = open_run(m=0.0)
         assert after.pool == before.pool
         assert after.stage is Stage.AFTER_STAGE2
-
-    def test_stage_order(self):
-        with pytest.raises(StageOrderError):
-            stage2_add(new_cycle(X0, Y0), 1.0)
 
 
 class TestStage3:
@@ -88,8 +72,7 @@ class TestStage3:
         assert led.outside_y == pytest.approx(-BETA - N_ADD + DELTA_EXACT, rel=1e-13)
 
     def test_exact_invariant_preserves_product(self):
-        before = worked_after(2)
-        after = stage3_switch(before, SIG, Stage3Formula.EXACT_INVARIANT)
+        before, after = worked_after(2), worked_after(3)
         assert after.pool.invariant_k == pytest.approx(before.pool.invariant_k,
                                                        rel=1e-15)
 
@@ -99,8 +82,8 @@ class TestStage3:
                                                    rel=1e-14)
 
     def test_original_x_formula_breaks_product(self):
-        before = worked_after(2)
-        after = stage3_switch(before, SIG, Stage3Formula.ORIGINAL_X)
+        before = worked_after(2, Stage3Formula.ORIGINAL_X)
+        after = worked_after(3, Stage3Formula.ORIGINAL_X)
         rel_drift = abs(after.pool.invariant_k / before.pool.invariant_k - 1.0)
         assert rel_drift > 1e-6
 
@@ -110,14 +93,9 @@ class TestStage3:
         assert abs(exact - alt) > 0.05
 
     def test_tiny_sigma_amount(self):
-        before = worked_after(2)
         for mode in Stage3Formula:
-            after = stage3_switch(before, 1e-13, mode)
+            _, _, before, after, _ = open_run(sigma_amt=1e-13, mode=mode)
             assert after.outside_y == pytest.approx(before.outside_y, abs=1e-10)
-
-    def test_stage_order(self):
-        with pytest.raises(StageOrderError):
-            stage3_switch(worked_after(1), 1.0)
 
 
 class TestStage4AndClosure:
@@ -131,9 +109,7 @@ class TestStage4AndClosure:
         assert run_cycle(CycleConfig(X0, Y0, 5.0, 0.0, 5.0)).g_amt == 0.0
 
     def test_closure_restores_pool(self):
-        report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG))
-        led = stage4_remove(worked_after(3), report.g_amt, report.h_amt,
-                            require_pool_ratio=False)
+        led = worked_after(4)
         assert led.pool.reserve_x == pytest.approx(X0, abs=1e-12)
         assert led.pool.reserve_y == pytest.approx(Y0, abs=1e-12)
 
@@ -142,36 +118,29 @@ class TestStage4AndClosure:
             run_cycle(CycleConfig(X0, Y0, ALPHA, M, 200.0))
 
     def test_zero_removal_is_noop(self):
-        before = worked_after(3)
-        after = stage4_remove(before, 0.0, 0.0)
+        _, _, _, before, after = open_run()
         assert after.pool == before.pool
         assert after.stage is Stage.AFTER_STAGE4
 
     @pytest.mark.parametrize("g_amt, h_amt", [(0.0, 21.0), (1.0, 0.0)])
     def test_ratio_enforced_by_default(self, g_amt, h_amt):
         with pytest.raises(RatioMismatchError):
-            stage4_remove(worked_after(3), g_amt, h_amt)
+            open_run(g_amt=g_amt, h_amt=h_amt)
 
     def test_ratio_matching_removal_passes(self):
         led = worked_after(3)
         x, y = led.pool.reserve_x, led.pool.reserve_y
-        after = stage4_remove(led, 0.05 * x, 0.05 * y)
+        after = open_run(g_amt=0.05 * x, h_amt=0.05 * y)[4]
         assert after.pool.reserve_x == pytest.approx(0.95 * x, rel=1e-14)
 
-    def test_position_closing_removal_zeroes_inside(self):
-        led = worked_after(3)
-        after = stage4_remove(led, led.inside_x, led.inside_y,
-                              require_pool_ratio=False)
-        assert after.inside_x == 0.0
-        assert after.inside_y == pytest.approx(0.0, abs=1e-13)
-
     def test_drain_rejected(self):
-        with pytest.raises(DomainError):
-            stage4_remove(worked_after(3), 100.0, 1.0, require_pool_ratio=False)
+        # the drain check comes before the ratio check
+        with pytest.raises(DomainError, match="drain"):
+            open_run(g_amt=100.0, h_amt=1.0)
 
-    def test_stage_order(self):
-        with pytest.raises(StageOrderError):
-            stage4_remove(worked_after(2), 0.0, 0.0)
+    def test_negative_removal_rejected(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            open_run(g_amt=-1.0, h_amt=0.0)
 
 
 class TestConservation:
@@ -233,6 +202,12 @@ class TestRunCycle:
         with pytest.raises(DomainError):
             CycleConfig(X0, Y0, alpha=0.0, m=1.0, sigma_amt=1.0)
         with pytest.raises(DomainError):
+            CycleConfig(X0, Y0, alpha=100.0, m=1.0, sigma_amt=1.0)
+        with pytest.raises(DomainError):
             CycleConfig(X0, Y0, alpha=150.0, m=1.0, sigma_amt=1.0)
+        with pytest.raises(DomainError):
+            CycleConfig(X0, Y0, ALPHA, m=-1.0, sigma_amt=SIG)
+        with pytest.raises(DomainError):
+            CycleConfig(X0, Y0, ALPHA, M, sigma_amt=-1.0)
         with pytest.raises(DomainError):
             CycleConfig(X0, Y0, ALPHA, M, SIG, closure=False)

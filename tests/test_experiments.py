@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liqlab import experiments, paths
+from liqlab import cli, errors, experiments, paths
 from liqlab.cli import main
-from liqlab.config import validate_config
+from liqlab.config import parse_config, validate_config
 from liqlab.errors import ConfigError
 from liqlab.experiments import (_RUNNERS, EXPERIMENT_NAMES, fmt, run_experiment,
                                 write_csv)
@@ -336,6 +336,30 @@ class TestCli:
         assert main(["fbm-gen", "--set", "n_steps=16  # short run",
                      "--out", str(tmp_path)]) == 0
         assert "\nconfig.n_steps=16\n" in (tmp_path / "manifest.txt").read_text()
+
+    def test_set_item_breaks_only_at_newline(self, tmp_path):
+        # a form feed is no line break: the item sets n_steps to a string
+        item = "n_steps=16\x0churst=0.6"
+        assert parse_config(item) == {"n_steps": "16\x0churst=0.6"}
+        assert main(["fbm-gen", "--set", item, "--out", str(tmp_path)]) == 2
+
+    def test_empty_hursts_rejected(self, tmp_path, capsys):
+        assert main(["impact-verify", "--set", "hursts=", "--out", str(tmp_path)]) == 2
+        assert "key 'hursts'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    @pytest.mark.parametrize("error", [
+        *(obj for obj in vars(errors).values()
+          if isinstance(obj, type) and issubclass(obj, Exception)),
+        paths.EmbeddingError,
+    ], ids=lambda error: error.__name__)
+    def test_exit_code_map(self, tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        expected = 2 if error is ConfigError else 3
+        assert main(["catbond-optimize", "--out", str(tmp_path)]) == expected
 
     @pytest.mark.parametrize("argv, code", [
         # float ** overflows: numerical failure
