@@ -41,6 +41,11 @@ class TestStage1:
         led = worked_after(1)
         assert led.pool.invariant_k == pytest.approx(X0 * Y0, rel=1e-15)
 
+    def test_alpha_range(self):
+        with pytest.raises(DomainError):
+            open_run(alpha=100.0)
+        with pytest.raises(DomainError):
+            open_run(alpha=0.0)
 
 
 class TestStage2:
@@ -201,8 +206,6 @@ class TestRunCycle:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             CycleConfig(X0, Y0, alpha=0.0, m=1.0, sigma_amt=1.0)
-        with pytest.raises(DomainError):
-            CycleConfig(X0, Y0, alpha=100.0, m=1.0, sigma_amt=1.0)
         with pytest.raises(DomainError):
             CycleConfig(X0, Y0, alpha=150.0, m=1.0, sigma_amt=1.0)
         with pytest.raises(DomainError):
