@@ -18,6 +18,7 @@ can be inspected side by side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -108,6 +109,12 @@ class CycleReport:
         return self.snapshots[-1]
 
 
+def _check_reserve(value: float, stage: int, name: str, formula: str) -> None:
+    if not math.isfinite(value):
+        raise DomainError(
+            f"stage {stage} overflows the {name} reserve: {formula} = {value}")
+
+
 def run_cycle(config: CycleConfig,
               stage3_mode: Stage3Formula = Stage3Formula.EXACT_INVARIANT) -> CycleReport:
     """Run stages 1 through 4 and summarize the investor's outcome.
@@ -128,7 +135,9 @@ def run_cycle(config: CycleConfig,
     pool is guaranteed to close; the investor's positions generally stay
     open.  A closure that needs a negative G or H raises :class:`DomainError`.
     An explicit removal (``closure=False``) must be non-negative and match
-    the pool ratio like any liquidity removal.
+    the pool ratio like any liquidity removal.  A stage-1 or stage-2 reserve
+    that overflows the float range raises :class:`DomainError` naming the
+    stage and the reserve.
     """
     alpha, m, sigma_amt = config.alpha, config.m, config.sigma_amt
     ledger = CycleLedger(pool=PoolState(config.x0, config.y0),
@@ -138,6 +147,7 @@ def run_cycle(config: CycleConfig,
     # Stage 1: take alpha of X out of the pool against beta = XY/(X-alpha) - Y.
     x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
     new_y = x * y / (x - alpha)
+    _check_reserve(new_y, 1, "Y", "X*Y/(X - alpha)")
     beta = new_y - y
     ledger = replace(ledger, pool=PoolState(x - alpha, new_y),
                      outside_x=ledger.outside_x + alpha,
@@ -147,6 +157,8 @@ def run_cycle(config: CycleConfig,
     # Stage 2: contribute M of X plus the ratio-matching n of Y to the pool.
     x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
     n = m * y / x
+    _check_reserve(x + m, 2, "X", "X + M")
+    _check_reserve(y + n, 2, "Y", "Y + M*Y/X")
     ledger = replace(ledger, pool=PoolState(x + m, y + n),
                      inside_x=ledger.inside_x + m, inside_y=ledger.inside_y + n,
                      outside_x=ledger.outside_x - m,

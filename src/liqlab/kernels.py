@@ -10,7 +10,9 @@ as the reference.  FFT-based fractional noise generation lives in
 :mod:`liqlab.paths`.
 
 ``pairwise_sum`` reduces in a fixed binary-tree order, so Monte Carlo
-moments do not depend on how paths were batched.
+moments do not depend on how paths were batched.  It never copies or
+writes its input: each level adds pairs of rows into one of two scratch
+buffers, a half and a quarter the size of the input.
 """
 
 from __future__ import annotations
@@ -70,20 +72,26 @@ def pairwise_sum(values: np.ndarray) -> np.ndarray:
     Adjacent elements are summed in a fixed binary-tree order, so the
     result does not depend on how work was scheduled across paths.  Works
     on 1-d arrays (returns a scalar) and on 2-d arrays (reduces rows).
+
+    Level one adds even and odd rows of ``values`` into a buffer half its
+    size; later levels alternate between that buffer and one a quarter the
+    size.  An odd last row is carried up a level unchanged.  ``values``
+    itself is only read.
     """
-    acc = np.array(values, dtype=np.float64, copy=True)
-    n = acc.shape[0]
+    values = np.asarray(values, dtype=np.float64)
+    n, rest = values.shape[0], values.shape[1:]
     if n == 0:
-        return np.zeros(acc.shape[1:], dtype=np.float64) if acc.ndim > 1 else 0.0
+        return np.zeros(rest) if rest else 0.0
+    acc = values
+    dst, spare = np.empty(((n + 1) // 2, *rest)), np.empty(((n + 3) // 4, *rest))
     while n > 1:
         half = n // 2
-        acc[:half] = acc[0:2 * half:2] + acc[1:2 * half:2]
+        np.add(acc[0:2 * half:2], acc[1:2 * half:2], out=dst[:half])
         if n % 2:
-            acc[half] = acc[n - 1]
-            n = half + 1
-        else:
-            n = half
-    return acc[0] if acc.ndim > 1 else float(acc[0])
+            dst[half] = acc[n - 1]
+        acc, n = dst, n - half
+        dst, spare = spare, dst
+    return np.array(acc[0]) if rest else float(acc[0])
 
 
 def pairwise_mean(values: np.ndarray) -> np.ndarray:

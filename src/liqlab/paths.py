@@ -8,8 +8,12 @@ generation falls back to an exact Cholesky factorization of the increment
 covariance; the method actually used is recorded in ``SamplePath.meta``.
 
 Randomness comes from one PCG64 stream per path (stream seed = base seed +
-path index); normal variates use numpy's ziggurat sampler.  Identical
-inputs therefore reproduce bit-identical paths.
+path index); normal variates use numpy's ziggurat sampler.  Paths are drawn
+in blocks of a few rows: each row still takes its normals from its own
+stream, and the coloring, FFT, cumulative sum and scaling then run once per
+block, with the same floating-point operations on every row as a block of
+one.  Identical inputs therefore reproduce bit-identical paths, however
+they are blocked.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ METHOD_CHOLESKY = "cholesky"
 
 # eigenvalues above -_EIG_TOL * max(eig) are treated as FFT round-off
 _EIG_TOL = 1e-12
+
+# scratch bytes per block of paths, at 16 per normal (the complex coloring
+# row, or a Cholesky row's normals and increments): 256 KiB amortizes
+# numpy's per-call overhead over a few rows and keeps the block in cache
+_BLOCK_BYTES = 1 << 18
 
 # bytes that an input size may make a run allocate: here the Cholesky factor
 # and LAPACK's working copy (two n x n float64 arrays, so n <= 8192); the
@@ -143,11 +152,13 @@ def _embedding_eigenvalues(n_steps: int, hurst: float) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def _davies_harte_sampler(lam: np.ndarray):
-    """Per-path unit-spacing fGn sampler for precomputed embedding eigenvalues.
+def _davies_harte_coloring(lam: np.ndarray):
+    """Block colorer for precomputed embedding eigenvalues.
 
-    The coloring (eigenvalue square roots) is computed here, once, so each
-    draw costs one normal vector, one complex multiply and one FFT.
+    The coloring (eigenvalue square roots) is computed here, once.  The
+    returned function maps a ``(k, m)`` block of normals to a ``(k, m // 2)``
+    block of unit-spacing fGn: one complex multiply and one row-wise FFT per
+    block.
     """
     m = lam.size
     n = m // 2
@@ -155,16 +166,15 @@ def _davies_harte_sampler(lam: np.ndarray):
     middle = math.sqrt(lam[n] / m)
     coloring = np.sqrt(lam[1:n] / (2.0 * m))
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(m)
-        w = np.empty(m, dtype=np.complex128)
-        w[0] = head * z[0]
-        w[n] = middle * z[1]
-        w[1:n] = coloring * (z[2:m:2] + 1j * z[3:m:2])
-        w[n + 1:] = np.conj(w[n - 1:0:-1])
-        return np.fft.fft(w).real[:n]
+    def color(z: np.ndarray) -> np.ndarray:
+        w = np.empty(z.shape, dtype=np.complex128)
+        w[:, 0] = head * z[:, 0]
+        w[:, n] = middle * z[:, 1]
+        w[:, 1:n] = coloring * (z[:, 2:m:2] + 1j * z[:, 3:m:2])
+        w[:, n + 1:] = np.conj(w[:, n - 1:0:-1])
+        return np.fft.fft(w, axis=1).real[:, :n]
 
-    return sample
+    return color
 
 
 def _cholesky_factor(n_steps: int, hurst: float) -> np.ndarray:
@@ -197,25 +207,35 @@ def _meta(method: str) -> str:
 
 
 def _resolve_method(n_steps: int, hurst: float, method: str):
-    """Pick the generator and return (label, per-path sampler)."""
+    """Pick the generator; return (label, normals per path, block colorer)."""
     if method in ("auto", METHOD_DAVIES_HARTE):
         try:
             lam = _embedding_eigenvalues(n_steps, hurst)
-            return METHOD_DAVIES_HARTE, _davies_harte_sampler(lam)
+            return METHOD_DAVIES_HARTE, lam.size, _davies_harte_coloring(lam)
         except EmbeddingError:
             if method == METHOD_DAVIES_HARTE:
                 raise
     elif method != METHOD_CHOLESKY:
         raise DomainError(f"unknown fBM method {method!r}")
     factor = _cholesky_factor(n_steps, hurst)
-    return METHOD_CHOLESKY, lambda rng: factor @ rng.standard_normal(n_steps)
+
+    def color(z: np.ndarray) -> np.ndarray:
+        # one matrix-vector product per row, as for a single path
+        inc = np.empty_like(z)
+        for j, row in enumerate(z):
+            inc[j] = factor @ row
+        return inc
+
+    return METHOD_CHOLESKY, n_steps, color
 
 
 def _fbm_generator(n_steps: int, dt: float, hurst: float, method: str):
-    """Validate the grid, resolve the generator once; return (label, draw).
+    """Validate the grid, resolve the generator once; return (label, rows, draw).
 
-    ``draw(seed, out)`` fills ``out`` (length ``n_steps + 1``) with the fBM
-    path of PRNG stream ``seed`` and returns it.
+    ``draw(seed, out)`` fills the ``(k, n_steps + 1)`` block ``out`` with the
+    fBM paths of PRNG streams ``seed .. seed + k - 1``, one row each, and
+    returns it.  ``rows`` is the block height callers should pass, so that a
+    block's scratch arrays stay near ``_BLOCK_BYTES``.
     """
     _check_hurst(hurst)
     if n_steps < 1:
@@ -224,18 +244,22 @@ def _fbm_generator(n_steps: int, dt: float, hurst: float, method: str):
         raise DomainError(f"dt must be positive, got {dt}")
     if not math.isfinite(n_steps * dt):
         raise DomainError(f"time grid overflows: n_steps * dt = {n_steps} * {dt}")
-    label, sampler = _resolve_method(n_steps, hurst, method)
+    label, n_normals, color = _resolve_method(n_steps, hurst, method)
     scale = dt ** hurst
+    rows = max(1, _BLOCK_BYTES // (16 * n_normals))
 
     def draw(seed: int, out: np.ndarray) -> np.ndarray:
-        out[0] = 0.0
-        np.cumsum(sampler(_path_rng(seed)), out=out[1:])
-        if scale > 1.0 and np.abs(out[1:]).max() > sys.float_info.max / scale:
+        z = np.empty((out.shape[0], n_normals))
+        for j, row in enumerate(z):
+            _path_rng(seed + j).standard_normal(out=row)
+        out[:, 0] = 0.0
+        np.cumsum(color(z), axis=1, out=out[:, 1:])
+        if scale > 1.0 and np.abs(out[:, 1:]).max() > sys.float_info.max / scale:
             raise DomainError(f"fBM values overflow when scaled by dt**hurst = {scale}")
-        out[1:] *= scale
+        out[:, 1:] *= scale
         return out
 
-    return label, draw
+    return label, rows, draw
 
 
 def iter_fbm(n_paths: int, n_steps: int, dt: float, hurst: float,
@@ -243,20 +267,25 @@ def iter_fbm(n_paths: int, n_steps: int, dt: float, hurst: float,
     """Fractional Brownian paths, one :class:`SamplePath` at a time.
 
     The generator (circulant eigenvalues and coloring, or the Cholesky
-    factor) is resolved once, when this is called; each path is drawn only
-    when the iterator reaches it.  Path ``i`` uses the stream
-    ``base_seed + i`` and is bit-identical to
+    factor) is resolved once, when this is called; each block of a few
+    paths is drawn only when the iterator reaches its first path.  Path
+    ``i`` uses the stream ``base_seed + i`` and is bit-identical to
     ``generate_fbm(n_steps, dt, hurst, base_seed + i, method)``.
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    label, draw = _fbm_generator(n_steps, dt, hurst, method)
+    label, rows, draw = _fbm_generator(n_steps, dt, hurst, method)
     meta = _meta(label)
-    seeds = range(int(base_seed), int(base_seed) + n_paths)
-    return (SamplePath(times=np.arange(n_steps + 1) * dt,
-                       values=draw(seed, np.empty(n_steps + 1)),
-                       seed=seed, meta=meta)
-            for seed in seeds)
+
+    def sample_paths() -> Iterator[SamplePath]:
+        for start in range(0, n_paths, rows):
+            seed = int(base_seed) + start
+            block = draw(seed, np.empty((min(rows, n_paths - start), n_steps + 1)))
+            for j, values in enumerate(block):
+                yield SamplePath(times=np.arange(n_steps + 1) * dt, values=values,
+                                 seed=seed + j, meta=meta)
+
+    return sample_paths()
 
 
 def generate_fbm(n_steps: int, dt: float, hurst: float, seed: int,
@@ -265,7 +294,7 @@ def generate_fbm(n_steps: int, dt: float, hurst: float, seed: int,
 
     The path starts at zero and has the exact target covariance in
     distribution.  Deterministic for fixed (seed, n_steps, dt, hurst,
-    method).
+    method).  It is drawn as a block of one row.
     """
     return next(iter_fbm(1, n_steps, dt, hurst, seed, method))
 
@@ -274,16 +303,18 @@ def generate_fbm_batch(n_paths: int, n_steps: int, dt: float, hurst: float,
                        base_seed: int, method: str = "auto") -> np.ndarray:
     """Stack of fBM paths, shape ``(n_paths, n_steps + 1)``.
 
-    Path ``i`` uses the stream ``base_seed + i`` and is bit-identical to
+    The rows are drawn in blocks of a few paths, straight into the result;
+    there is still one PRNG stream per path.  Path ``i`` uses the stream
+    ``base_seed + i`` and is bit-identical to
     ``generate_fbm(n_steps, dt, hurst, base_seed + i, method)``, so batch
     work may be split across workers in any order.
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    _, draw = _fbm_generator(n_steps, dt, hurst, method)
+    _, rows, draw = _fbm_generator(n_steps, dt, hurst, method)
     out = np.empty((n_paths, n_steps + 1))
-    for i in range(n_paths):
-        draw(int(base_seed) + i, out[i])
+    for start in range(0, n_paths, rows):
+        draw(int(base_seed) + start, out[start:start + rows])
     return out
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from liqlab.cli import main
 from liqlab.cycle import CycleConfig, CycleLedger, Stage, Stage3Formula, run_cycle
 from liqlab.errors import DomainError, RatioMismatchError
 
@@ -202,6 +203,29 @@ class TestRunCycle:
     def test_five_snapshots_in_order(self):
         report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG))
         assert [s.stage for s in report.snapshots] == list(Stage)
+
+    @pytest.mark.parametrize("overrides, message", [
+        # X*Y overflows in stage 1; formerly "reserves must be positive,
+        # got (1e+200, nan)" from stage 2
+        (["x0=1e200", "y0=1e200", "m=0", "sigma_amt=0", "closure=false",
+          "g_amt=0", "h_amt=0"],
+         "stage 1 overflows the Y reserve: X*Y/(X - alpha) = inf"),
+        # M*Y/X overflows in stage 2; formerly "stage-3 payout inf would
+        # drain the Y reserve inf"
+        (["x0=1", "y0=1e300", "alpha=0.5", "m=1e10"],
+         "stage 2 overflows the Y reserve: Y + M*Y/X = inf"),
+    ])
+    def test_overflowing_reserve_names_the_stage(self, tmp_path, capsys,
+                                                 overrides, message):
+        argv = ["cycle-run", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
+    def test_overflowing_x_reserve_in_stage_2(self):
+        with pytest.raises(DomainError, match="stage 2 overflows the X reserve"):
+            run_cycle(CycleConfig(1e308, 1.0, 1.0, 1e308, 0.0))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -98,6 +98,36 @@ def test_self_financing_zero_denominator_raises():
         kernels.self_financing(np.array([[4.0, 5.0]]), -0.5, 0.0, 0.0, 1.0)
 
 
+def pairwise_reference(values):
+    """The pairwise reduction as a copy of the input halved in place."""
+    acc = np.array(values, dtype=np.float64, copy=True)
+    n = acc.shape[0]
+    while n > 1:
+        half = n // 2
+        acc[:half] = acc[0:2 * half:2] + acc[1:2 * half:2]
+        if n % 2:
+            acc[half] = acc[n - 1]
+            n = half + 1
+        else:
+            n = half
+    return acc[0] if acc.ndim > 1 else float(acc[0])
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_pairwise_sum_matches_halving_reference(n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    # magnitudes spread over 16 decades, so the summation order shows
+    scales = 10.0 ** rng.integers(-8, 8, size=(n, 5))
+    batch = rng.standard_normal((n, 5)) * scales
+    for values in (batch[:, 0], batch, batch[:, 1:]):
+        before = values.copy()
+        got = kernels.pairwise_sum(values)
+        expected = pairwise_reference(values)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert type(got) is type(expected)
+        assert values.tobytes() == before.tobytes()
+
+
 def test_pairwise_sum_matches_fsum():
     rng = np.random.Generator(np.random.PCG64(5))
     for n in (1, 2, 3, 7, 64, 1001):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,10 +135,15 @@ class TestGenerateFbm:
 
     @pytest.mark.parametrize("method", ["auto", "davies-harte", "cholesky"])
     def test_batch_rows_equal_single_paths(self, method):
-        batch = generate_fbm_batch(4, 32, 0.125, 0.7, 900, method=method)
-        streamed = list(iter_fbm(4, 32, 0.125, 0.7, 900, method=method))
-        for i in range(4):
-            single = generate_fbm(32, 0.125, 0.7, 900 + i, method=method)
+        # one path more than a block holds, so the last path starts a block
+        # of its own; seeds near 2**31 as the benchmark draws them
+        _, rows, _ = paths._fbm_generator(32, 0.125, 0.7, method)
+        n_paths, base_seed = rows + 1, 2 ** 31 - 3
+        batch = generate_fbm_batch(n_paths, 32, 0.125, 0.7, base_seed, method=method)
+        streamed = list(iter_fbm(n_paths, 32, 0.125, 0.7, base_seed, method=method))
+        assert batch.shape == (n_paths, 33) and len(streamed) == n_paths
+        for i in range(n_paths):
+            single = generate_fbm(32, 0.125, 0.7, base_seed + i, method=method)
             assert np.array_equal(batch[i], single.values)
             assert np.array_equal(streamed[i].values, single.values)
             assert np.array_equal(streamed[i].times, single.times)
@@ -146,19 +152,32 @@ class TestGenerateFbm:
     @pytest.mark.parametrize("n", [1, 2, 63, 4096])
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
     def test_precomputed_coloring_matches_per_draw_reference(self, n, hurst):
-        # reference: the coloring recomputed inside every draw
+        # reference: per row, the coloring recomputed through index gathers
+        # and a 1-d FFT, as a single-path draw did it
         lam = paths._embedding_eigenvalues(n, hurst)
         m = lam.size
-        z = np.random.Generator(np.random.PCG64(5)).standard_normal(m)
-        w = np.empty(m, dtype=np.complex128)
-        w[0] = math.sqrt(lam[0] / m) * z[0]
-        w[n] = math.sqrt(lam[n] / m) * z[1]
+        z = np.array([np.random.Generator(np.random.PCG64(seed)).standard_normal(m)
+                      for seed in (5, 6, 7)])
+        got = paths._davies_harte_coloring(lam)(z)
+        assert got.shape == (3, n)
         k = np.arange(1, n)
-        w[k] = np.sqrt(lam[k] / (2.0 * m)) * (z[2 * k] + 1j * z[2 * k + 1])
-        w[m - k] = np.conj(w[k])
-        sample = paths._davies_harte_sampler(lam)
-        got = sample(np.random.Generator(np.random.PCG64(5)))
-        assert np.array_equal(got, np.fft.fft(w).real[:n])
+        for row, zj in zip(got, z):
+            w = np.empty(m, dtype=np.complex128)
+            w[0] = math.sqrt(lam[0] / m) * zj[0]
+            w[n] = math.sqrt(lam[n] / m) * zj[1]
+            w[k] = np.sqrt(lam[k] / (2.0 * m)) * (zj[2 * k] + 1j * zj[2 * k + 1])
+            w[m - k] = np.conj(w[k])
+            assert row.tobytes() == np.fft.fft(w).real[:n].tobytes()
+
+    def test_scaled_values_overflow_is_domain_error(self):
+        # dt ** hurst overflows the path of stream 3, alone and inside a block,
+        # with no numpy RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="overflow"):
+                generate_fbm(16, 1e307, 0.9999, 3)
+            with pytest.raises(DomainError, match="overflow"):
+                generate_fbm_batch(6, 16, 1e307, 0.9999, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 257])
     @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.7, 0.9])

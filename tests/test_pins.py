@@ -17,93 +17,92 @@ import pytest
 from liqlab.experiments import run_experiment
 from liqlab.impact import GrowthModel, optimal_impact_leverage_form
 
-PINS = {
-    ("fbm-gen", ()): {
+PINS = [
+    ("fbm-gen", (), {
         "fbm_0000.csv":
             "518d2588d4c615d0160a0fae50f0a8c60a2d363c7b96931dae1c190deef9a760",
         "manifest.txt":
             "604258dd0ffaa08d0367ea699914b8930673130269b406f9abfd329d051fc9c5",
-    },
-    ("fbm-gen", (("method", "cholesky"),)): {
+    }),
+    ("fbm-gen", (("method", "cholesky"),), {
         "fbm_0000.csv":
             "1839e6c6eaaf87627f04a09a7349e24dbed9cf35b6c36266e5de23dbf104beb2",
         "manifest.txt":
             "a6bac67af9deb8614890fd5310ca704184f5a938a67697872814a0c4e2196c29",
-    },
-    ("impact-curve", ()): {
+    }),
+    ("impact-curve", (), {
         "impact_curve.csv":
             "bc96cec05456862b8d25def2f2ddf7c68f0a1e0b10264bab02474838f11288d9",
         "manifest.txt":
             "61c0592bfa1f882861f02580c03bcb19964d78040eefd0526bc05ca07dc49c3a",
-    },
-    ("impact-verify", ()): {
+    }),
+    ("impact-verify", (), {
         "impact_verify.csv":
             "b448adfc65fac49f7f334896474e042d2b1d9c8ca3c845821ea2aa11f38d61cc",
         "impact_exponent.csv":
             "d356f3526975bd22a64a59616bfbdf31122bfd58708599d8b4aa65817f8e404f",
         "manifest.txt":
             "1d10fec43e8957b643b1f79c8279347d110601e8d8ecfff8f2b4b699ef206087",
-    },
-    ("cpmm-compare", ()): {
+    }),
+    ("cpmm-compare", (), {
         "cpmm_compare.csv":
             "d7dec88959e418c8a61b62357140bc6c7ffd465608cd2824714f17159512f866",
         "pool_trace.csv":
             "23b6d37b5a5b4d3d61d641270d3814c47294d673334c80cc47052393db4d75b0",
         "manifest.txt":
             "14b1a321bd701bf2aafca9c1ae2229f4e20bbededb7097263e5b49c1801ea894",
-    },
-    ("cycle-run", ()): {
+    }),
+    ("cycle-run", (), {
         "cycle_report.csv":
             "8d33cd7991364dd98b1ec96563100f94ea4b81ce4093490095d4f2839f26a09e",
         "manifest.txt":
             "eaf87db71fc5696a6a2c6ebfc90136d81fe9a4550da59911dd59432718c74443",
-    },
-    ("cycle-run", (("stage3_mode", "original-x"),)): {
+    }),
+    ("cycle-run", (("stage3_mode", "original-x"),), {
         "cycle_report.csv":
             "e2de1567af20140e2d4205797a6a4aeb4d3176d587d2bf3651e80575285bf7a9",
         "manifest.txt":
             "183c9d37d494d4820119330fc1b138375abf3470455d49eca56955dceca770d2",
-    },
+    }),
     # Signed-zero edges: every ledger field accumulates from a +0.0 start
     # (0.0 - 0.0 is +0.0 where -0.0 alone is not), and zero-sized stages
-    # leave the pool as it was.  Keys compare -0.0 == 0.0, so the second
-    # entry lists its items in another order to stay a distinct key.
+    # leave the pool as it was.
     ("cycle-run", (("m", -0.0), ("sigma_amt", -0.0), ("closure", False),
-                   ("g_amt", 0.0), ("h_amt", 0.0))): {
+                   ("g_amt", 0.0), ("h_amt", 0.0)), {
         "cycle_report.csv":
             "3351e5592c3ea1013f9d5f24d28266c0a7b75d55b5756b5b08a648e0ce5a4566",
         "manifest.txt":
             "aea1a6526b07c1e7213ca4bfb96c9bec8c6715fe7b5ec50ef2cffc5219f75cd8",
-    },
-    ("cycle-run", (("closure", False), ("g_amt", -0.0), ("h_amt", -0.0),
-                   ("m", 0.0), ("sigma_amt", 0.0))): {
+    }),
+    ("cycle-run", (("m", 0.0), ("sigma_amt", 0.0), ("closure", False),
+                   ("g_amt", -0.0), ("h_amt", -0.0)), {
         "cycle_report.csv":
             "114760780a6757163621876af9582361832e05dce1a6a518cac58fab77c58d40",
         "manifest.txt":
             "a5a7bb2f133da5b21b2eb3a4e9eba2ee01e7676114626f19950388567f868bae",
-    },
+    }),
     ("cycle-run", (("alpha", 1e-300), ("m", 0.0), ("sigma_amt", 0.0),
-                   ("closure", False), ("g_amt", 0.0), ("h_amt", 0.0))): {
+                   ("closure", False), ("g_amt", 0.0), ("h_amt", 0.0)), {
         "cycle_report.csv":
             "47a4f1a0e626ca296ae32a2081f601f6cdd01ee27ff6d299af0b20e89be6c29d",
         "manifest.txt":
             "53f16d3f0edf65b2ff4a61f1028d3e377c3bab5f86a265d3081d84c2322c7a8b",
-    },
-    ("catbond-optimize", ()): {
+    }),
+    ("catbond-optimize", (), {
         "catbond_optimize.csv":
             "a1ad8d1fe782ca5eb55c8466ed73821fb87ce687db80381ed5fe84db1fc5ea72",
         "manifest.txt":
             "8a2ad166ed849a14b5e04f135a9518eabdd34224a6734b24d8b878861c467b76",
-    },
-    ("catbond-sensitivity", ()): {
+    }),
+    ("catbond-sensitivity", (), {
         "catbond_sensitivity.csv":
             "4c6a69a39f2d23ccc86ec9501e1267ca4ec213a61447061b8357d73858d052e5",
         "iso_shift.csv":
             "a452cd23259e63829e908913210cdaed35d5ba511c8503b869564812734513c3",
         "manifest.txt":
             "499fcdd01c3865d2170a46e3b9f54cba0b4439e43afdb62a0d8102d75b76c182",
-    },
-}
+    }),
+]
 
 LEVERAGE_PIN = (
     "61344863d61bf85b3365ec404c8336e4a72d1a24ff644b5fe0876d831580cfec")
@@ -117,14 +116,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("experiment, overrides", list(PINS),
-                         ids=[f"{name}{''.join(f'[{k}={v}]' for k, v in o)}"
-                              for name, o in PINS])
-def test_experiment_outputs_are_pinned(tmp_path, experiment, overrides):
+PIN_IDS = [f"{experiment}{''.join(f'[{k}={v}]' for k, v in overrides)}"
+           for experiment, overrides, _ in PINS]
+
+
+def test_pin_ids_are_unique():
+    # overrides compare -0.0 == 0.0, so only the ids, which print the sign
+    # of a zero, can tell the signed-zero pins apart
+    assert len(set(PIN_IDS)) == len(PIN_IDS)
+
+
+@pytest.mark.parametrize("experiment, overrides, digests", PINS, ids=PIN_IDS)
+def test_experiment_outputs_are_pinned(tmp_path, experiment, overrides, digests):
     manifest = run_experiment(experiment, dict(overrides), tmp_path)
     names = [name for name, _, _ in manifest.outputs] + ["manifest.txt"]
     got = {name: _sha256((tmp_path / name).read_bytes()) for name in names}
-    assert got == PINS[experiment, overrides]
+    assert got == digests
 
 
 def test_leverage_form_reprs_are_pinned():
