@@ -7,15 +7,21 @@ refactor that keeps these pins keeps every output byte.  A change that moves
 a pin on purpose names the old and the new digest in CHANGES.md.
 
 ``optimal_impact_leverage_form`` feeds no experiment, so one more pin
-covers the reprs of its results on a fixed grid.
+covers the reprs of its results on a fixed grid.  So do the library results
+that only the benchmark computes, at small sizes: the Monte Carlo moments,
+a batch of fBM paths one row longer than a block, and the fOU wealth chain.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from liqlab.experiments import run_experiment
-from liqlab.impact import GrowthModel, optimal_impact_leverage_form
+from liqlab.impact import (GrowthModel, optimal_impact_leverage_form,
+                           simulate_self_financing)
+from liqlab.paths import (FouParams, generate_fbm_batch, increment_autocorr,
+                          refine_linear, simulate_fou, variance_slope)
 
 PINS = [
     ("fbm-gen", (), {
@@ -29,6 +35,22 @@ PINS = [
             "1839e6c6eaaf87627f04a09a7349e24dbed9cf35b6c36266e5de23dbf104beb2",
         "manifest.txt":
             "a6bac67af9deb8614890fd5310ca704184f5a938a67697872814a0c4e2196c29",
+    }),
+    # blocks of a 4096-step Davies-Harte draw hold 2 rows: 5 paths end on a
+    # block of one
+    ("fbm-gen", (("n_paths", 5), ("n_steps", 4096)), {
+        "fbm_0000.csv":
+            "daccde84ec34804887f8e4db64d4ebed8e10434010ded75b46ea5a5640fd8cc9",
+        "fbm_0001.csv":
+            "9485057c4d791a5624caa20d616c99e409a2fd497a3289e8bbc940d593586cbb",
+        "fbm_0002.csv":
+            "166eae18b01f1f6ae973a9ecc6dec1e43c1f8e5b127a4382243c4da8f9a8c047",
+        "fbm_0003.csv":
+            "e0fc4819d10ec77f9fe892fc765171b44dfe6737860f0e7d020caec210c97b3d",
+        "fbm_0004.csv":
+            "bc51e6d907591d40d2504d83f60051f46404594dad6bffa4025c007e3e9ad4cf",
+        "manifest.txt":
+            "b92aaaf1e33b1e22895a6bc9b1c1e6ed12eb6f210130c7a7cb3ac4684e29af03",
     }),
     ("impact-curve", (), {
         "impact_curve.csv":
@@ -111,6 +133,32 @@ LEVERAGE_Q = (1e-8, 3e-5, 0.02, 0.5, 1.0, 2.0, 7.0, 123.0, 4.5e4, 1e8)
 LEVERAGE_PRICE = (1e-4, 0.3, 1.0, 17.0, 1e4)
 LEVERAGE_K_SIGMA = ((1.0, 1.0), (0.002, 350.0), (900.0, 0.004))
 
+# (hurst, variance_slope repr, increment_autocorr repr) at 64 paths x 128 steps
+MOMENT_PINS = [
+    (0.3, "0.5342937402109081", "-0.25191029725515346"),
+    (0.7, "1.3132106408660091", "0.3037471726446746"),
+]
+
+# (method, n_paths, SHA-256 of the batch bytes) at 256 steps: a block holds
+# 32 Davies-Harte rows or 64 Cholesky rows, so each batch ends on a block of one
+BATCH_PINS = [
+    ("auto", 33,
+     "5aae3a85b0ef27669afe5204ae3adabc69ee1ba96e7bb87a74a1b1f440172ad4"),
+    ("davies-harte", 33,
+     "5aae3a85b0ef27669afe5204ae3adabc69ee1ba96e7bb87a74a1b1f440172ad4"),
+    ("cholesky", 65,
+     "9ccd3e5d57f3bfc4d2fad9864de48b64964b16c2dad67d3fcceb5ad44607396a"),
+]
+
+# (hurst, method, SHA-256 of the fOU driver and its wealth paths refined
+# x1, x2 and x4) at 256 steps
+FOU_WEALTH_PINS = [
+    (0.5, "auto",
+     "ac213bc2e48e01df9936765b19b454dc47250b3d98d526cf3fac1eb03210517a"),
+    (0.7, "cholesky",
+     "efc09f6f3e70b365112de5175e5109c2d67e40205311b541d7516027fcb4f780"),
+]
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -142,3 +190,26 @@ def test_leverage_form_reprs_are_pinned():
             for price in LEVERAGE_PRICE:
                 reprs.append(repr(optimal_impact_leverage_form(q, price, model)))
     assert _sha256("\n".join(reprs).encode()) == LEVERAGE_PIN
+
+
+@pytest.mark.parametrize("hurst, slope, autocorr", MOMENT_PINS)
+def test_monte_carlo_moments_are_pinned(hurst, slope, autocorr):
+    args = (64, 128, 1.0 / 128, hurst, 7)
+    assert (repr(variance_slope(*args)), repr(increment_autocorr(*args))) == (
+        slope, autocorr)
+
+
+@pytest.mark.parametrize("method, n_paths, digest", BATCH_PINS)
+def test_fbm_batch_is_pinned(method, n_paths, digest):
+    batch = generate_fbm_batch(n_paths, 256, 1.0 / 256, 0.7, 11, method=method)
+    assert _sha256(batch.tobytes()) == digest
+
+
+@pytest.mark.parametrize("hurst, method, digest", FOU_WEALTH_PINS)
+def test_fou_wealth_chain_is_pinned(hurst, method, digest):
+    params = FouParams(kappa=-0.05, level=0.0, sigma=0.4, hurst=hurst)
+    driver = simulate_fou(params, 10.0, 256, 1.0 / 256, 5, method=method)
+    chain = [driver.values] + [
+        simulate_self_financing(refine_linear(driver, f), params, 1.0).values
+        for f in (1, 2, 4)]
+    assert _sha256(np.concatenate(chain).tobytes()) == digest
