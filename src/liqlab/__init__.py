@@ -4,7 +4,7 @@ catastrophe-bond Kelly sizing, with seeded simulation experiments."""
 __version__ = "0.1.0"
 
 from .catbond import (AllocationResult, BondSpec, IsoFractionShift, Method,
-                      implied_return, iso_fraction_shift, single_bond_fraction,
+                      iso_fraction_shift, single_bond_fraction,
                       single_bond_fraction_numeric, single_bond_growth,
                       two_bond_fraction_numeric, two_bond_fraction_series,
                       two_bond_growth)
@@ -15,13 +15,12 @@ from .cycle import (CycleConfig, CycleLedger, CycleReport, Stage, Stage3Formula,
                     run_cycle)
 from .errors import (BracketError, ConfigError, ConvergenceError, DomainError,
                      RatioMismatchError)
-from .impact import (GrowthModel, ImpactPoint, growth_at_fraction, growth_rate,
-                     growth_rate_constrained, growth_per_time_fou,
-                     impact_exponent, kelly_fraction_ou, optimal_impact_fou,
+from .impact import (GrowthModel, ImpactPoint, growth_per_time_fou,
+                     impact_exponent, optimal_impact_fou,
                      optimal_impact_leverage_form, optimal_impact_sqrt,
                      optimal_size_numeric, simulate_self_financing,
                      wealth_closed_form)
-from .paths import (FouParams, SamplePath, fbm_covariance, generate_fbm,
-                    generate_fbm_batch, iter_fbm, refine_linear, simulate_fou)
+from .paths import (FouParams, SamplePath, generate_fbm, generate_fbm_batch,
+                    iter_fbm, refine_linear, simulate_fou)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

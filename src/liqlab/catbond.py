@@ -160,13 +160,3 @@ def two_bond_fraction_numeric(bond: BondSpec) -> AllocationResult:
     return AllocationResult(fraction=f, growth=two_bond_growth(f, bond),
                             method=Method.BRUTE_FORCE)
 
-
-def implied_return(q: float, target_f: float) -> float:
-    """Return that makes ``target_f`` the optimal single-bond fraction."""
-    if not 0.0 <= q < 1.0:
-        raise DomainError(f"default probability must be in [0, 1), got {q}")
-    margin = 1.0 - q - target_f
-    if target_f < 0.0 or margin <= 0.0:
-        raise DomainError(f"target fraction must be in [0, 1 - q), got {target_f}")
-    return q / margin
-

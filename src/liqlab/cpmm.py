@@ -1,8 +1,10 @@
 """Exact constant-product pool mechanics plus the linearized price impact.
 
 Swaps are fee-free and preserve the product of the reserves; liquidity
-changes must match the current reserve ratio.  ``PoolState`` is an
-immutable value, every operation returns a new state.
+changes must match the current reserve ratio, or raise
+:class:`RatioMismatchError`.  They are the cycle's stage 2 and explicit
+stage 4 (:func:`~liqlab.cycle.run_cycle`).  ``PoolState`` is an immutable
+value, every operation returns a new state.
 """
 
 from __future__ import annotations
@@ -68,17 +70,17 @@ def _check_ratio(a: float, b: float, ref_a: float, ref_b: float) -> None:
 
 
 def add_liquidity(pool: PoolState, m: float, n: float) -> PoolState:
-    """Add ``m`` of X and ``n`` of Y at the pool ratio."""
-    if not m > 0.0 or not n > 0.0:
-        raise DomainError("added amounts must be positive")
+    """Add ``m >= 0`` of X and ``n >= 0`` of Y at the pool ratio."""
+    if not m >= 0.0 or not n >= 0.0:
+        raise DomainError(f"added amounts must be non-negative, got ({m}, {n})")
     _check_ratio(m, n, pool.reserve_x, pool.reserve_y)
     return PoolState(pool.reserve_x + m, pool.reserve_y + n)
 
 
 def remove_liquidity(pool: PoolState, g: float, h: float) -> PoolState:
-    """Remove ``g`` of X and ``h`` of Y at the pool ratio."""
-    if not g > 0.0 or not h > 0.0:
-        raise DomainError("removed amounts must be positive")
+    """Remove ``g >= 0`` of X and ``h >= 0`` of Y at the pool ratio."""
+    if not g >= 0.0 or not h >= 0.0:
+        raise DomainError(f"removed amounts must be non-negative, got ({g}, {h})")
     if g >= pool.reserve_x or h >= pool.reserve_y:
         raise DomainError(
             f"removal ({g}, {h}) would drain reserves "

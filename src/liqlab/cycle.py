@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .cpmm import PoolState, _check_ratio
+from .cpmm import PoolState, add_liquidity, remove_liquidity
 from .errors import DomainError
 
 
@@ -134,10 +134,11 @@ def run_cycle(config: CycleConfig,
     whatever Y excess the first three stages left in the pool.  Only the
     pool is guaranteed to close; the investor's positions generally stay
     open.  A closure that needs a negative G or H raises :class:`DomainError`.
-    An explicit removal (``closure=False``) must be non-negative and match
-    the pool ratio like any liquidity removal.  A stage-1 or stage-2 reserve
-    that overflows the float range raises :class:`DomainError` naming the
-    stage and the reserve.
+    Stage 2 and an explicit removal (``closure=False``) go through
+    :func:`~liqlab.cpmm.add_liquidity` and :func:`~liqlab.cpmm.remove_liquidity`,
+    which reject amounts off the pool ratio with :class:`RatioMismatchError`.
+    A stage-1 or stage-2 reserve that overflows the float range raises
+    :class:`DomainError` naming the stage and the reserve.
     """
     alpha, m, sigma_amt = config.alpha, config.m, config.sigma_amt
     ledger = CycleLedger(pool=PoolState(config.x0, config.y0),
@@ -159,7 +160,7 @@ def run_cycle(config: CycleConfig,
     n = m * y / x
     _check_reserve(x + m, 2, "X", "X + M")
     _check_reserve(y + n, 2, "Y", "Y + M*Y/X")
-    ledger = replace(ledger, pool=PoolState(x + m, y + n),
+    ledger = replace(ledger, pool=add_liquidity(ledger.pool, m, n),
                      inside_x=ledger.inside_x + m, inside_y=ledger.inside_y + n,
                      outside_x=ledger.outside_x - m,
                      outside_y=ledger.outside_y - n, stage=Stage.AFTER_STAGE2)
@@ -180,7 +181,7 @@ def run_cycle(config: CycleConfig,
                      outside_y=ledger.outside_y + delta, stage=Stage.AFTER_STAGE3)
     snapshots.append(ledger)
 
-    # Stage 4: withdraw G of X and H of Y from the pool.
+    # Stage 4: withdraw G of X and H of Y; a closure is off the pool ratio.
     x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
     if config.closure:
         g_amt = m - alpha + sigma_amt
@@ -188,15 +189,13 @@ def run_cycle(config: CycleConfig,
         if g_amt < 0.0 or h_amt < 0.0:
             raise DomainError(
                 f"infeasible closure: G = {g_amt}, H = {h_amt} (both must be >= 0)")
+        if g_amt >= x or h_amt >= y:
+            raise DomainError(f"removal ({g_amt}, {h_amt}) would drain reserves ({x}, {y})")
+        pool = PoolState(x - g_amt, y - h_amt)
     else:
         g_amt, h_amt = float(config.g_amt), float(config.h_amt)
-        if g_amt < 0.0 or h_amt < 0.0:
-            raise DomainError("removal amounts must be non-negative")
-    if g_amt >= x or h_amt >= y:
-        raise DomainError(f"removal ({g_amt}, {h_amt}) would drain reserves ({x}, {y})")
-    if not config.closure and (g_amt > 0.0 or h_amt > 0.0):
-        _check_ratio(g_amt, h_amt, x, y)
-    ledger = replace(ledger, pool=PoolState(x - g_amt, y - h_amt),
+        pool = remove_liquidity(ledger.pool, g_amt, h_amt)
+    ledger = replace(ledger, pool=pool,
                      inside_x=ledger.inside_x - g_amt,
                      inside_y=ledger.inside_y - h_amt,
                      outside_x=ledger.outside_x + g_amt,

@@ -68,26 +68,6 @@ class ImpactPoint:
             raise DomainError("delta_p must be non-negative")
 
 
-def growth_rate(q: float, delta_p: float, wealth: float, sigma: float) -> float:
-    """Log-growth of a position: q*delta_p/W - q^2*sigma^2 / (2 W^2)."""
-    if not wealth > 0.0:
-        raise DomainError("wealth must be positive")
-    if not sigma > 0.0:
-        raise DomainError("sigma must be positive")
-    if q < 0.0:
-        raise DomainError("q must be non-negative")
-    return q * delta_p / wealth - q * q * sigma * sigma / (2.0 * wealth * wealth)
-
-
-def growth_rate_constrained(q: float, delta_p: float, model: GrowthModel) -> float:
-    """Growth with capital posted as W = k*sqrt(q):
-    (delta_p/k)*sqrt(q) - sigma^2*q/(2k^2)."""
-    if not q > 0.0:
-        raise DomainError("q must be positive")
-    k = model.capital_scale_k
-    return delta_p / k * math.sqrt(q) - model.sigma ** 2 * q / (2.0 * k * k)
-
-
 def optimal_impact_sqrt(q: float, model: GrowthModel) -> float:
     """Square-root impact (sigma^2 / k) * sqrt(q)."""
     if not q > 0.0:
@@ -157,18 +137,6 @@ def impact_exponent(points: list[ImpactPoint]) -> float:
         raise DomainError("degenerate input: all sizes equal")
     slope, _ = np.polyfit(np.log(qs), np.log(dps), 1)
     return float(slope)
-
-
-def kelly_fraction_ou(p: float, params: FouParams) -> float:
-    """Optimal fraction kappa * (p - level) / sigma^2 for the OU edge."""
-    return params.kappa * (p - params.level) / params.sigma ** 2
-
-
-def growth_at_fraction(f: float, delta_p: float, sigma: float) -> float:
-    """Instantaneous growth f*delta_p - f^2*sigma^2/2 of a leveraged bet."""
-    if not sigma > 0.0:
-        raise DomainError("sigma must be positive")
-    return f * delta_p - 0.5 * f * f * sigma * sigma
 
 
 def wealth_closed_form(p_t: float, p0: float, params: FouParams, w0: float) -> float:

@@ -120,15 +120,6 @@ def _check_hurst(hurst: float) -> None:
         raise DomainError(f"hurst must be in (0, 1), got {hurst}")
 
 
-def fbm_covariance(s: float, t: float, hurst: float) -> float:
-    """Covariance of fractional Brownian motion at times ``s`` and ``t``."""
-    _check_hurst(hurst)
-    if s < 0.0 or t < 0.0:
-        raise DomainError("times must be non-negative")
-    h2 = 2.0 * hurst
-    return 0.5 * (s ** h2 + t ** h2 - abs(t - s) ** h2)
-
-
 def _fgn_autocov(n_lags: int, hurst: float) -> np.ndarray:
     """Autocovariance of unit-spacing fractional Gaussian noise, lags 0..n_lags."""
     k = np.arange(n_lags + 1, dtype=np.float64)
@@ -375,12 +366,13 @@ def increment_autocorr(n_paths: int, n_steps: int, dt: float, hurst: float,
     """Pooled increment autocorrelation at the given lag across a batch."""
     if lag < 1 or lag >= n_steps:
         raise DomainError(f"lag must be in [1, n_steps), got {lag}")
-    batch = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)
-    inc = np.diff(batch, axis=1)
-    a = inc[:, :-lag].ravel()
-    b = inc[:, lag:].ravel()
-    a = a - kernels.pairwise_mean(a)
-    b = b - kernels.pairwise_mean(b)
+    inc = np.diff(generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed), axis=1)
+    # flatten copies even one row, so centring a in place leaves b alone
+    a = inc[:, :-lag].flatten()
+    b = inc[:, lag:].flatten()
+    del inc
+    a -= kernels.pairwise_mean(a)
+    b -= kernels.pairwise_mean(b)
     cov = kernels.pairwise_sum(a * b)
     return float(cov / math.sqrt(kernels.pairwise_sum(a * a)
                                  * kernels.pairwise_sum(b * b)))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from liqlab.catbond import (BondSpec, Method, implied_return, iso_fraction_shift,
+from liqlab.catbond import (BondSpec, Method, iso_fraction_shift,
                             single_bond_fraction, single_bond_fraction_numeric,
                             single_bond_growth, single_bond_growth_deriv,
                             two_bond_fraction_numeric, two_bond_fraction_series,
@@ -198,27 +198,6 @@ class TestTwoBondNumeric:
             assert gap == pytest.approx(q, rel=0.05)
             gaps.append(gap)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
-
-
-class TestImpliedReturn:
-    def test_round_trip(self):
-        for q, f in ((0.2, 0.6), (0.05, 0.3), (0.4, 0.0)):
-            r = implied_return(q, f)
-            assert single_bond_fraction(BondSpec(q, r)).fraction == pytest.approx(
-                f, abs=1e-12)
-
-    def test_worked_example(self):
-        assert implied_return(0.2, 0.6) == pytest.approx(1.0, rel=1e-15)
-
-    def test_break_even_return(self):
-        q = 0.25
-        assert implied_return(q, 0.0) == pytest.approx(q / (1.0 - q), rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            implied_return(0.2, 0.8)
-        with pytest.raises(DomainError):
-            implied_return(0.2, -0.1)
 
 
 class TestBondSpec:

@@ -115,9 +115,18 @@ class TestLiquidity:
         with pytest.raises(RatioMismatchError):
             remove_liquidity(PoolState(100.0, 100.0), 5.0, 6.0)
 
-    def test_positive_amounts_required(self):
-        with pytest.raises(DomainError):
-            add_liquidity(PoolState(1.0, 1.0), 0.0, 1.0)
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_amounts_leave_the_pool(self, zero):
+        pool = PoolState(3.0, 7.0)
+        assert add_liquidity(pool, zero, zero) == pool
+        assert remove_liquidity(pool, zero, zero) == pool
+
+    @pytest.mark.parametrize("a, b", [(-1.0, -1.0), (-1.0, 0.0), (0.0, -1e-300),
+                                      (math.nan, math.nan)])
+    def test_non_negative_amounts_required(self, a, b):
+        for change in (add_liquidity, remove_liquidity):
+            with pytest.raises(DomainError, match="must be non-negative"):
+                change(PoolState(1.0, 1.0), a, b)
 
 
 class TestImpacts:

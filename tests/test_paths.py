@@ -7,9 +7,23 @@ import pytest
 from liqlab import paths
 from liqlab.cli import main
 from liqlab.errors import ConfigError, DomainError
-from liqlab.paths import (FouParams, SamplePath, fbm_covariance, generate_fbm,
+from liqlab.paths import (FouParams, SamplePath, generate_fbm,
                           generate_fbm_batch, iter_fbm, refine_linear,
                           simulate_fou)
+
+
+def fbm_covariance(s: float, t: float, hurst: float) -> float:
+    """Covariance of fractional Brownian motion at times ``s`` and ``t``.
+
+    The oracle for the generators, written from the definition and kept
+    independent of ``paths._fgn_autocov``.
+    """
+    if not 0.0 < hurst < 1.0:
+        raise DomainError(f"hurst must be in (0, 1), got {hurst}")
+    if s < 0.0 or t < 0.0:
+        raise DomainError("times must be non-negative")
+    h2 = 2.0 * hurst
+    return 0.5 * (s ** h2 + t ** h2 - abs(t - s) ** h2)
 
 
 class TestFbmCovariance:
@@ -125,6 +139,17 @@ class TestGenerateFbm:
         path = generate_fbm(20_000, 0.25, 0.5, 7)
         inc = np.diff(path.values)
         assert inc.var() == pytest.approx(0.25, rel=0.05)
+
+    @pytest.mark.parametrize("lag", [1, 5])
+    def test_increment_autocorr_of_one_path(self, lag):
+        # a single row is where a lagged slice of the increments could be a
+        # view; centring one must not shift the other
+        inc = np.diff(generate_fbm(64, 1.0 / 64, 0.7, 3).values)
+        a = inc[:-lag] - inc[:-lag].mean()
+        b = inc[lag:] - inc[lag:].mean()
+        expected = (a @ b) / math.sqrt((a @ a) * (b @ b))
+        got = paths.increment_autocorr(1, 64, 1.0 / 64, 0.7, 3, lag=lag)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_increment_autocorr_lag_vanishes_for_brownian(self):
         n_paths = 10_000

@@ -1,0 +1,52 @@
+"""Every public function and class is something the library runs.
+
+A name in ``liqlab.__all__`` must be used by the package's own code outside
+its definition, by an acceptance criterion or by the benchmark's workloads.
+A function that only its own tests call belongs in those tests, as an
+oracle.  Uses are the identifiers in the code (names, attributes and
+imports), so a mention in a docstring or a comment does not count, and
+neither does ``liqlab/__init__.py``, which imports every public name.  The
+test reads those files and edits none.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import liqlab
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(liqlab.__file__).resolve().parent
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_public_name_is_reached():
+    reached = (_identifiers(_parse(ROOT / "tests" / "test_acceptance.py"))
+               | _identifiers(_parse(ROOT / "liqbench" / "workloads.py")))
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in _parse(path).body:
+            # a definition's use of its own name is recursion, not a caller
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            reached |= _identifiers(stmt) - {own}
+    unreached = [f"{getattr(liqlab, name).__module__}.{name}" for name in liqlab.__all__
+                 if (inspect.isfunction(getattr(liqlab, name))
+                     or inspect.isclass(getattr(liqlab, name)))
+                 and name not in reached]
+    assert unreached == []
