@@ -51,11 +51,18 @@ def parse_config(text: str) -> dict[str, Value]:
 
 @dataclass(frozen=True)
 class Field:
-    """Schema entry: expected type, default, optional value check."""
+    """Schema entry: a default, whose type is the key's type, and a check.
 
-    kind: str  # "int" | "float" | "bool" | "str" | "floats"
-    default: Value
+    An int given for a float key widens to float.  A tuple-of-floats default
+    makes a list key, resolved to a non-empty ``list`` of finite floats.
+    ``check`` returns a problem or ``None`` for a value, or for each entry.
+    """
+
+    default: Value | tuple[float, ...]
     check: Callable[[Any], str | None] | None = None
+
+
+_EXPECTS = {int: "an integer", float: "a number", bool: "true/false", str: "a string"}
 
 
 def _finite(key: str, value: int | float) -> float:
@@ -69,40 +76,39 @@ def _finite(key: str, value: int | float) -> float:
     return number
 
 
-def _coerce(key: str, value: Value, kind: str) -> Any:
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"key {key!r} expects an integer, got {value!r}")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r} expects a number, got {value!r}")
-        return _finite(key, value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"key {key!r} expects true/false, got {value!r}")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"key {key!r} expects a string, got {value!r}")
-        return value
-    if kind == "floats":
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return [_finite(key, value)]
-        if isinstance(value, str):
-            try:
-                numbers = [float(tok) for tok in value.split(",") if tok.strip()]
-            except ValueError:
-                raise ConfigError(
-                    f"key {key!r} expects comma-separated numbers, got {value!r}") from None
-            return [_finite(key, number) for number in numbers]
+def _float_list(key: str, value: Value) -> list[float]:
+    numbers = None
+    if isinstance(value, str):
+        try:
+            numbers = [float(tok) for tok in value.split(",") if tok.strip()]
+        except ValueError:
+            pass
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        numbers = [value]
+    if numbers is None:
         raise ConfigError(f"key {key!r} expects comma-separated numbers, got {value!r}")
-    raise ConfigError(f"unknown schema kind {kind!r} for key {key!r}")
+    if not numbers:
+        raise ConfigError(f"key {key!r} expects at least one number, got {value!r}")
+    return [_finite(key, number) for number in numbers]
+
+
+def _coerce(key: str, value: Any, default: Value | tuple[float, ...]) -> Any:
+    kind = type(default)
+    if kind is tuple:
+        return list(default) if value is default else _float_list(key, value)
+    # a bool is an int to Python, but only a bool key takes one
+    if isinstance(value, bool) == (kind is bool):
+        if kind is float and isinstance(value, (int, float)):
+            return _finite(key, value)
+        if isinstance(value, kind):
+            return value
+    raise ConfigError(f"key {key!r} expects {_EXPECTS[kind]}, got {value!r}")
 
 
 def validate_config(config: Mapping[str, Value], schema: Mapping[str, Field],
                     experiment: str) -> dict[str, Any]:
-    """Apply defaults, coerce types, run range checks; reject unknown keys."""
+    """Apply defaults, coerce each value to its default's type, run the
+    checks (on every entry of a list); reject unknown keys."""
     unknown = sorted(set(config) - set(schema))
     if unknown:
         raise ConfigError(
@@ -110,11 +116,11 @@ def validate_config(config: Mapping[str, Value], schema: Mapping[str, Field],
             f"allowed: {sorted(schema)}")
     resolved: dict[str, Any] = {}
     for key, spec in schema.items():
-        value = config.get(key, spec.default)
-        value = _coerce(key, value, spec.kind)
+        value = _coerce(key, config.get(key, spec.default), spec.default)
         if spec.check is not None:
-            problem = spec.check(value)
-            if problem:
-                raise ConfigError(f"key {key!r}: {problem} (got {value!r})")
+            for entry in value if isinstance(value, list) else [value]:
+                problem = spec.check(entry)
+                if problem:
+                    raise ConfigError(f"key {key!r}: {problem} (got {entry!r})")
         resolved[key] = value
     return resolved

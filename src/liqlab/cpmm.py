@@ -9,6 +9,7 @@ value, every operation returns a new state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RatioMismatchError
@@ -22,9 +23,9 @@ class PoolState:
     reserve_y: float
 
     def __post_init__(self) -> None:
-        if not self.reserve_x > 0.0 or not self.reserve_y > 0.0:
-            raise DomainError(
-                f"reserves must be positive, got ({self.reserve_x}, {self.reserve_y})")
+        if not (0.0 < self.reserve_x < math.inf and 0.0 < self.reserve_y < math.inf):
+            raise DomainError(f"reserves must be positive and finite, "
+                              f"got ({self.reserve_x}, {self.reserve_y})")
 
     @property
     def invariant_k(self) -> float:

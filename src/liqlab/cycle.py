@@ -137,7 +137,7 @@ def run_cycle(config: CycleConfig,
     Stage 2 and an explicit removal (``closure=False``) go through
     :func:`~liqlab.cpmm.add_liquidity` and :func:`~liqlab.cpmm.remove_liquidity`,
     which reject amounts off the pool ratio with :class:`RatioMismatchError`.
-    A stage-1 or stage-2 reserve that overflows the float range raises
+    A reserve that overflows the float range in stage 1, 2 or 3 raises
     :class:`DomainError` naming the stage and the reserve.
     """
     alpha, m, sigma_amt = config.alpha, config.m, config.sigma_amt
@@ -168,6 +168,7 @@ def run_cycle(config: CycleConfig,
 
     # Stage 3: give sigma of X back to the pool against delta of Y.
     x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
+    _check_reserve(x + sigma_amt, 3, "X", "X + sigma")
     if stage3_mode is Stage3Formula.EXACT_INVARIANT:
         delta = y * sigma_amt / (x + sigma_amt)
     elif stage3_mode is Stage3Formula.ORIGINAL_X:

@@ -77,19 +77,16 @@ class RunManifest:
     config: dict[str, Any]
     seed: int
     fbm_method: str
-    prng: str
-    normal_transform: str
-    version: str
     outputs: list[tuple[str, str, int]]  # (name, sha256, bytes)
 
     def to_text(self) -> str:
         lines = [
             f"experiment={self.experiment}",
-            f"version={self.version}",
+            f"version={__version__}",
             f"seed={self.seed}",
             f"fbm_method={self.fbm_method}",
-            f"prng={self.prng}",
-            f"normal_transform={self.normal_transform}",
+            f"prng={PRNG_LABEL}",
+            f"normal_transform={NORMAL_LABEL}",
         ]
         for key in sorted(self.config):
             if key != "seed":
@@ -105,7 +102,7 @@ def _positive(value: float) -> str | None:
     return None if value > 0 else "must be positive"
 
 
-def _hurst_open(value: float) -> str | None:
+def _open_unit(value: float) -> str | None:
     return None if 0.0 < value < 1.0 else "must be in the open interval (0, 1)"
 
 
@@ -115,6 +112,16 @@ def _at_least_one(value: int) -> str | None:
 
 def _non_negative(value: int) -> str | None:
     return None if value >= 0 else "must be >= 0"
+
+
+def _probability(value: float) -> str | None:
+    return None if 0.0 <= value < 1.0 else "must be in [0, 1)"
+
+
+def _one_of(*choices: str) -> Callable[[str], str | None]:
+    def check(value: str) -> str | None:
+        return None if value in choices else f"must be one of {', '.join(choices)}"
+    return check
 
 
 def _sized(minimum: int, bytes_each: int) -> Callable[[int], str | None]:
@@ -134,16 +141,7 @@ def _sized(minimum: int, bytes_each: int) -> Callable[[int], str | None]:
     return check
 
 
-def _hurst_list(values: list[float]) -> str | None:
-    return (None if values and all(0.0 < h < 1.0 for h in values)
-            else "needs entries in (0, 1)")
-
-
-def _positive_list(values: list[float]) -> str | None:
-    return None if values and all(v > 0 for v in values) else "needs positive entries"
-
-
-_COMMON = {"seed": Field("int", 0, _non_negative)}
+_COMMON = {"seed": Field(0, _non_negative)}
 
 
 def _log_grid(q_min: float, q_max: float, n_points: int) -> np.ndarray:
@@ -165,13 +163,11 @@ def _run_fbm_gen(cfg: dict[str, Any], out: Path):
 
 
 _FBM_SCHEMA = _COMMON | {
-    "n_steps": Field("int", 1024, _sized(1, 200)),
-    "dt": Field("float", 1.0 / 1024.0, _positive),
-    "hurst": Field("float", 0.5, _hurst_open),
-    "n_paths": Field("int", 1, _at_least_one),
-    "method": Field("str", "auto",
-                    lambda v: None if v in ("auto", "davies-harte", "cholesky")
-                    else "must be auto, davies-harte, or cholesky"),
+    "n_steps": Field(1024, _sized(1, 200)),
+    "dt": Field(1.0 / 1024.0, _positive),
+    "hurst": Field(0.5, _open_unit),
+    "n_paths": Field(1, _at_least_one),
+    "method": Field("auto", _one_of("auto", "davies-harte", "cholesky")),
 }
 
 
@@ -191,13 +187,13 @@ def _run_impact_curve(cfg: dict[str, Any], out: Path):
 
 
 _CURVE_SCHEMA = _COMMON | {
-    "hurst": Field("float", 0.5, _hurst_open),
-    "sigma": Field("float", 1.0, _positive),
-    "k": Field("float", 1.0, _positive),
-    "khat": Field("float", 1.0, _positive),
-    "q_min": Field("float", 1e-2, _positive),
-    "q_max": Field("float", 1e4, _positive),
-    "n_points": Field("int", 25, _sized(3, 350)),
+    "hurst": Field(0.5, _open_unit),
+    "sigma": Field(1.0, _positive),
+    "k": Field(1.0, _positive),
+    "khat": Field(1.0, _positive),
+    "q_min": Field(1e-2, _positive),
+    "q_max": Field(1e4, _positive),
+    "n_points": Field(25, _sized(3, 350)),
 }
 
 
@@ -227,8 +223,8 @@ def _run_impact_verify(cfg: dict[str, Any], out: Path):
 
 
 _VERIFY_SCHEMA = _CURVE_SCHEMA | {
-    "hursts": Field("floats", "0.3,0.5,0.7", _hurst_list),
-    "q_values": Field("floats", "0.1,1.0,10.0,100.0", _positive_list),
+    "hursts": Field((0.3, 0.5, 0.7), _open_unit),
+    "q_values": Field((0.1, 1.0, 10.0, 100.0), _positive),
 }
 _VERIFY_SCHEMA.pop("hurst")
 
@@ -262,11 +258,9 @@ def _run_cpmm_compare(cfg: dict[str, Any], out: Path):
 
 
 _CPMM_SCHEMA = _COMMON | {
-    "reserve_x": Field("float", 100.0, _positive),
-    "reserve_y": Field("float", 100.0, _positive),
-    "u_values": Field("floats", "0.01,0.02,0.05,0.1",
-                      lambda vs: None if vs and all(0 < u < 1 for u in vs)
-                      else "entries must be in (0, 1)"),
+    "reserve_x": Field(100.0, _positive),
+    "reserve_y": Field(100.0, _positive),
+    "u_values": Field((0.01, 0.02, 0.05, 0.1), _open_unit),
 }
 
 
@@ -296,17 +290,15 @@ def _run_cycle_run(cfg: dict[str, Any], out: Path):
 
 
 _CYCLE_SCHEMA = _COMMON | {
-    "x0": Field("float", 100.0, _positive),
-    "y0": Field("float", 100.0, _positive),
-    "alpha": Field("float", 10.0, _positive),
-    "m": Field("float", 9.0),
-    "sigma_amt": Field("float", 1.0),
-    "stage3_mode": Field("str", "exact",
-                         lambda v: None if v in [m.value for m in Stage3Formula]
-                         else "must be exact or original-x"),
-    "closure": Field("bool", True),
-    "g_amt": Field("float", 0.0),
-    "h_amt": Field("float", 0.0),
+    "x0": Field(100.0, _positive),
+    "y0": Field(100.0, _positive),
+    "alpha": Field(10.0, _positive),
+    "m": Field(9.0),
+    "sigma_amt": Field(1.0),
+    "stage3_mode": Field("exact", _one_of(*(mode.value for mode in Stage3Formula))),
+    "closure": Field(True),
+    "g_amt": Field(0.0),
+    "h_amt": Field(0.0),
 }
 
 
@@ -328,8 +320,8 @@ def _run_catbond_optimize(cfg: dict[str, Any], out: Path):
 
 
 _CATBOND_OPT_SCHEMA = _COMMON | {
-    "q": Field("float", 0.2, lambda v: None if 0.0 <= v < 1.0 else "must be in [0, 1)"),
-    "r": Field("float", 1.0, _positive),
+    "q": Field(0.2, _probability),
+    "r": Field(1.0, _positive),
 }
 
 
@@ -363,11 +355,9 @@ def _run_catbond_sensitivity(cfg: dict[str, Any], out: Path):
 
 
 _CATBOND_SENS_SCHEMA = _COMMON | {
-    "q_values": Field("floats", "0.01,0.1,0.3",
-                      lambda vs: None if vs and all(0.0 <= q < 1.0 for q in vs)
-                      else "entries must be in [0, 1)"),
-    "r_values": Field("floats", "0.1,0.5,1.0,2.0", _positive_list),
-    "delta_r": Field("float", 0.01),
+    "q_values": Field((0.01, 0.1, 0.3), _probability),
+    "r_values": Field((0.1, 0.5, 1.0, 2.0), _positive),
+    "delta_r": Field(0.01),
 }
 
 
@@ -408,9 +398,7 @@ def run_experiment(name: str, config: Mapping[str, Value],
         outputs.append((path.name, digest, path.stat().st_size))
     manifest = RunManifest(
         experiment=name, config=cfg, seed=cfg["seed"],
-        fbm_method=fbm_method or "n/a", prng=PRNG_LABEL,
-        normal_transform=NORMAL_LABEL, version=__version__,
-        outputs=outputs)
+        fbm_method=fbm_method or "n/a", outputs=outputs)
     (out / "manifest.txt").write_text(manifest.to_text(), newline="\n")
     (out / "run.json").write_text(
         json.dumps({"duration_seconds": duration}, indent=2) + "\n", newline="\n")

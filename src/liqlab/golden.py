@@ -48,28 +48,28 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
-def bracket_decreasing(deriv: Callable[[float], float], start: float = 1.0,
-                       lo_limit: float = 1e-200, hi_limit: float = 1e200) -> tuple[float, float]:
+def bracket_decreasing(deriv: Callable[[float], float]) -> tuple[float, float]:
     """Bracket the sign change of a decreasing ``deriv`` by doubling/halving.
 
-    Returns ``(lo, hi)`` with ``deriv(lo) > 0 >= deriv(hi)``.  Raises
-    :class:`BracketError` when no sign change exists within the limits,
-    i.e. no interior maximum can be bracketed.
+    The search starts at 1 and doubles up to 1e200 or halves down to
+    1e-200.  Returns ``(lo, hi)`` with ``deriv(lo) > 0 >= deriv(hi)``.
+    Raises :class:`BracketError` when no sign change exists within those
+    limits, i.e. no interior maximum can be bracketed.
     """
-    if deriv(start) > 0.0:
-        lo, hi = start, 2.0 * start
+    if deriv(1.0) > 0.0:
+        lo, hi = 1.0, 2.0
         while deriv(hi) > 0.0:
             lo = hi
             hi *= 2.0
-            if hi > hi_limit:
+            if hi > 1e200:
                 raise BracketError(
                     f"derivative still positive at {lo:.3e}; no interior maximum")
     else:
-        hi, lo = start, 0.5 * start
+        hi, lo = 1.0, 0.5
         while deriv(lo) <= 0.0:
             hi = lo
             lo *= 0.5
-            if lo < lo_limit:
+            if lo < 1e-200:
                 raise BracketError(
                     f"derivative non-positive down to {hi:.3e}; no interior maximum")
     return lo, hi

@@ -110,19 +110,19 @@ def optimal_impact_fou(q: float, model: GrowthModel) -> float:
     return delta_p
 
 
-def optimal_size_numeric(delta_p: float, model: GrowthModel,
-                         rel_tol: float = 1e-10) -> float:
+def optimal_size_numeric(delta_p: float, model: GrowthModel) -> float:
     """Argmax of :func:`growth_per_time_fou` over q, by golden-section search.
 
     The bracket is found by doubling/halving until the analytic derivative
     changes sign; :class:`BracketError` is raised when no interior maximum
-    exists (hurst <= 1/4 makes the objective monotone).
+    exists (hurst <= 1/4 makes the objective monotone).  The search on that
+    bracket ``[lo, hi]`` stops at the fixed width ``1e-10 * max(1, hi)``.
     """
     if not delta_p > 0.0:
         raise DomainError("delta_p must be positive")
     lo, hi = bracket_decreasing(lambda q: _growth_per_time_deriv(q, delta_p, model))
     return golden_section_max(lambda q: growth_per_time_fou(q, delta_p, model),
-                              lo, hi, rel_tol=rel_tol)
+                              lo, hi, rel_tol=1e-10)
 
 
 def impact_exponent(points: list[ImpactPoint]) -> float:

@@ -34,12 +34,17 @@ class TestParseConfig:
             parse_config("=3")
 
 
+def _unit(value):
+    return None if 0 < value < 1 else "must be in (0, 1)"
+
+
 SCHEMA = {
-    "hurst": Field("float", 0.5, lambda v: None if 0 < v < 1 else "must be in (0, 1)"),
-    "n": Field("int", 4),
-    "name": Field("str", "x"),
-    "flag": Field("bool", False),
-    "grid": Field("floats", "1.0,2.0"),
+    "hurst": Field(0.5, _unit),
+    "n": Field(4),
+    "name": Field("x"),
+    "flag": Field(False),
+    "grid": Field((1.0, 2.0)),
+    "units": Field((0.5,), _unit),
 }
 
 
@@ -47,7 +52,9 @@ class TestValidateConfig:
     def test_defaults_applied(self):
         got = validate_config({}, SCHEMA, "demo")
         assert got == {"hurst": 0.5, "n": 4, "name": "x", "flag": False,
-                       "grid": [1.0, 2.0]}
+                       "grid": [1.0, 2.0], "units": [0.5]}
+        # the manifest prints str(list), so a tuple default resolves to a list
+        assert type(got["grid"]) is list
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -70,6 +77,20 @@ class TestValidateConfig:
         assert got["hurst"] == 0.25
         with pytest.raises(ConfigError, match="must be in"):
             validate_config({"hurst": 1}, SCHEMA, "demo")
+        got = validate_config({"grid": 3, "units": "0.25"}, SCHEMA, "demo")
+        assert got["grid"] == [3.0] and type(got["grid"][0]) is float
+
+    def test_every_list_entry_is_checked(self):
+        with pytest.raises(ConfigError,
+                           match=r"key 'units': must be in \(0, 1\) \(got 1\.5\)"):
+            validate_config({"units": "0.5,1.5,0.25"}, SCHEMA, "demo")
+
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_list_rejected(self, value):
+        for key in ("grid", "units"):
+            with pytest.raises(ConfigError,
+                               match=f"key '{key}' expects at least one number"):
+                validate_config({key: value}, SCHEMA, "demo")
 
     def test_float_list_parsing(self):
         got = validate_config({"grid": "0.3, 0.5 ,0.7"}, SCHEMA, "demo")

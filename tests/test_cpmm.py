@@ -182,5 +182,16 @@ class TestPoolState:
         with pytest.raises(DomainError):
             PoolState(1.0, -2.0)
 
+    @pytest.mark.parametrize("x, y", [(math.inf, 1.0), (1.0, math.inf),
+                                      (math.nan, 1.0), (1.0, math.nan)])
+    def test_requires_finite_reserves(self, x, y):
+        with pytest.raises(DomainError, match="positive and finite"):
+            PoolState(x, y)
+
+    def test_add_liquidity_cannot_reach_infinite_reserves(self):
+        # inf - inf is nan, which the ratio check lets through
+        with pytest.raises(DomainError, match="positive and finite"):
+            add_liquidity(PoolState(1.0, 1.0), math.inf, math.inf)
+
     def test_invariant_property(self):
         assert PoolState(3.0, 4.0).invariant_k == 12.0

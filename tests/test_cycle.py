@@ -214,6 +214,10 @@ class TestRunCycle:
         # drain the Y reserve inf"
         (["x0=1", "y0=1e300", "alpha=0.5", "m=1e10"],
          "stage 2 overflows the Y reserve: Y + M*Y/X = inf"),
+        # X + sigma overflows in stage 3; formerly exit 0 with inf in the CSV
+        (["x0=1e308", "y0=1", "alpha=1", "m=0", "sigma_amt=1e308",
+          "closure=false", "g_amt=0", "h_amt=0"],
+         "stage 3 overflows the X reserve: X + sigma = inf"),
     ])
     def test_overflowing_reserve_names_the_stage(self, tmp_path, capsys,
                                                  overrides, message):

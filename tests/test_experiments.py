@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import shlex
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,12 @@ from liqlab.errors import ConfigError
 from liqlab.experiments import (_RUNNERS, EXPERIMENT_NAMES, fmt, run_experiment,
                                 write_csv)
 from liqlab.paths import generate_fbm
+
+ROOT = Path(__file__).resolve().parent.parent
+# README's sample commands: each runs an experiment from a config in configs/
+README_COMMANDS = [shlex.split(line)[1:]
+                   for line in (ROOT / "README.md").read_text().splitlines()
+                   if line.startswith("liqlab ") and "--config configs/" in line]
 
 
 def read_csv(path):
@@ -342,6 +350,33 @@ class TestCli:
         item = "n_steps=16\x0churst=0.6"
         assert parse_config(item) == {"n_steps": "16\x0churst=0.6"}
         assert main(["fbm-gen", "--set", item, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("name, item, message", [
+        ("impact-verify", "hursts=0.5,1.5",
+         "key 'hursts': must be in the open interval (0, 1) (got 1.5)"),
+        ("impact-verify", "q_values=1,0", "key 'q_values': must be positive (got 0.0)"),
+        ("cpmm-compare", "u_values=0.5,1.0",
+         "key 'u_values': must be in the open interval (0, 1) (got 1.0)"),
+        ("catbond-sensitivity", "q_values=0.1,1.0",
+         "key 'q_values': must be in [0, 1) (got 1.0)"),
+        ("catbond-sensitivity", "r_values=1,-1",
+         "key 'r_values': must be positive (got -1.0)"),
+    ])
+    def test_list_error_names_the_failing_entry(self, tmp_path, capsys,
+                                                name, item, message):
+        assert main([name, "--set", item, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_readme_commands_found(self):
+        assert [argv[0] for argv in README_COMMANDS] == [
+            "cycle-run", "impact-curve", "fbm-gen"]
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+    def test_readme_command_runs(self, tmp_path, monkeypatch, argv):
+        # the configs give ints such as x0=100 for float keys, which widen
+        monkeypatch.chdir(ROOT)
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "manifest.txt").is_file()
 
     def test_empty_hursts_rejected(self, tmp_path, capsys):
         assert main(["impact-verify", "--set", "hursts=", "--out", str(tmp_path)]) == 2
