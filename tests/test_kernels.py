@@ -113,7 +113,9 @@ def pairwise_reference(values):
     return acc[0] if acc.ndim > 1 else float(acc[0])
 
 
-@pytest.mark.parametrize("n", range(1, 34))
+# the last four sizes sit at and across the 2**15-element leaf block of a
+# 1-d reduction; a 2-d batch of 5 columns has leaf blocks of 2**12 rows
+@pytest.mark.parametrize("n", [*range(1, 34), 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 5])
 def test_pairwise_sum_matches_halving_reference(n):
     rng = np.random.Generator(np.random.PCG64(n))
     # magnitudes spread over 16 decades, so the summation order shows

@@ -8,7 +8,8 @@ a pin on purpose names the old and the new digest in CHANGES.md.
 
 ``optimal_impact_leverage_form`` feeds no experiment, so one more pin
 covers the reprs of its results on a fixed grid.  So do the library results
-that only the benchmark computes, at small sizes: the Monte Carlo moments,
+that only the benchmark computes, at small sizes: the Monte Carlo moments
+(also at a size whose sums span several leaf blocks),
 a batch of fBM paths one row longer than a block, and the fOU wealth chain.
 """
 
@@ -139,6 +140,14 @@ MOMENT_PINS = [
     (0.7, "1.3132106408660091", "0.3037471726446746"),
 ]
 
+# (hurst, variance_slope repr, increment_autocorr reprs at lags 1 and 3) at
+# 300 paths x 256 steps: each sum spans three leaf blocks of the pairwise
+# reduction, 128 rows for the variance and 2**15 increments for the lag sums
+MULTI_BLOCK_MOMENT_PINS = [
+    (0.3, "0.5976975401977482", ("-0.24344460442732774", "-0.02927506524289045")),
+    (0.7, "1.3802710032551384", ("0.3148476569639859", "0.14115997427050017")),
+]
+
 # (method, n_paths, SHA-256 of the batch bytes) at 256 steps: a block holds
 # 32 Davies-Harte rows or 64 Cholesky rows, so each batch ends on a block of one
 BATCH_PINS = [
@@ -197,6 +206,13 @@ def test_monte_carlo_moments_are_pinned(hurst, slope, autocorr):
     args = (64, 128, 1.0 / 128, hurst, 7)
     assert (repr(variance_slope(*args)), repr(increment_autocorr(*args))) == (
         slope, autocorr)
+
+
+@pytest.mark.parametrize("hurst, slope, autocorrs", MULTI_BLOCK_MOMENT_PINS)
+def test_multi_block_monte_carlo_moments_are_pinned(hurst, slope, autocorrs):
+    args = (300, 256, 1.0 / 256, hurst, 13)
+    assert repr(variance_slope(*args)) == slope
+    assert tuple(repr(increment_autocorr(*args, lag=lag)) for lag in (1, 3)) == autocorrs
 
 
 @pytest.mark.parametrize("method, n_paths, digest", BATCH_PINS)
