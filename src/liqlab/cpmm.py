@@ -64,8 +64,16 @@ def swap_y_for_x(pool: PoolState, dy: float) -> tuple[PoolState, float]:
 
 
 def _check_ratio(a: float, b: float, ref_a: float, ref_b: float) -> None:
-    # compare a/b against ref_a/ref_b without dividing
-    if abs(a * ref_b - b * ref_a) > RATIO_TOL * abs(b * ref_a):
+    # compare a/b against ref_a/ref_b without dividing; finite amounts whose
+    # cross products overflow cannot be compared (inf - inf is nan, which
+    # would pass), while an infinite amount is left to PoolState to reject
+    cross, other = a * ref_b, b * ref_a
+    if (math.isfinite(a) and math.isfinite(b)
+            and not (math.isfinite(cross) and math.isfinite(other))):
+        raise DomainError(
+            f"ratio check overflowed: amounts {a}:{b} against pool ratio "
+            f"{ref_a}:{ref_b} give cross products {cross} and {other}")
+    if abs(cross - other) > RATIO_TOL * abs(other):
         raise RatioMismatchError(
             f"amount ratio {a}:{b} does not match pool ratio {ref_a}:{ref_b}")
 

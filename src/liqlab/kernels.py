@@ -10,12 +10,19 @@ as the reference.  FFT-based fractional noise generation lives in
 :mod:`liqlab.paths`.
 
 ``pairwise_sum`` reduces in a fixed binary-tree order, so Monte Carlo
-moments do not depend on how paths were batched.  It never copies or
-writes its input: each level adds pairs of rows into one of two scratch
-buffers, a half and a quarter the size of the input.
+moments do not depend on how paths were batched.  The tree is cut at
+aligned power-of-two leaf blocks of about 256 KiB: a full leaf is one node
+of the tree and the last, partial leaf's own tree is the last node, so the
+sum has the same bits as one tree over the whole input.
+``pairwise_reduce`` asks a callback for one leaf at a time, so a caller can
+compute the summands block by block, and its scratch is one leaf, a half
+and a quarter of a leaf, and one node per tree level.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -66,22 +73,20 @@ def self_financing(prices: np.ndarray, kappa: float, level: float,
     return out
 
 
-def pairwise_sum(values: np.ndarray) -> np.ndarray:
-    """Deterministic pairwise reduction along axis 0.
+# bytes per leaf block of the pairwise reduction; a leaf holds a power of
+# two of rows, so the leaves sit on nodes of the tree over the whole input
+_LEAF_BYTES = 1 << 18
 
-    Adjacent elements are summed in a fixed binary-tree order, so the
-    result does not depend on how work was scheduled across paths.  Works
-    on 1-d arrays (returns a scalar) and on 2-d arrays (reduces rows).
+
+def _tree(values: np.ndarray) -> np.ndarray:
+    """Sum a non-empty array along axis 0 by halving; return a new array.
 
     Level one adds even and odd rows of ``values`` into a buffer half its
     size; later levels alternate between that buffer and one a quarter the
     size.  An odd last row is carried up a level unchanged.  ``values``
     itself is only read.
     """
-    values = np.asarray(values, dtype=np.float64)
     n, rest = values.shape[0], values.shape[1:]
-    if n == 0:
-        return np.zeros(rest) if rest else 0.0
     acc = values
     dst, spare = np.empty(((n + 1) // 2, *rest)), np.empty(((n + 3) // 4, *rest))
     while n > 1:
@@ -91,7 +96,51 @@ def pairwise_sum(values: np.ndarray) -> np.ndarray:
             dst[half] = acc[n - 1]
         acc, n = dst, n - half
         dst, spare = spare, dst
-    return np.array(acc[0]) if rest else float(acc[0])
+    return np.array(acc[0])
+
+
+def pairwise_reduce(n: int, block: Callable[[int, int], np.ndarray],
+                    rest: tuple[int, ...] = ()) -> np.ndarray:
+    """Pairwise sum along axis 0 of ``n`` rows of shape ``rest``, leaf by leaf.
+
+    ``block(start, stop)`` returns rows ``start:stop`` as a float64 array
+    of shape ``(stop - start, *rest)``.  It is called once per leaf, in
+    order, for aligned power-of-two runs of rows of about ``_LEAF_BYTES``.
+    Each leaf is summed by halving, and the leaf sums are combined as the
+    same halving tree would combine them: equal full subtrees pairwise as
+    they complete, then the remaining ones from the smallest up.  The
+    result has the same bits as halving the whole ``n`` rows at once.
+    Returns a float for ``rest == ()`` and an array of shape ``rest``
+    otherwise.
+    """
+    if n == 0:
+        return np.zeros(rest) if rest else 0.0
+    rows = max(1, _LEAF_BYTES // (8 * max(1, math.prod(rest))))
+    leaf = 1 << (rows.bit_length() - 1)  # the largest power of two <= rows
+    nodes = []  # (height, sum) of complete subtrees, heights decreasing
+    for start in range(0, n, leaf):
+        height, node = 0, _tree(block(start, min(start + leaf, n)))
+        while nodes and nodes[-1][0] == height:
+            height, node = height + 1, nodes.pop()[1] + node
+        nodes.append((height, node))
+    total = nodes.pop()[1]
+    while nodes:
+        total = nodes.pop()[1] + total
+    return total if rest else float(total)
+
+
+def pairwise_sum(values: np.ndarray) -> np.ndarray:
+    """Deterministic pairwise reduction along axis 0.
+
+    Adjacent elements are summed in a fixed binary-tree order, so the
+    result does not depend on how work was scheduled across paths.  Works
+    on 1-d arrays (returns a scalar) and on 2-d arrays (reduces rows).
+    ``values`` is only read, one leaf block at a time, so the scratch is
+    about one leaf (:func:`pairwise_reduce`) whatever the input's size.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return pairwise_reduce(values.shape[0], lambda start, stop: values[start:stop],
+                           values.shape[1:])
 
 
 def pairwise_mean(values: np.ndarray) -> np.ndarray:

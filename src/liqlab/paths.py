@@ -148,7 +148,8 @@ def _davies_harte_coloring(lam: np.ndarray):
 
     The coloring (eigenvalue square roots) is computed here, once.  The
     returned function maps a ``(k, m)`` block of normals to a ``(k, m // 2)``
-    block of unit-spacing fGn: one complex multiply and one row-wise FFT per
+    block of unit-spacing fGn: the colored normals are written straight into
+    the real and imaginary parts of the FFT input, then one row-wise FFT per
     block.
     """
     m = lam.size
@@ -161,8 +162,9 @@ def _davies_harte_coloring(lam: np.ndarray):
         w = np.empty(z.shape, dtype=np.complex128)
         w[:, 0] = head * z[:, 0]
         w[:, n] = middle * z[:, 1]
-        w[:, 1:n] = coloring * (z[:, 2:m:2] + 1j * z[:, 3:m:2])
-        w[:, n + 1:] = np.conj(w[:, n - 1:0:-1])
+        np.multiply(coloring, z[:, 2:m:2], out=w.real[:, 1:n])
+        np.multiply(coloring, z[:, 3:m:2], out=w.imag[:, 1:n])
+        np.conjugate(w[:, n - 1:0:-1], out=w[:, n + 1:])
         return np.fft.fft(w, axis=1).real[:, :n]
 
     return color
@@ -350,29 +352,71 @@ def variance_slope(n_paths: int, n_steps: int, dt: float, hurst: float,
 
     For fBM the population variance is t^(2H), so the fitted slope
     estimates 2H.  Cross-path aggregation uses the deterministic pairwise
-    reduction, making the result independent of path scheduling.
+    reduction, making the result independent of path scheduling; the
+    squared deviations are formed one leaf block of paths at a time.
     """
-    batch = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)
-    x = batch[:, 1:]
+    if n_paths < 2 or n_steps < 2:
+        raise DomainError(f"variance_slope needs n_paths >= 2 and n_steps >= 2, "
+                          f"got {n_paths} and {n_steps}")
+    x = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)[:, 1:]
     mean = kernels.pairwise_mean(x)
-    var = kernels.pairwise_sum((x - mean) ** 2) / (n_paths - 1)
+    sq_dev = kernels.pairwise_reduce(
+        n_paths, lambda start, stop: (x[start:stop] - mean) ** 2, mean.shape)
+    var = sq_dev / (n_paths - 1)
     t = np.arange(1, n_steps + 1) * dt
     slope, _ = np.polyfit(np.log(t), np.log(var), 1)
     return float(slope)
 
 
+def _increments(batch: np.ndarray, offset: int, width: int):
+    """Block function over ``np.diff(batch, axis=1)[:, offset:offset + width]``
+    flattened row by row, for :func:`kernels.pairwise_reduce`.
+
+    A block is computed from the batch rows it spans, as at most three
+    subtractions: the end of a row, a run of whole rows, the start of a row.
+    """
+    def block(start: int, stop: int) -> np.ndarray:
+        out = np.empty(stop - start)
+        row, col = divmod(start, width)
+        done = 0
+        while done < out.size:
+            left = out.size - done
+            rows = max(1, left // width) if col == 0 else 1
+            cols = min(width - col, left)
+            seg = batch[row:row + rows, offset + col:offset + col + cols + 1]
+            np.subtract(seg[:, 1:], seg[:, :-1],
+                        out=out[done:done + rows * cols].reshape(rows, cols))
+            done += rows * cols
+            row, col = row + rows, 0
+        return out
+
+    return block
+
+
 def increment_autocorr(n_paths: int, n_steps: int, dt: float, hurst: float,
                        base_seed: int, lag: int = 1) -> float:
-    """Pooled increment autocorrelation at the given lag across a batch."""
+    """Pooled increment autocorrelation at the given lag across a batch.
+
+    The increments ``a = inc[:, :-lag]`` and ``b = inc[:, lag:]`` are
+    pooled over all paths, centred by their pairwise means, and reduced
+    pairwise; each leaf block is recomputed from the batch, so no
+    batch-sized array besides the batch itself is held.
+    """
     if lag < 1 or lag >= n_steps:
         raise DomainError(f"lag must be in [1, n_steps), got {lag}")
-    inc = np.diff(generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed), axis=1)
-    # flatten copies even one row, so centring a in place leaves b alone
-    a = inc[:, :-lag].flatten()
-    b = inc[:, lag:].flatten()
-    del inc
-    a -= kernels.pairwise_mean(a)
-    b -= kernels.pairwise_mean(b)
-    cov = kernels.pairwise_sum(a * b)
-    return float(cov / math.sqrt(kernels.pairwise_sum(a * a)
-                                 * kernels.pairwise_sum(b * b)))
+    batch = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)
+    width = n_steps - lag
+    n = n_paths * width
+
+    def centred(offset):
+        increments = _increments(batch, offset, width)
+        mean = kernels.pairwise_reduce(n, increments) / n
+        return lambda start, stop: increments(start, stop) - mean
+
+    a, b = centred(0), centred(lag)
+
+    def dot(first, second):
+        return kernels.pairwise_reduce(
+            n, lambda start, stop: first(start, stop) * second(start, stop))
+
+    return float(dot(a, b) / math.sqrt(dot(a, a) * dot(b, b)))

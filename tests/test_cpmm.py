@@ -188,6 +188,15 @@ class TestPoolState:
         with pytest.raises(DomainError, match="positive and finite"):
             PoolState(x, y)
 
+    @pytest.mark.parametrize("operation, pool, amounts", [
+        (add_liquidity, (1e10, 1e10), (1e308, 1e300)),
+        (remove_liquidity, (1e200, 1e200), (1e199, 1e150)),
+    ])
+    def test_overflowing_ratio_check_raises(self, operation, pool, amounts):
+        # both cross products overflow to inf, and inf - inf is nan
+        with pytest.raises(DomainError, match="ratio check overflowed"):
+            operation(PoolState(*pool), *amounts)
+
     def test_add_liquidity_cannot_reach_infinite_reserves(self):
         # inf - inf is nan, which the ratio check lets through
         with pytest.raises(DomainError, match="positive and finite"):

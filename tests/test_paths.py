@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,6 +252,29 @@ class TestGenerateFbm:
     def test_variance_scaling_slope(self, hurst):
         slope = paths.variance_slope(2000, 256, 1.0 / 256.0, hurst, 77)
         assert slope == pytest.approx(2.0 * hurst, abs=0.05)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(1, 16), (4, 1)])
+    def test_variance_slope_needs_two_paths_and_two_steps(self, n_paths, n_steps):
+        # one path has no sample variance; one step gives one point to fit
+        with pytest.raises(DomainError, match="variance_slope needs"):
+            paths.variance_slope(n_paths, n_steps, 0.1, 0.7, 1)
+
+    @pytest.mark.parametrize("estimator", [paths.variance_slope,
+                                           paths.increment_autocorr])
+    def test_estimator_holds_one_batch(self, estimator):
+        # the batch plus one leaf block of the pairwise sums and a draw's
+        # scratch; any whole-batch temporary would add another batch
+        n_paths, n_steps = 512, 1024
+        # a first call loads what np.polyfit imports lazily, which
+        # tracemalloc would count against the estimator
+        estimator(4, 16, 1.0 / 16, 0.7, 3)
+        tracemalloc.start()
+        try:
+            estimator(n_paths, n_steps, 1.0 / n_steps, 0.7, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n_paths * (n_steps + 1)
 
 
 class TestSimulateFou:
