@@ -50,6 +50,9 @@ class GrowthModel:
                               f"got {self.time_per_size_khat}")
         if not 0.0 < self.sigma < math.inf:
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        # every use squares sigma; sigma * sigma, since float ** raises OverflowError
+        if not math.isfinite(self.sigma * self.sigma):
+            raise DomainError(f"sigma must have a finite square, got {self.sigma}")
         if not 0.0 < self.hurst < 1.0:
             raise DomainError(f"hurst must be in (0, 1), got {self.hurst}")
 
@@ -77,21 +80,32 @@ def optimal_impact_sqrt(q: float, model: GrowthModel) -> float:
 
 def growth_per_time_fou(q: float, delta_p: float, model: GrowthModel) -> float:
     """Growth per unit of time under T = khat*q and variance ~ T^(2H):
-    (delta_p/k)*sqrt(q) - sigma^2/(2k^2) * khat^(2H-1) * q^(2H)."""
+    (delta_p/k)*sqrt(q) - sigma^2/(2k^2) * khat^(2H-1) * q^(2H).
+
+    Raises :class:`DomainError` when k * k underflows to 0."""
     if not q > 0.0:
         raise DomainError("q must be positive")
-    k = model.capital_scale_k
+    k = _capital_scale(model)
     h2 = 2.0 * model.hurst
     carry = model.sigma ** 2 / (2.0 * k * k) * model.time_per_size_khat ** (h2 - 1.0)
     return delta_p / k * math.sqrt(q) - carry * q ** h2
 
 
 def _growth_per_time_deriv(q: float, delta_p: float, model: GrowthModel) -> float:
-    k = model.capital_scale_k
+    k = _capital_scale(model)
     h = model.hurst
     h2 = 2.0 * h
     carry = model.sigma ** 2 / (k * k) * model.time_per_size_khat ** (h2 - 1.0)
     return delta_p / (2.0 * k * math.sqrt(q)) - h * carry * q ** (h2 - 1.0)
+
+
+def _capital_scale(model: GrowthModel) -> float:
+    # k, once k * k is known not to underflow to 0: the growth functions divide by it
+    k = model.capital_scale_k
+    if k * k == 0.0:
+        raise DomainError(f"capital_scale_k={k!r} squares to zero; the growth rate "
+                          f"divides by k^2")
+    return k
 
 
 def optimal_impact_fou(q: float, model: GrowthModel) -> float:
@@ -104,7 +118,11 @@ def optimal_impact_fou(q: float, model: GrowthModel) -> float:
         raise DomainError("q must be positive")
     h = model.hurst
     pre = 2.0 * h * model.time_per_size_khat ** (2.0 * h - 1.0)
-    delta_p = pre * model.sigma ** 2 / model.capital_scale_k * float(q) ** (2.0 * h - 0.5)
+    try:
+        q_power = float(q) ** (2.0 * h - 0.5)
+    except OverflowError:
+        q_power = math.inf
+    delta_p = pre * model.sigma ** 2 / model.capital_scale_k * q_power
     if not math.isfinite(delta_p):
         raise OverflowError(f"optimal impact is not finite at q={q}")
     return delta_p
@@ -181,7 +199,10 @@ def optimal_impact_leverage_form(q: float, price_level: float,
     optimal f is the root of dg/df, found by
     :func:`~liqlab.golden.bisect_decreasing`; a second bisection solves for
     the dp at which this optimum equals the fraction implied by the capital
-    constraint, f = P sqrt(q) / k.  The result agrees with
+    constraint, f = P sqrt(q) / k.  Both solves have the bits of plain
+    halving, which ``bisect_decreasing`` keeps for a decreasing function
+    only: dg/df falls in f, and its float root never falls as dp grows, so
+    the shortfall falls in dp.  The result agrees with
     :func:`optimal_impact_sqrt` and is independent of ``price_level``.
     Subnormal sigma^2/P^2 or dp/P raise :class:`DomainError`; an optimal f
     or dp outside [1e-200, 1e200] raises :class:`BracketError`.

@@ -424,6 +424,25 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--out", "out"]) == code
 
+    @pytest.mark.parametrize("argv, message", [
+        (["impact-curve", "--set", "sigma=1e200"],
+         "sigma must have a finite square, got 1e+200"),
+        (["impact-verify", "--set", "q_values=1e250", "--set", "hursts=0.9"],
+         "optimal impact is not finite at q=1e+250"),
+        (["impact-verify", "--set", "k=1e-170"],
+         "capital_scale_k=1e-170 squares to zero"),
+    ], ids=["sigma", "q_values", "k"])
+    def test_impact_arithmetic_errors_name_their_cause(self, tmp_path, capsys,
+                                                       argv, message):
+        # formerly Python's own text: "(34, 'Numerical result out of range')"
+        # for the first two, "float division by zero" for the third
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+
+    def test_impact_curve_needs_no_square_of_k(self, tmp_path, capsys):
+        assert main(["impact-curve", "--set", "k=1e-170", "--out", str(tmp_path)]) == 0
+        assert "wrote impact_curve.csv" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv, bytes_each", [
         (["fbm-gen", "--set", "n_steps=1000000000000", "--set", "dt=1e-12"], 200),
         (["impact-curve", "--set", "n_points=1000000000000"], 350),

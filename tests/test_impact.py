@@ -331,6 +331,19 @@ class TestModelValidation:
         with pytest.raises(DomainError, match="positive and finite"):
             GrowthModel(k, khat, sigma, 0.5)
 
+    def test_growth_model_rejects_an_infinite_square_of_sigma(self):
+        with pytest.raises(DomainError, match="sigma must have a finite square"):
+            GrowthModel(1.0, 1.0, 1e200, 0.5)
+
+    def test_growth_rejects_a_capital_scale_whose_square_is_zero(self):
+        # formerly ZeroDivisionError; the impact curve itself needs no k * k
+        m = model(k=1e-170)
+        assert optimal_impact_fou(1.0, m) == 1e170
+        with pytest.raises(DomainError, match="capital_scale_k=1e-170 squares to zero"):
+            growth_per_time_fou(1.0, 1.0, m)
+        with pytest.raises(DomainError, match="capital_scale_k=1e-170 squares to zero"):
+            optimal_size_numeric(1.0, m)
+
     def test_impact_point_domain(self):
         with pytest.raises(DomainError):
             ImpactPoint(0.0, 1.0)
