@@ -1,9 +1,13 @@
 """Named experiments: seeded runs that write CSV artifacts plus a manifest.
 
-Every float is serialized with 17 significant digits and LF line endings,
-so reruns with the same configuration and seed are byte-identical.  The
-manifest lists every output file with its SHA-256 checksum; facts that
-change from run to run (the duration) go to ``run.json`` instead.
+Every float is serialized as ``%.17g`` (17 significant digits) with LF
+line endings, so reruns with the same configuration and seed are
+byte-identical.  Float tables are formatted in numpy, in blocks of about
+2**14 cells: a cell that ``%.17g`` writes in fixed notation (0, and
+1e-4 <= |x| < 1e16) gets its digits from an exact decimal scaling, and
+every other cell gets its text from :func:`fmt`.  The manifest lists every
+output file with its SHA-256 checksum; facts that change from run to run
+(the duration) go to ``run.json`` instead.
 """
 
 from __future__ import annotations
@@ -35,39 +39,173 @@ def fmt(value: Any) -> str:
     return str(value)
 
 
-@functools.lru_cache(maxsize=1)
-def _file_template(first_column: bytes, n_cols: int) -> str:
-    """Whole-file ``%`` template for a float64 table with this first column.
+# A float table is formatted this many cells at a time, so write_csv's
+# scratch memory does not grow with the table.
+_BLOCK_CELLS = 2 ** 14
 
-    Each row is the column's ``%.17g`` text, then a ``,%.17g`` slot per
-    remaining column.  ``%.17g`` of a float holds no ``%``, so the template
-    is a pure function of the column's bytes, and ``fbm-gen`` formats its
-    shared time column once per run.
+# A cell's text is first laid out in a record of five uint64 words, padded
+# with NUL bytes that one bytes.translate drops.  Byte 0 holds the sign and
+# bytes 1-5 the "0.000" that starts a number below 1.  Digit j of the 17
+# is byte 6 + 2j, and the slot after it, byte 7 + 2j, holds the point when
+# j is the last integer digit.  The last slot, byte 39, holds the separator.
+# A cell outside the fast domain has its fmt text, at most 24 bytes, from
+# byte 0 instead.
+_RECORD = 40
+_SPLITTER = 134217729.0  # 2**27 + 1 splits a float64 into two 26-bit halves
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    scaled = _SPLITTER * a
+    high = scaled - (scaled - a)
+    return high, a - high
+
+
+# 10**s is an exact float64 up to s = 22
+_POW10 = np.array([float(10 ** s) for s in range(22)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**s`` exactly, as ``hi + lo`` with ``hi`` the rounded product.
+
+    Dekker's two-product (Dekker 1971): the four half products are exact.
     """
-    row_end = ",%.17g" * (n_cols - 1) + "\n"
-    return "".join(["%.17g" % x + row_end
-                    for x in np.frombuffer(first_column).tolist()])
+    hi = a * _POW10[s]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+    lo = a_hi * p_hi
+    lo -= hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    return hi, lo
+
+
+def _record_tables() -> tuple[np.ndarray, ...]:
+    digits = np.arange(48, 58, dtype=np.uint8)
+    groups = np.zeros((10, 10, 10, 10, 8), np.uint8)  # by the group's digits
+    for place in range(4):
+        groups[..., 2 * place] = digits.reshape((10,) + (1,) * (3 - place))
+    lead = np.zeros((5, 2, 10, 8), np.uint8)
+    lead[..., 6] = digits
+    lead[:, 1, :, 0] = ord("-")
+    for zeros in range(4):
+        lead[zeros + 1, ..., 1:3 + zeros] = list(b"0.000"[:2 + zeros])
+    keep = np.zeros((18, _RECORD), np.uint8)
+    for kept in range(1, 18):
+        keep[kept, :5 + 2 * kept] = 255
+    return (groups.reshape(-1, 8).view(np.uint64)[:, 0],
+            lead.reshape(-1, 8).view(np.uint64)[:, 0], keep.view(np.uint64))
+
+
+# The word of a 4-digit group and its slots; the first word, by 1 - k (the
+# "0.000" prefix, up to 4), sign and first digit; the mask that keeps the
+# first `kept` digits, by `kept`.
+_GROUPS, _LEAD, _KEEP = _record_tables()
+
+
+def _records(x: np.ndarray) -> np.ndarray:
+    """The ``(len(x), 5)`` uint64 records of the ``%.17g`` text of ``x``.
+
+    A cell in the fast domain, 0 and 1e-4 <= |x| < 1e16, is written in
+    fixed notation.  With k its digits before the point, n = |x| * 10**(17-k)
+    rounded half to even is the 17-digit integer of its text; any other cell
+    gets :func:`fmt` text.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    fast = zero | ((a >= 1e-4) & (a < 1e16))
+    a[zero | ~fast] = 1.0
+    # log10 may put k one off near a power of ten; the exact product
+    # hi + lo must lie in [1e16, 1e17)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    k += 1
+    hi, lo = _times_pow10(a, 17 - k)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(low | high)
+    k[off] += high[off].astype(np.intp) - low[off]
+    hi[off], lo[off] = _times_pow10(a[off], 17 - k[off])
+    # hi is an even integer >= 1e16, so rounding lo half to even rounds
+    # hi + lo half to even, as %.17g does.  n stays < 1e17: doubles are
+    # 1.1e-16 apart or more (relative), far wider than half a 17th digit,
+    # so none below a power of ten rounds up to it (tests check each power)
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    n[zero] = 0
+    del a, hi, lo  # before the records, to keep the block's peak down
+    # trailing zeros after the point are dropped, and a point with no
+    # digit after it; kept is the number of digits left
+    ends = np.flatnonzero(n % 10 == 0)
+    tails = n[ends]
+    kept = np.full(len(ends), 17)
+    for z in (16, 8, 4, 2, 1):
+        zeros = tails % 10 ** z == 0
+        tails[zeros] //= 10 ** z
+        kept -= z * zeros
+    kept = np.maximum(k[ends], kept)
+    records = np.empty((len(x), 5), np.uint64)
+    for word in range(4, 0, -1):
+        first = n // 10_000
+        records[:, word] = _GROUPS[n - first * 10_000]
+        n = first
+    records[:, 0] = _LEAD[n + 10 * (np.signbit(x) + 2 * np.clip(1 - k, 0, 4))]
+    # the point follows digit k - 1; a number below 1 has it in its prefix
+    # and puts it in byte 39, which the separator overwrites
+    point = np.where(k >= 1, 5 + 2 * k, _RECORD - 1)
+    point += _RECORD * np.arange(len(x))
+    records.view(np.uint8).reshape(-1)[point] = ord(".")
+    records[ends] &= _KEEP[kept]
+    slow = np.flatnonzero(~fast)
+    records.view(f"S{_RECORD}")[slow, 0] = [fmt(v).encode() for v in x[slow].tolist()]
+    return records
+
+
+@functools.lru_cache(maxsize=1)
+def _column_records(column: bytes) -> np.ndarray:
+    """Records of a float64 column; the last column is kept, so files that
+    share a first column (``fbm-gen``'s time column) format it once."""
+    x = np.frombuffer(column)
+    records = np.empty((len(x), 5), np.uint64)
+    for start in range(0, len(x), _BLOCK_CELLS):
+        records[start:start + _BLOCK_CELLS] = _records(x[start:start + _BLOCK_CELLS])
+    records.flags.writeable = False
+    return records
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray) -> Path:
     """Write ``header`` and ``rows`` as CSV with LF line endings.
 
     Every cell gets the text :func:`fmt` gives it.  A float table arrives as
-    a 2-d float64 array and is formatted with one ``%`` operation per file,
-    on a template that holds its first column's text already; the last
-    template is kept, so files that share a first column format it only
-    once.  A list of rows is for tables with text cells; it is formatted
-    cell by cell.
+    a 2-d float64 array and is formatted in numpy, in blocks of about 2**14
+    cells that go to the file one by one.  Cells in the fast domain, 0 and
+    1e-4 <= |x| < 1e16, which ``%.17g`` writes in fixed notation, get their
+    digits from an exact decimal scaling of the whole block; every other
+    cell goes through :func:`fmt`.  The last first column's text is kept, so
+    files that share it format it only once.  A list of rows is for tables
+    with text cells; it is formatted cell by cell.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] < 1:
-            raise TypeError(f"expected a 2-d float64 array with at least one "
-                            f"column, got {rows.dtype} with shape {rows.shape}")
-        template = _file_template(rows[:, 0].tobytes(), rows.shape[1])
-        body = template % tuple(rows[:, 1:].ravel().tolist())
-    else:
+    if not isinstance(rows, np.ndarray):
         body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
-    path.write_text(",".join(header) + "\n" + body, newline="\n")
+        path.write_text(",".join(header) + "\n" + body, newline="\n")
+        return path
+    if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] < 1:
+        raise TypeError(f"expected a 2-d float64 array with at least one "
+                        f"column, got {rows.dtype} with shape {rows.shape}")
+    n_rows, n_cols = rows.shape
+    first = _column_records(rows[:, 0].tobytes())
+    step = max(1, _BLOCK_CELLS // n_cols)
+    with path.open("wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for start in range(0, n_rows, step):
+            block = rows[start:start + step]
+            records = np.empty((len(block), n_cols, 5), np.uint64)
+            records[:, 0] = first[start:start + step]
+            records[:, 1:] = _records(block[:, 1:].ravel()).reshape(len(block), -1, 5)
+            separators = records.view(np.uint8)[:, :, -1]
+            separators[:, :-1] = ord(",")
+            separators[:, -1] = ord("\n")
+            f.write(records.tobytes().translate(None, b"\0"))
     return path
 
 
@@ -124,21 +262,33 @@ def _one_of(*choices: str) -> Callable[[str], str | None]:
     return check
 
 
-def _sized(minimum: int, bytes_each: int) -> Callable[[int], str | None]:
-    """Check for a count of at least ``minimum`` units of ``bytes_each``.
+def _too_big(count: int, bytes_each: int) -> str | None:
+    """The problem with ``count`` units of ``bytes_each`` bytes, if any.
 
     ``bytes_each`` is the run's peak memory per unit, measured with
     tracemalloc; the whole count must fit in ``MAX_ARRAY_BYTES``.
     """
+    needed = count * bytes_each
+    if needed > MAX_ARRAY_BYTES:
+        return (f"needs about {needed} bytes at {bytes_each} bytes each, "
+                f"above the limit of {MAX_ARRAY_BYTES} bytes")
+    return None
+
+
+def _sized(minimum: int, bytes_each: int) -> Callable[[int], str | None]:
+    """Check for a count of at least ``minimum`` units of ``bytes_each``."""
     def check(count: int) -> str | None:
-        if count < minimum:
-            return f"must be >= {minimum}"
-        needed = count * bytes_each
-        if needed > MAX_ARRAY_BYTES:
-            return (f"needs about {needed} bytes at {bytes_each} bytes each, "
-                    f"above the limit of {MAX_ARRAY_BYTES} bytes")
-        return None
+        return f"must be >= {minimum}" if count < minimum else _too_big(count, bytes_each)
     return check
+
+
+def _check_grid(cfg: Mapping[str, Any], rows: str, cols: str, bytes_each: int) -> None:
+    """Stop a run whose ``rows`` x ``cols`` grid of list entries is too big."""
+    count = len(cfg[rows]) * len(cfg[cols])
+    problem = _too_big(count, bytes_each)
+    if problem:
+        raise ConfigError(f"keys {rows!r} x {cols!r}: {problem} "
+                          f"(got {len(cfg[rows])} x {len(cfg[cols])} rows)")
 
 
 _COMMON = {"seed": Field(0, _non_negative)}
@@ -198,6 +348,7 @@ _CURVE_SCHEMA = _COMMON | {
 
 
 def _run_impact_verify(cfg: dict[str, Any], out: Path):
+    _check_grid(cfg, "hursts", "q_values", 400)
     inversion_rows = []
     exponent_rows = []
     grid = _log_grid(cfg["q_min"], cfg["q_max"], cfg["n_points"])
@@ -326,6 +477,7 @@ _CATBOND_OPT_SCHEMA = _COMMON | {
 
 
 def _run_catbond_sensitivity(cfg: dict[str, Any], out: Path):
+    _check_grid(cfg, "q_values", "r_values", 700)
     sweep_rows = []
     iso_rows = []
     delta_r = cfg["delta_r"]

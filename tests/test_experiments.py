@@ -3,14 +3,16 @@ import json
 import math
 import shlex
 import tempfile
+import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liqlab import cli, errors, experiments, paths
+from liqlab import catbond, cli, errors, experiments, paths
 from liqlab.cli import main
 from liqlab.config import parse_config, validate_config
 from liqlab.errors import ConfigError
@@ -59,6 +61,10 @@ cells = (float64s | st.integers(-10 ** 20, 10 ** 20) | st.booleans()
          | st.text(alphabet="ab_%s1.", max_size=6))
 
 
+# rows in one block of a three-column float table
+BLOCK_ROWS_OF_3 = experiments._BLOCK_CELLS // 3
+
+
 class TestWriteCsv:
     @given(rows=st.lists(st.lists(float64s, min_size=3, max_size=3), max_size=20))
     @example(rows=[[x, -x, x / 3.0] for x in EDGE_FLOATS])
@@ -97,13 +103,16 @@ class TestWriteCsv:
             write_csv(tmp_path / "t.csv", [], np.zeros((2, 0)))
 
     def test_arrays_sharing_a_first_column(self, tmp_path):
-        # the second write reuses the first column's template
-        t = np.arange(5) * 0.1
-        for values in ([0.0, 1 / 3, -2.5, 1e300, 5e-324],
-                       [math.nan, math.inf, -0.0, 7.0, 0.1]):
-            rows = np.column_stack((t, values, np.negative(values)))
-            path = write_csv(tmp_path / "t.csv", ["t", "a", "b"], rows)
-            assert path.read_bytes() == reference_csv(["t", "a", "b"], rows.tolist())
+        # the second write reuses the first column's text; the longer
+        # table spans three blocks
+        for n_rows in (5, 2 * BLOCK_ROWS_OF_3 + 1):
+            t = np.arange(n_rows) * 0.1
+            for values in ([0.0, 1 / 3, -2.5, 1e300, 5e-324],
+                           [math.nan, math.inf, -0.0, 7.0, 0.1]):
+                values = np.resize(values, n_rows)
+                rows = np.column_stack((t, values, np.negative(values)))
+                path = write_csv(tmp_path / "t.csv", ["t", "a", "b"], rows)
+                assert path.read_bytes() == reference_csv(["t", "a", "b"], rows.tolist())
 
     def test_zero_and_negative_zero_first_columns(self, tmp_path):
         for first in (0.0, -0.0, 0.0):
@@ -111,10 +120,59 @@ class TestWriteCsv:
             path = write_csv(tmp_path / "t.csv", ["t", "v"], rows)
             assert path.read_bytes() == reference_csv(["t", "v"], rows.tolist())
 
-    @pytest.mark.parametrize("shape", [(4, 1), (1, 1), (0, 1), (0, 3)])
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 1), (0, 1), (0, 3),
+                                       (experiments._BLOCK_CELLS + 1, 1),
+                                       (BLOCK_ROWS_OF_3 + 1, 3)])
     def test_one_column_and_zero_row_arrays(self, tmp_path, shape):
         rows = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) / 3.0
         header = [f"c{j}" for j in range(shape[1])]
+        path = write_csv(tmp_path / "t.csv", header, rows)
+        assert path.read_bytes() == reference_csv(header, rows.tolist())
+
+    def test_a_million_cells_match_per_cell_reference(self, tmp_path):
+        # random bit patterns reach every exponent, subnormals, nan and inf;
+        # log-uniform magnitudes fill the fixed-notation range and its edges
+        rng = np.random.default_rng(15)
+        bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
+        magnitudes = 10.0 ** rng.uniform(-6.0, 18.0, size=900_000)
+        signs = rng.choice([-1.0, 1.0], size=900_000)
+        rows = np.concatenate([bits, signs * magnitudes, EDGE_FLOATS]).reshape(-1, 5)
+        header = list("abcde")
+        path = write_csv(tmp_path / "t.csv", header, rows)
+        assert path.read_bytes() == reference_csv(header, rows.tolist())
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        cells = []
+        for k in range(-5, 19):
+            power = float(10 ** k) if k >= 0 else 1.0 / 10 ** -k
+            below = math.nextafter(power, 0.0)
+            cells += [power, below, math.nextafter(power, math.inf)]
+            # the double below a power of ten is further from it than half
+            # a 17th digit, so its 17 digits never carry to the power
+            assert Decimal(fmt(below)) < Decimal(10) ** k
+        rows = np.array(cells).reshape(-1, 3)
+        path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+        assert path.read_bytes() == reference_csv(["a", "b", "c"], rows.tolist())
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        ties = {1000000000000000.25: "1000000000000000.2",
+                1000000000000000.75: "1000000000000000.8",
+                -1000000000000001.25: "-1000000000000001.2",
+                1000000000000001.75: "1000000000000001.8",
+                100000000000000.125: "100000000000000.12",
+                100000000000000.375: "100000000000000.38"}
+        rows = np.array([[x] for x in ties])
+        path = write_csv(tmp_path / "t.csv", ["x"], rows)
+        assert path.read_text() == "x\n" + "".join(f"{text}\n" for text in ties.values())
+        assert path.read_bytes() == reference_csv(["x"], rows.tolist())
+
+    @pytest.mark.parametrize("n_cols", [1, 2, 3])
+    def test_fallback_cells_on_both_sides_of_a_block_boundary(self, tmp_path, n_cols):
+        step = experiments._BLOCK_CELLS // n_cols
+        rows = np.linspace(0.5, 2.5, (2 * step + 2) * n_cols).reshape(-1, n_cols)
+        for row, value in zip(range(step - 2, step + 2), [1e-300, math.nan, -1e20, 5e-324]):
+            rows[row, :] = value
+        header = [f"c{j}" for j in range(n_cols)]
         path = write_csv(tmp_path / "t.csv", header, rows)
         assert path.read_bytes() == reference_csv(header, rows.tolist())
 
@@ -460,6 +518,25 @@ class TestCli:
                 f"each, above the limit of {paths.MAX_ARRAY_BYTES} bytes"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name, rows, cols, bytes_each", [
+        ("catbond-sensitivity", "q_values", "r_values", 700),
+        ("impact-verify", "hursts", "q_values", 400)])
+    def test_oversized_grids_rejected_before_allocation(self, tmp_path, monkeypatch,
+                                                        capsys, name, rows, cols,
+                                                        bytes_each):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no grid row may be built")
+
+        monkeypatch.setattr(catbond, "BondSpec", unreachable)
+        monkeypatch.setattr(experiments, "_log_grid", unreachable)
+        # about 16 KB of config asking for 4 million rows
+        axis = ",".join(["0.5"] * 2000)
+        assert main([name, "--set", f"{rows}={axis}", "--set", f"{cols}={axis}",
+                     "--out", str(tmp_path)]) == 2
+        assert (f"needs about {2000 ** 2 * bytes_each} bytes at {bytes_each} bytes "
+                f"each, above the limit of {paths.MAX_ARRAY_BYTES} bytes"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("name, key, bytes_each", [
         ("fbm-gen", "n_steps", 200), ("impact-curve", "n_points", 350),
         ("impact-verify", "n_points", 350)])
@@ -469,6 +546,44 @@ class TestCli:
         assert validate_config({key: largest}, schema, name)[key] == largest
         with pytest.raises(ConfigError, match="above the limit"):
             validate_config({key: largest + 1}, schema, name)
+
+    @pytest.mark.parametrize("name, rows, cols, bytes_each, first_step", [
+        ("catbond-sensitivity", "q_values", "r_values", 700, (catbond, "BondSpec")),
+        ("impact-verify", "hursts", "q_values", 400, (experiments, "_impact_model"))])
+    def test_grid_size_limit_boundary(self, tmp_path, monkeypatch, name, rows, cols,
+                                      bytes_each, first_step):
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(*first_step, start)
+        schema, runner = _RUNNERS[name]
+        cfg = validate_config({}, schema, name)
+        cfg[rows], cfg[cols] = [0.5] * (paths.MAX_ARRAY_BYTES // bytes_each), [0.5]
+        with pytest.raises(Started):
+            runner(cfg, tmp_path)
+        cfg[rows].append(0.5)
+        with pytest.raises(ConfigError, match="above the limit"):
+            runner(cfg, tmp_path)
+
+    @pytest.mark.parametrize("name, key, count, bytes_each", [
+        ("fbm-gen", "n_steps", 2 ** 17, 200), ("impact-curve", "n_points", 40_000, 350),
+        ("impact-verify", "n_points", 10_000, 350)])
+    def test_peak_memory_per_unit_is_within_its_size_limit(self, tmp_path, name, key,
+                                                           count, bytes_each):
+        # the size limit takes bytes_each as the run's peak per unit; the
+        # counts are large enough for the per-unit cost to dominate
+        config = {key: count, "dt": 1.0 / count} if name == "fbm-gen" else {key: count}
+        run_experiment(name, {}, tmp_path)  # a first run, with another time column
+        tracemalloc.start()
+        try:
+            run_experiment(name, config, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / count <= bytes_each
 
     @pytest.mark.parametrize("argv", [
         # formerly exit 0 with delta_p=inf on every row
