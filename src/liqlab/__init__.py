@@ -3,7 +3,7 @@ catastrophe-bond Kelly sizing, with seeded simulation experiments."""
 
 __version__ = "0.1.0"
 
-from .catbond import (AllocationResult, BondSpec, IsoFractionShift, Method,
+from .catbond import (AllocationResult, BondSpec, IsoFractionShift,
                       iso_fraction_shift, single_bond_fraction,
                       single_bond_fraction_numeric, single_bond_growth,
                       two_bond_fraction_numeric, two_bond_fraction_series,

@@ -6,26 +6,20 @@ single-bond portfolio is maximized at ``f = 1 - q - q/r``; the symmetric
 two-bond portfolio with independent defaults has a four-outcome growth and
 a printed small-``q/r`` series for its optimum.  Golden-section optimizers
 over the enumerated outcome distributions serve as independent oracles for
-every closed form.
+every closed form.  Each sizing function returns the fraction alone; a
+closed form outside its domain is clamped to the nearest end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError
 from .golden import golden_section_max
 
 TWO_BOND_UPPER = 0.5 - 1e-12
 SINGLE_UPPER = 1.0 - 1e-12
-
-
-class Method(Enum):
-    ANALYTIC = "analytic"
-    SERIES = "series"
-    BRUTE_FORCE = "brute-force"
 
 
 @dataclass(frozen=True)
@@ -45,9 +39,6 @@ class BondSpec:
 @dataclass(frozen=True)
 class AllocationResult:
     fraction: float
-    growth: float
-    method: Method
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -80,22 +71,16 @@ def single_bond_fraction(bond: BondSpec) -> AllocationResult:
     """Closed-form optimal fraction 1 - q - q/r.
 
     Negative edges clamp to zero; the riskless boundary q = 0 clamps just
-    below the full stake.  Clamped results are flagged.
+    below the full stake.
     """
     q, r = bond.default_prob_q, bond.return_r
-    raw = 1.0 - (q + q / r)
-    clamped = not 0.0 <= raw < 1.0
-    f = min(max(raw, 0.0), SINGLE_UPPER)
-    return AllocationResult(fraction=f, growth=single_bond_growth(f, bond),
-                            method=Method.ANALYTIC, clamped=clamped)
+    return AllocationResult(min(max(1.0 - (q + q / r), 0.0), SINGLE_UPPER))
 
 
 def single_bond_fraction_numeric(bond: BondSpec) -> AllocationResult:
     """Golden-section argmax of the single-bond growth, as an oracle."""
-    f = golden_section_max(lambda x: single_bond_growth(x, bond),
-                           0.0, SINGLE_UPPER, rel_tol=1e-10)
-    return AllocationResult(fraction=f, growth=single_bond_growth(f, bond),
-                            method=Method.BRUTE_FORCE)
+    return AllocationResult(golden_section_max(lambda x: single_bond_growth(x, bond),
+                                               0.0, SINGLE_UPPER, rel_tol=1e-10))
 
 
 def single_bond_growth_deriv(f: float, bond: BondSpec) -> float:
@@ -142,21 +127,16 @@ def two_bond_growth(f: float, bond: BondSpec) -> float:
 def two_bond_fraction_series(bond: BondSpec) -> AllocationResult:
     """Printed series 1/2 - q/r - q^2/(2 r^2) - (q/(3 r)) (q/r)^2.
 
-    Results falling outside [0, 1/2) are clamped and flagged (q = 0 lands
-    exactly on the 1/2 boundary).
+    Results falling outside [0, 1/2) are clamped (q = 0 lands exactly on
+    the 1/2 boundary).
     """
     x = bond.default_prob_q / bond.return_r
     raw = 0.5 - x - x * x / 2.0 - x ** 3 / 3.0
-    clamped = not 0.0 <= raw < 0.5
-    f = min(max(raw, 0.0), TWO_BOND_UPPER)
-    return AllocationResult(fraction=f, growth=two_bond_growth(f, bond),
-                            method=Method.SERIES, clamped=clamped)
+    return AllocationResult(min(max(raw, 0.0), TWO_BOND_UPPER))
 
 
 def two_bond_fraction_numeric(bond: BondSpec) -> AllocationResult:
     """Golden-section argmax of the enumerated two-bond growth."""
-    f = golden_section_max(lambda x: two_bond_growth(x, bond),
-                           0.0, TWO_BOND_UPPER, rel_tol=1e-10)
-    return AllocationResult(fraction=f, growth=two_bond_growth(f, bond),
-                            method=Method.BRUTE_FORCE)
+    return AllocationResult(golden_section_max(lambda x: two_bond_growth(x, bond),
+                                               0.0, TWO_BOND_UPPER, rel_tol=1e-10))
 

@@ -90,13 +90,13 @@ class CycleConfig:
 class CycleReport:
     """Per-stage ledgers plus the investor's bottom line.
 
-    ``work_analogue`` values the final outside position at the starting
-    spot price y0/x0 (in units of token Y); the gross shorts are the
-    largest negative outside balance reached per token over the cycle.
+    ``snapshots`` holds the ledger at the start and after each stage;
+    ``g_amt``/``h_amt`` are what stage 4 removed.  ``work_analogue`` values
+    the final outside position at the starting spot price y0/x0 (in units
+    of token Y); the gross shorts are the largest negative outside balance
+    reached per token over the cycle.
     """
 
-    config: CycleConfig
-    stage3_mode: Stage3Formula
     snapshots: list[CycleLedger]
     g_amt: float
     h_amt: float
@@ -207,6 +207,6 @@ def run_cycle(config: CycleConfig,
     work = ledger.outside_x * p0 + ledger.outside_y
     short_x = max(max(0.0, -s.outside_x) for s in snapshots)
     short_y = max(max(0.0, -s.outside_y) for s in snapshots)
-    return CycleReport(config=config, stage3_mode=stage3_mode, snapshots=snapshots,
-                       g_amt=g_amt, h_amt=h_amt, work_analogue=work,
-                       gross_short_x=short_x, gross_short_y=short_y)
+    return CycleReport(snapshots=snapshots, g_amt=g_amt, h_amt=h_amt,
+                       work_analogue=work, gross_short_x=short_x,
+                       gross_short_y=short_y)

@@ -141,9 +141,3 @@ def pairwise_sum(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     return pairwise_reduce(values.shape[0], lambda start, stop: values[start:stop],
                            values.shape[1:])
-
-
-def pairwise_mean(values: np.ndarray) -> np.ndarray:
-    """Mean along axis 0 using the deterministic pairwise reduction."""
-    n = np.shape(values)[0]
-    return pairwise_sum(values) / n

@@ -359,7 +359,7 @@ def variance_slope(n_paths: int, n_steps: int, dt: float, hurst: float,
         raise DomainError(f"variance_slope needs n_paths >= 2 and n_steps >= 2, "
                           f"got {n_paths} and {n_steps}")
     x = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)[:, 1:]
-    mean = kernels.pairwise_mean(x)
+    mean = kernels.pairwise_sum(x) / n_paths
     sq_dev = kernels.pairwise_reduce(
         n_paths, lambda start, stop: (x[start:stop] - mean) ** 2, mean.shape)
     var = sq_dev / (n_paths - 1)
@@ -372,23 +372,12 @@ def _increments(batch: np.ndarray, offset: int, width: int):
     """Block function over ``np.diff(batch, axis=1)[:, offset:offset + width]``
     flattened row by row, for :func:`kernels.pairwise_reduce`.
 
-    A block is computed from the batch rows it spans, as at most three
-    subtractions: the end of a row, a run of whole rows, the start of a row.
+    A block is cut from the increments of the batch rows it spans only.
     """
     def block(start: int, stop: int) -> np.ndarray:
-        out = np.empty(stop - start)
-        row, col = divmod(start, width)
-        done = 0
-        while done < out.size:
-            left = out.size - done
-            rows = max(1, left // width) if col == 0 else 1
-            cols = min(width - col, left)
-            seg = batch[row:row + rows, offset + col:offset + col + cols + 1]
-            np.subtract(seg[:, 1:], seg[:, :-1],
-                        out=out[done:done + rows * cols].reshape(rows, cols))
-            done += rows * cols
-            row, col = row + rows, 0
-        return out
+        first, last = start // width, -(-stop // width)
+        rows = np.diff(batch[first:last, offset:offset + width + 1], axis=1)
+        return rows.ravel()[start - first * width:stop - first * width]
 
     return block
 

@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from liqlab.catbond import (BondSpec, Method, iso_fraction_shift,
-                            single_bond_fraction, single_bond_fraction_numeric,
-                            single_bond_growth, single_bond_growth_deriv,
-                            two_bond_fraction_numeric, two_bond_fraction_series,
-                            two_bond_growth)
+from liqlab.catbond import (SINGLE_UPPER, TWO_BOND_UPPER, BondSpec,
+                            iso_fraction_shift, single_bond_fraction,
+                            single_bond_fraction_numeric, single_bond_growth,
+                            single_bond_growth_deriv, two_bond_fraction_numeric,
+                            two_bond_fraction_series, two_bond_growth)
 from liqlab.errors import DomainError
 
 probs = st.floats(min_value=0.001, max_value=0.95)
@@ -37,41 +37,29 @@ class TestSingleBondGrowth:
 
 class TestSingleBondFraction:
     def test_worked_example_exact(self):
-        result = single_bond_fraction(BondSpec(0.2, 1.0))
-        assert result.fraction == 0.6
-        assert result.method is Method.ANALYTIC and not result.clamped
+        assert single_bond_fraction(BondSpec(0.2, 1.0)).fraction == 0.6
 
     def test_zero_edge(self):
         assert single_bond_fraction(BondSpec(0.5, 1.0)).fraction == 0.0
 
     def test_riskless_limit_clamps_at_full_stake(self):
-        result = single_bond_fraction(BondSpec(0.0, 1.0))
-        assert result.fraction == pytest.approx(1.0, abs=1e-11)
-        assert result.clamped
+        assert single_bond_fraction(BondSpec(0.0, 1.0)).fraction == SINGLE_UPPER
 
     def test_negative_edge_clamped_and_flagged(self):
-        result = single_bond_fraction(BondSpec(0.9, 0.1))
-        assert result.fraction == 0.0 and result.clamped
-
-    def test_growth_field_consistent(self):
-        bond = BondSpec(0.15, 0.8)
-        result = single_bond_fraction(bond)
-        assert result.growth == pytest.approx(single_bond_growth(result.fraction, bond),
-                                              abs=1e-12)
+        assert single_bond_fraction(BondSpec(0.9, 0.1)).fraction == 0.0
 
     @given(q=probs, r=returns)
     def test_clamping_soundness(self, q, r):
         # whenever the analytic fraction clamps to zero the growth must be
         # non-increasing at the origin
-        result = single_bond_fraction(BondSpec(q, r))
-        if result.clamped:
+        if single_bond_fraction(BondSpec(q, r)).fraction == 0.0:
             assert single_bond_growth_deriv(0.0, BondSpec(q, r)) <= 1e-12
 
     @given(q=probs, r=returns)
     def test_first_order_optimality(self, q, r):
-        result = single_bond_fraction(BondSpec(q, r))
-        if not result.clamped and result.fraction > 0.0:
-            assert single_bond_growth_deriv(result.fraction, BondSpec(q, r)) == \
+        f = single_bond_fraction(BondSpec(q, r)).fraction
+        if 0.0 < f < SINGLE_UPPER:
+            assert single_bond_growth_deriv(f, BondSpec(q, r)) == \
                 pytest.approx(0.0, abs=1e-10)
 
 
@@ -152,9 +140,7 @@ class TestTwoBondGrowth:
 
 class TestTwoBondSeries:
     def test_no_risk_boundary_clamps_to_half(self):
-        result = two_bond_fraction_series(BondSpec(0.0, 1.0))
-        assert result.fraction == pytest.approx(0.5, abs=1e-11)
-        assert result.clamped
+        assert two_bond_fraction_series(BondSpec(0.0, 1.0)).fraction == TWO_BOND_UPPER
 
     def test_printed_series_value(self):
         got = two_bond_fraction_series(BondSpec(0.01, 1.0)).fraction
@@ -162,17 +148,16 @@ class TestTwoBondSeries:
         assert got == pytest.approx(0.48994966666666667, rel=1e-13)
 
     def test_large_risk_clamps_to_zero(self):
-        result = two_bond_fraction_series(BondSpec(0.45, 0.5))
-        assert result.fraction == 0.0 and result.clamped
+        assert two_bond_fraction_series(BondSpec(0.45, 0.5)).fraction == 0.0
 
 
 class TestTwoBondNumeric:
     def test_interior_maximum_beats_series_point(self):
         bond = BondSpec(0.2, 1.0)
-        numeric = two_bond_fraction_numeric(bond)
-        series = two_bond_fraction_series(bond)
-        assert 0.0 < numeric.fraction < 0.5
-        assert numeric.growth >= series.growth
+        numeric = two_bond_fraction_numeric(bond).fraction
+        series = two_bond_fraction_series(bond).fraction
+        assert 0.0 < numeric < 0.5
+        assert two_bond_growth(numeric, bond) >= two_bond_growth(series, bond)
 
     def test_no_risk_boundary(self):
         got = two_bond_fraction_numeric(BondSpec(0.0, 1.0)).fraction
@@ -208,12 +193,3 @@ class TestBondSpec:
             BondSpec(-0.1, 1.0)
         with pytest.raises(DomainError):
             BondSpec(0.2, 0.0)
-
-    def test_allocation_growth_consistency(self):
-        bond = BondSpec(0.05, 1.3)
-        for result in (single_bond_fraction(bond), single_bond_fraction_numeric(bond)):
-            assert result.growth == pytest.approx(
-                single_bond_growth(result.fraction, bond), abs=1e-12)
-        for result in (two_bond_fraction_series(bond), two_bond_fraction_numeric(bond)):
-            assert result.growth == pytest.approx(
-                two_bond_growth(result.fraction, bond), abs=1e-12)

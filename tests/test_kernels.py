@@ -150,10 +150,5 @@ def test_pairwise_sum_deterministic():
     assert kernels.pairwise_sum(x) == kernels.pairwise_sum(x.copy())
 
 
-def test_pairwise_mean():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(kernels.pairwise_mean(x), [2.0, 3.0])
-
-
 def test_pairwise_sum_empty():
     assert kernels.pairwise_sum(np.array([])) == 0.0

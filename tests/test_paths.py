@@ -159,6 +159,19 @@ class TestGenerateFbm:
             rho = paths.increment_autocorr(n_paths, 64, 0.01, 0.5, 51, lag=lag)
             assert abs(rho) < tol
 
+    @pytest.mark.parametrize("width, lag, offset", [
+        (1, 1, 0), (1, 1, 1), (1, 4, 4), (7, 3, 0), (7, 3, 3), (5, 1, 1)])
+    def test_increment_blocks_are_the_flat_diff(self, width, lag, offset):
+        # every range of a 9-row batch: on row ends, mid-row, inside one row
+        # and across many rows, for the first (offset 0) and lagged factor
+        batch = np.random.Generator(np.random.PCG64(4)).standard_normal(
+            (9, width + lag + 1))
+        flat = np.diff(batch, axis=1)[:, offset:offset + width].ravel()
+        block = paths._increments(batch, offset, width)
+        for start in range(flat.size):
+            for stop in range(start + 1, flat.size + 1):
+                assert block(start, stop).tobytes() == flat[start:stop].tobytes()
+
     @pytest.mark.parametrize("method", ["auto", "davies-harte", "cholesky"])
     def test_batch_rows_equal_single_paths(self, method):
         # one path more than a block holds, so the last path starts a block

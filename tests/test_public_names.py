@@ -5,11 +5,13 @@ its definition, by an acceptance criterion or by the benchmark's workloads.
 A function that only its own tests call belongs in those tests, as an
 oracle.  Uses are the identifiers in the code (names, attributes and
 imports), so a mention in a docstring or a comment does not count, and
-neither does ``liqlab/__init__.py``, which imports every public name.  The
-test reads those files and edits none.
+neither does ``liqlab/__init__.py``, which imports every public name.  In
+the same places, every field of a public dataclass must be read.  The
+tests read those files and edit none.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -50,3 +52,21 @@ def test_every_public_name_is_reached():
                      or inspect.isclass(getattr(liqlab, name)))
                  and name not in reached]
     assert unreached == []
+
+
+def test_every_public_field_is_read():
+    # A field is read where an attribute of its name is loaded (``x.field``).
+    # The match is by name alone, so a field can escape when any object
+    # there has an attribute of the same name: ``args.config`` in cli.py
+    # would hide a dataclass field called ``config``.
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
+                 ROOT / "liqbench" / "workloads.py"]:
+        read |= {node.attr for node in ast.walk(_parse(path))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}.{field.name}" for name in liqlab.__all__
+              if inspect.isclass(getattr(liqlab, name))
+              and dataclasses.is_dataclass(getattr(liqlab, name))
+              for field in dataclasses.fields(getattr(liqlab, name))
+              if field.name not in read]
+    assert unread == []
