@@ -67,14 +67,18 @@ def single_bond_growth(f: float, bond: BondSpec) -> float:
     return out
 
 
+def _single_fraction(q: float, r: float) -> float:
+    """1 - q - q/r clamped to [0, SINGLE_UPPER]; any q >= 0 with r > 0."""
+    return min(max(1.0 - (q + q / r), 0.0), SINGLE_UPPER)
+
+
 def single_bond_fraction(bond: BondSpec) -> AllocationResult:
     """Closed-form optimal fraction 1 - q - q/r.
 
     Negative edges clamp to zero; the riskless boundary q = 0 clamps just
     below the full stake.
     """
-    q, r = bond.default_prob_q, bond.return_r
-    return AllocationResult(min(max(1.0 - (q + q / r), 0.0), SINGLE_UPPER))
+    return AllocationResult(_single_fraction(bond.default_prob_q, bond.return_r))
 
 
 def single_bond_fraction_numeric(bond: BondSpec) -> AllocationResult:
@@ -128,10 +132,16 @@ def two_bond_fraction_series(bond: BondSpec) -> AllocationResult:
     """Printed series 1/2 - q/r - q^2/(2 r^2) - (q/(3 r)) (q/r)^2.
 
     Results falling outside [0, 1/2) are clamped (q = 0 lands exactly on
-    the 1/2 boundary).
+    the 1/2 boundary).  A q/r whose cube overflows raises
+    :class:`OverflowError` naming q and r.
     """
     x = bond.default_prob_q / bond.return_r
-    raw = 0.5 - x - x * x / 2.0 - x ** 3 / 3.0
+    try:
+        cube = x ** 3
+    except OverflowError:
+        raise OverflowError(f"two-bond series overflows: (q/r)**3 at q = "
+                            f"{bond.default_prob_q}, r = {bond.return_r}") from None
+    raw = 0.5 - x - x * x / 2.0 - cube / 3.0
     return AllocationResult(min(max(raw, 0.0), TWO_BOND_UPPER))
 
 

@@ -391,6 +391,9 @@ def _run_cpmm_compare(cfg: dict[str, Any], out: Path):
         linear = cpmm.linearized_relative_impact(pool, dx)
         compare_rows.append([u, dx, exact, linear, abs(exact - linear), 3.5 * u * u])
         after, dy = cpmm.swap_x_for_y(pool, dx)
+        if not dy > 0.0:
+            raise ConfigError(f"key 'u_values': the swap leaves the Y reserve "
+                              f"unmoved, so it cannot be swapped back (got {u!r})")
         step += 1
         trace_rows.append([step, "swap_x_for_y", after.reserve_x, after.reserve_y,
                            cpmm.spot_price(after)])
@@ -478,9 +481,13 @@ _CATBOND_OPT_SCHEMA = _COMMON | {
 
 def _run_catbond_sensitivity(cfg: dict[str, Any], out: Path):
     _check_grid(cfg, "q_values", "r_values", 700)
+    delta_r = cfg["delta_r"]
+    r_min = min(cfg["r_values"])
+    if not delta_r > -r_min:
+        raise ConfigError(f"key 'delta_r': r + delta_r must stay positive, "
+                          f"and the smallest r is {r_min!r} (got {delta_r!r})")
     sweep_rows = []
     iso_rows = []
-    delta_r = cfg["delta_r"]
     for q in cfg["q_values"]:
         for r in cfg["r_values"]:
             bond = catbond.BondSpec(default_prob_q=q, return_r=r)
@@ -491,11 +498,11 @@ def _run_catbond_sensitivity(cfg: dict[str, Any], out: Path):
                                series.fraction,
                                abs(analytic.fraction - numeric.fraction)])
             shift = catbond.iso_fraction_shift(bond, delta_r)
-            shifted = catbond.single_bond_fraction(
-                catbond.BondSpec(q + shift.delta_exact, r + delta_r))
+            # the shifted q may pass 1 where the fraction clamps to 0
+            shifted = catbond._single_fraction(q + shift.delta_exact, r + delta_r)
             iso_rows.append([q, r, delta_r, shift.delta_exact, shift.first_order,
                              shift.geometric_series,
-                             abs(shifted.fraction - analytic.fraction)])
+                             abs(shifted - analytic.fraction)])
     return [
         write_csv(out / "catbond_sensitivity.csv",
                   ["q", "r", "f_analytic", "f_numeric", "f_series", "abs_err"],

@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import random
+import re
 import shlex
 import tempfile
 import tracemalloc
@@ -419,6 +423,10 @@ class TestCli:
          "key 'q_values': must be in [0, 1) (got 1.0)"),
         ("catbond-sensitivity", "r_values=1,-1",
          "key 'r_values': must be positive (got -1.0)"),
+        # formerly exit 3: dx = u * X leaves X, so there is no Y to swap back
+        ("cpmm-compare", "u_values=0.1,1e-17",
+         "key 'u_values': the swap leaves the Y reserve unmoved, so it cannot "
+         "be swapped back (got 1e-17)"),
     ])
     def test_list_error_names_the_failing_entry(self, tmp_path, capsys,
                                                 name, item, message):
@@ -496,6 +504,37 @@ class TestCli:
         # for the first two, "float division by zero" for the third
         assert main([*argv, "--out", str(tmp_path)]) == 3
         assert f"numerical failure: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["catbond-optimize", "--set", "r=1e-300"], "q = 0.2, r = 1e-300"),
+        (["catbond-optimize", "--set", "q=0.5", "--set", "r=1e-110"],
+         "q = 0.5, r = 1e-110"),
+    ], ids=["r", "q-and-r"])
+    def test_two_bond_series_overflow_names_q_and_r(self, tmp_path, capsys,
+                                                    argv, message):
+        # formerly Python's own text: "(34, 'Numerical result out of range')"
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert (f"numerical failure: two-bond series overflows: (q/r)**3 at "
+                f"{message}") in capsys.readouterr().err
+
+    def test_iso_shift_past_q_one_runs_to_the_end(self, tmp_path):
+        # formerly exit 3: the shifted q passes 1, where BondSpec stops; the
+        # fraction clamps to 0 on both sides of the shift
+        assert main(["catbond-sensitivity", "--set", "q_values=0.99",
+                     "--set", "r_values=0.1", "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "iso_shift.csv")
+        (row,) = rows
+        assert 0.99 + float(row[header.index("delta_exact")]) > 1.0
+        assert row[header.index("roundtrip_abs_err")] == "0"
+
+    @pytest.mark.parametrize("delta_r", [-0.1, -0.2])
+    def test_delta_r_that_ends_a_return_rejected(self, tmp_path, capsys, delta_r):
+        # formerly exit 3 in the middle of the sweep
+        assert main(["catbond-sensitivity", "--set", "r_values=0.5,0.1",
+                     "--set", f"delta_r={delta_r}", "--out", str(tmp_path)]) == 2
+        assert (f"key 'delta_r': r + delta_r must stay positive, and the "
+                f"smallest r is 0.1 (got {delta_r})") in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_impact_curve_needs_no_square_of_k(self, tmp_path, capsys):
         assert main(["impact-curve", "--set", "k=1e-170", "--out", str(tmp_path)]) == 0
@@ -639,8 +678,42 @@ def cli_argvs(draw):
     return argv
 
 
+# Python's own text for an arithmetic error, such as
+# "(34, 'Numerical result out of range')" from float ** float
+BARE_ERRNO = re.compile(r"numerical failure: \(\d+, ")
+
+
+def _run_fuzz(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", out])
+    assert code in {0, 2, 3, 4}
+    assert not BARE_ERRNO.search(err.getvalue()), (argv, err.getvalue())
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=cli_argvs())
 def test_cli_fuzz_exits_with_a_known_code(argv):
-    with tempfile.TemporaryDirectory() as out:
-        assert main([*argv, "--out", out]) in {0, 2, 3, 4}
+    _run_fuzz(argv)
+
+
+def _log_uniform_argvs(rng, count):
+    """``count`` argvs of the small experiments, one or two keys each, with
+    values in [0, 1) or log-uniform over the float range, of either sign."""
+    names = ["cpmm-compare", "cycle-run", "catbond-optimize", "catbond-sensitivity"]
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(names)
+        keys = sorted(set(_RUNNERS[name][0]) - {"seed", "stage3_mode", "closure"})
+        argv = [name]
+        for key in rng.sample(keys, rng.randint(1, 2)):
+            value = rng.choice([rng.random(), 10.0 ** rng.uniform(-320, 308)])
+            argv += ["--set", f"{key}={value * rng.choice([1, 1, -1])!r}"]
+        argvs.append(argv)
+    return argvs
+
+
+def test_cli_fuzz_seeded_sample_names_every_cause():
+    # the sample reaches the two-bond series' overflow, among others
+    for argv in _log_uniform_argvs(random.Random(7), 300):
+        _run_fuzz(argv)
