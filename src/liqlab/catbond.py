@@ -100,6 +100,8 @@ def iso_fraction_shift(bond: BondSpec, delta_r: float) -> IsoFractionShift:
 
     Replacing (q, r) by (q + delta, r + delta_r) leaves 1 - q - q/r
     unchanged exactly when delta = q * delta_r / (r * (1 + r + delta_r)).
+    A delta that is not finite (delta_r / r overflows) raises
+    :class:`OverflowError`.
     """
     q, r = bond.default_prob_q, bond.return_r
     if not r + delta_r > 0.0:
@@ -107,6 +109,9 @@ def iso_fraction_shift(bond: BondSpec, delta_r: float) -> IsoFractionShift:
     exact = q * delta_r / (r * (1.0 + r + delta_r))
     first = delta_r / r * (q / (1.0 + r))
     geometric = delta_r / r * (q / (1.0 + r - q))
+    if not all(map(math.isfinite, (exact, first, geometric))):
+        raise OverflowError(f"iso-fraction shift is not finite at q = {q}, r = {r}, "
+                            f"delta_r = {delta_r}")
     return IsoFractionShift(delta_exact=exact, first_order=first,
                             geometric_series=geometric)
 

@@ -117,11 +117,11 @@ def optimal_impact_fou(q: float, model: GrowthModel) -> float:
     if not q > 0.0:
         raise DomainError("q must be positive")
     h = model.hurst
-    pre = 2.0 * h * model.time_per_size_khat ** (2.0 * h - 1.0)
     try:
+        pre = 2.0 * h * model.time_per_size_khat ** (2.0 * h - 1.0)
         q_power = float(q) ** (2.0 * h - 0.5)
-    except OverflowError:
-        q_power = math.inf
+    except OverflowError:  # then delta_p is inf or nan, and raises below
+        pre = q_power = math.inf
     delta_p = pre * model.sigma ** 2 / model.capital_scale_k * q_power
     if not math.isfinite(delta_p):
         raise OverflowError(f"optimal impact is not finite at q={q}")

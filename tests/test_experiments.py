@@ -497,7 +497,10 @@ class TestCli:
          "optimal impact is not finite at q=1e+250"),
         (["impact-verify", "--set", "k=1e-170"],
          "capital_scale_k=1e-170 squares to zero"),
-    ], ids=["sigma", "q_values", "k"])
+        # khat ** (2H - 1) overflows
+        (["impact-curve", "--set", "hurst=5e-324", "--set", "khat=5e-324"],
+         "optimal impact is not finite at q=0.01"),
+    ], ids=["sigma", "q_values", "k", "khat"])
     def test_impact_arithmetic_errors_name_their_cause(self, tmp_path, capsys,
                                                        argv, message):
         # formerly Python's own text: "(34, 'Numerical result out of range')"
@@ -506,16 +509,22 @@ class TestCli:
         assert f"numerical failure: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["catbond-optimize", "--set", "r=1e-300"], "q = 0.2, r = 1e-300"),
+        (["catbond-optimize", "--set", "r=1e-300"],
+         "two-bond series overflows: (q/r)**3 at q = 0.2, r = 1e-300"),
         (["catbond-optimize", "--set", "q=0.5", "--set", "r=1e-110"],
-         "q = 0.5, r = 1e-110"),
-    ], ids=["r", "q-and-r"])
-    def test_two_bond_series_overflow_names_q_and_r(self, tmp_path, capsys,
-                                                    argv, message):
+         "two-bond series overflows: (q/r)**3 at q = 0.5, r = 1e-110"),
+        # delta_r / r overflows: the exact shift is inf (formerly "default
+        # probability must be in [0, 1), got inf"), and at q = 0 the first
+        # order shift is inf * 0 (formerly exit 0 with nan in the CSV)
+        (["catbond-sensitivity", "--set", "q_values=0.1", "--set", "r_values=1e-312"],
+         "iso-fraction shift is not finite at q = 0.1, r = 1e-312, delta_r = 0.01"),
+        (["catbond-sensitivity", "--set", "q_values=0", "--set", "r_values=1e-311"],
+         "iso-fraction shift is not finite at q = 0.0, r = 1e-311, delta_r = 0.01"),
+    ], ids=["r", "q-and-r", "iso-shift", "iso-shift-q-0"])
+    def test_catbond_overflow_names_q_and_r(self, tmp_path, capsys, argv, message):
         # formerly Python's own text: "(34, 'Numerical result out of range')"
         assert main([*argv, "--out", str(tmp_path)]) == 3
-        assert (f"numerical failure: two-bond series overflows: (q/r)**3 at "
-                f"{message}") in capsys.readouterr().err
+        assert f"numerical failure: {message}" in capsys.readouterr().err
 
     def test_iso_shift_past_q_one_runs_to_the_end(self, tmp_path):
         # formerly exit 3: the shifted q passes 1, where BondSpec stops; the
@@ -698,13 +707,15 @@ def test_cli_fuzz_exits_with_a_known_code(argv):
 
 
 def _log_uniform_argvs(rng, count):
-    """``count`` argvs of the small experiments, one or two keys each, with
-    values in [0, 1) or log-uniform over the float range, of either sign."""
+    """``count`` argvs of the small experiments, setting one or two float or
+    float-list keys to a value in [0, 1) or log-uniform over the float
+    range, of either sign."""
     names = ["cpmm-compare", "cycle-run", "catbond-optimize", "catbond-sensitivity"]
     argvs = []
     for _ in range(count):
         name = rng.choice(names)
-        keys = sorted(set(_RUNNERS[name][0]) - {"seed", "stage3_mode", "closure"})
+        keys = sorted(key for key, field in _RUNNERS[name][0].items()
+                      if isinstance(field.default, (float, tuple)))
         argv = [name]
         for key in rng.sample(keys, rng.randint(1, 2)):
             value = rng.choice([rng.random(), 10.0 ** rng.uniform(-320, 308)])
