@@ -6,8 +6,8 @@ single-bond portfolio is maximized at ``f = 1 - q - q/r``; the symmetric
 two-bond portfolio with independent defaults has a four-outcome growth and
 a printed small-``q/r`` series for its optimum.  Golden-section optimizers
 over the enumerated outcome distributions serve as independent oracles for
-every closed form.  Each sizing function returns the fraction alone; a
-closed form outside its domain is clamped to the nearest end.
+every closed form.  Each sizing function returns the fraction as a plain
+float; a closed form outside its domain is clamped to the nearest end.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ class BondSpec:
             raise DomainError(f"default probability must be in [0, 1), got {self.default_prob_q}")
         if not self.return_r > 0.0:
             raise DomainError(f"return must be positive, got {self.return_r}")
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    fraction: float
 
 
 @dataclass(frozen=True)
@@ -72,19 +67,19 @@ def _single_fraction(q: float, r: float) -> float:
     return min(max(1.0 - (q + q / r), 0.0), SINGLE_UPPER)
 
 
-def single_bond_fraction(bond: BondSpec) -> AllocationResult:
+def single_bond_fraction(bond: BondSpec) -> float:
     """Closed-form optimal fraction 1 - q - q/r.
 
     Negative edges clamp to zero; the riskless boundary q = 0 clamps just
     below the full stake.
     """
-    return AllocationResult(_single_fraction(bond.default_prob_q, bond.return_r))
+    return _single_fraction(bond.default_prob_q, bond.return_r)
 
 
-def single_bond_fraction_numeric(bond: BondSpec) -> AllocationResult:
+def single_bond_fraction_numeric(bond: BondSpec) -> float:
     """Golden-section argmax of the single-bond growth, as an oracle."""
-    return AllocationResult(golden_section_max(lambda x: single_bond_growth(x, bond),
-                                               0.0, SINGLE_UPPER, rel_tol=1e-10))
+    return golden_section_max(lambda x: single_bond_growth(x, bond),
+                              0.0, SINGLE_UPPER, rel_tol=1e-10)
 
 
 def single_bond_growth_deriv(f: float, bond: BondSpec) -> float:
@@ -133,7 +128,7 @@ def two_bond_growth(f: float, bond: BondSpec) -> float:
     return out
 
 
-def two_bond_fraction_series(bond: BondSpec) -> AllocationResult:
+def two_bond_fraction_series(bond: BondSpec) -> float:
     """Printed series 1/2 - q/r - q^2/(2 r^2) - (q/(3 r)) (q/r)^2.
 
     Results falling outside [0, 1/2) are clamped (q = 0 lands exactly on
@@ -147,11 +142,11 @@ def two_bond_fraction_series(bond: BondSpec) -> AllocationResult:
         raise OverflowError(f"two-bond series overflows: (q/r)**3 at q = "
                             f"{bond.default_prob_q}, r = {bond.return_r}") from None
     raw = 0.5 - x - x * x / 2.0 - cube / 3.0
-    return AllocationResult(min(max(raw, 0.0), TWO_BOND_UPPER))
+    return min(max(raw, 0.0), TWO_BOND_UPPER)
 
 
-def two_bond_fraction_numeric(bond: BondSpec) -> AllocationResult:
+def two_bond_fraction_numeric(bond: BondSpec) -> float:
     """Golden-section argmax of the enumerated two-bond growth."""
-    return AllocationResult(golden_section_max(lambda x: two_bond_growth(x, bond),
-                                               0.0, TWO_BOND_UPPER, rel_tol=1e-10))
+    return golden_section_max(lambda x: two_bond_growth(x, bond),
+                              0.0, TWO_BOND_UPPER, rel_tol=1e-10)
 

@@ -358,9 +358,8 @@ def _run_impact_verify(cfg: dict[str, Any], out: Path):
             dp = impact.optimal_impact_fou(q, model)
             q_rec = impact.optimal_size_numeric(dp, model)
             inversion_rows.append([hurst, q, dp, q_rec, abs(q_rec - q) / q])
-        points = [impact.ImpactPoint(q, impact.optimal_impact_fou(q, model))
-                  for q in grid]
-        slope = impact.impact_exponent(points)
+        slope = impact.impact_exponent(
+            grid, [impact.optimal_impact_fou(q, model) for q in grid])
         target = 2.0 * hurst - 0.5
         exponent_rows.append([hurst, slope, target, abs(slope - target)])
     return [
@@ -463,10 +462,8 @@ def _run_catbond_optimize(cfg: dict[str, Any], out: Path):
     two_series = catbond.two_bond_fraction_series(bond)
     two_num = catbond.two_bond_fraction_numeric(bond)
     rows = [[bond.default_prob_q, bond.return_r,
-             single.fraction, single_num.fraction,
-             abs(single.fraction - single_num.fraction),
-             two_series.fraction, two_num.fraction,
-             abs(two_series.fraction - two_num.fraction)]]
+             single, single_num, abs(single - single_num),
+             two_series, two_num, abs(two_series - two_num)]]
     return [write_csv(out / "catbond_optimize.csv",
                       ["q", "r", "f_analytic", "f_numeric", "single_abs_err",
                        "f_two_series", "f_two_numeric", "two_abs_err"],
@@ -494,15 +491,14 @@ def _run_catbond_sensitivity(cfg: dict[str, Any], out: Path):
             analytic = catbond.single_bond_fraction(bond)
             numeric = catbond.single_bond_fraction_numeric(bond)
             series = catbond.two_bond_fraction_series(bond)
-            sweep_rows.append([q, r, analytic.fraction, numeric.fraction,
-                               series.fraction,
-                               abs(analytic.fraction - numeric.fraction)])
+            sweep_rows.append([q, r, analytic, numeric, series,
+                               abs(analytic - numeric)])
             shift = catbond.iso_fraction_shift(bond, delta_r)
             # the shifted q may pass 1 where the fraction clamps to 0
             shifted = catbond._single_fraction(q + shift.delta_exact, r + delta_r)
             iso_rows.append([q, r, delta_r, shift.delta_exact, shift.first_order,
                              shift.geometric_series,
-                             abs(shifted - analytic.fraction)])
+                             abs(shifted - analytic)])
     return [
         write_csv(out / "catbond_sensitivity.csv",
                   ["q", "r", "f_analytic", "f_numeric", "f_series", "abs_err"],

@@ -10,14 +10,16 @@ and the time-budget assumption T = khat * q:
 * fractional drivers give
   ``delta_p = 2 H khat^(2H-1) sigma^2 / k * q^(2H - 1/2)``.
 
-Numerical inverses and log-log exponent fits are provided so each closed
-form can be checked against an independent optimizer.
+Numerical inverses and a log-log exponent fit over paired sizes and
+deltas are provided so each closed form can be checked against an
+independent optimizer.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +57,6 @@ class GrowthModel:
             raise DomainError(f"sigma must have a finite square, got {self.sigma}")
         if not 0.0 < self.hurst < 1.0:
             raise DomainError(f"hurst must be in (0, 1), got {self.hurst}")
-
-
-@dataclass(frozen=True)
-class ImpactPoint:
-    """A (size, price concession) sample of an impact curve."""
-
-    size_q: float
-    delta_p: float
-
-    def __post_init__(self) -> None:
-        if not self.size_q > 0.0:
-            raise DomainError("size_q must be positive")
-        if self.delta_p < 0.0:
-            raise DomainError("delta_p must be non-negative")
 
 
 def optimal_impact_sqrt(q: float, model: GrowthModel) -> float:
@@ -143,14 +131,16 @@ def optimal_size_numeric(delta_p: float, model: GrowthModel) -> float:
                               lo, hi, rel_tol=1e-10)
 
 
-def impact_exponent(points: list[ImpactPoint]) -> float:
-    """Least-squares slope of log(delta_p) on log(q)."""
-    if len(points) < 3:
+def impact_exponent(sizes: Sequence[float], deltas: Sequence[float]) -> float:
+    """Least-squares slope of log(delta_p) on log(q) over the pairs of
+    ``sizes`` and ``deltas``: at least 3, finite and positive, not all one q."""
+    qs, dps = np.asarray(sizes, dtype=float), np.asarray(deltas, dtype=float)
+    if len(qs) != len(dps):
+        raise DomainError(f"got {len(qs)} sizes and {len(dps)} deltas")
+    if len(qs) < 3:
         raise DomainError("need at least 3 points to fit an exponent")
-    qs = np.array([p.size_q for p in points])
-    dps = np.array([p.delta_p for p in points])
-    if np.any(dps <= 0.0):
-        raise DomainError("all delta_p must be positive for a log-log fit")
+    if not np.all((qs > 0.0) & (qs < np.inf) & (dps > 0.0) & (dps < np.inf)):
+        raise DomainError("all q and delta_p must be finite and positive for a log-log fit")
     if np.ptp(qs) == 0.0:
         raise DomainError("degenerate input: all sizes equal")
     slope, _ = np.polyfit(np.log(qs), np.log(dps), 1)

@@ -19,7 +19,7 @@ from liqlab.cpmm import (PoolState, exact_relative_impact,
                          linearized_relative_impact)
 from liqlab.cycle import CycleConfig, Stage3Formula, run_cycle
 from liqlab.experiments import run_experiment
-from liqlab.impact import (GrowthModel, ImpactPoint, impact_exponent,
+from liqlab.impact import (GrowthModel, impact_exponent,
                            optimal_impact_fou, optimal_impact_leverage_form,
                            optimal_impact_sqrt, optimal_size_numeric,
                            simulate_self_financing, wealth_closed_form)
@@ -59,8 +59,7 @@ def test_criterion_02_exponent_reproduction():
         grid = np.logspace(-2, 4, 25)
         for hurst in (0.3, 0.5, 0.7, 0.75):
             m = model(hurst)
-            points = [ImpactPoint(q, optimal_impact_fou(q, m)) for q in grid]
-            slope = impact_exponent(points)
+            slope = impact_exponent(grid, [optimal_impact_fou(q, m) for q in grid])
             assert abs(slope - (2.0 * hurst - 0.5)) <= 1e-6, (hurst, slope)
         assert time.perf_counter() - start < 1.0
 
@@ -140,17 +139,17 @@ def test_criterion_08a_catbond_single_bond_agreement():
         for q in (0.01, 0.1, 0.3):
             for r in (0.1, 0.5, 1.0, 2.0):
                 bond = BondSpec(q, r)
-                gap = abs(single_bond_fraction(bond).fraction
-                          - single_bond_fraction_numeric(bond).fraction)
+                gap = abs(single_bond_fraction(bond)
+                          - single_bond_fraction_numeric(bond))
                 assert gap <= 1e-8, (q, r, gap)
-        assert single_bond_fraction(BondSpec(0.2, 1.0)).fraction == 0.6
+        assert single_bond_fraction(BondSpec(0.2, 1.0)) == 0.6
 
 
 def test_criterion_08b_catbond_two_bond_series_tolerance():
     with criterion("8b", "two-bond series vs brute force at 5e-4"):
         bond = BondSpec(0.01, 1.0)
-        series = two_bond_fraction_series(bond).fraction
-        brute = two_bond_fraction_numeric(bond).fraction
+        series = two_bond_fraction_series(bond)
+        brute = two_bond_fraction_numeric(bond)
         gap = abs(series - brute)
         assert gap <= 5e-4, (
             f"measured gap {gap:.6e} at (q=0.01, r=1): the printed series "
@@ -165,19 +164,19 @@ def test_criterion_08c_catbond_series_error_decreasing():
         gaps = []
         for q in (0.02, 0.01, 0.005, 0.0025):
             bond = BondSpec(q, 1.0)
-            gaps.append(abs(two_bond_fraction_series(bond).fraction
-                            - two_bond_fraction_numeric(bond).fraction))
+            gaps.append(abs(two_bond_fraction_series(bond)
+                            - two_bond_fraction_numeric(bond)))
         assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
 
 def test_criterion_09_iso_fraction_sensitivity():
     with criterion("9", "iso-fraction sensitivity"):
         bond = BondSpec(0.1, 1.0)
-        base = single_bond_fraction(bond).fraction
+        base = single_bond_fraction(bond)
         for delta_r in (1e-2, 1e-3):
             shift = iso_fraction_shift(bond, delta_r)
             moved = single_bond_fraction(
-                BondSpec(0.1 + shift.delta_exact, 1.0 + delta_r)).fraction
+                BondSpec(0.1 + shift.delta_exact, 1.0 + delta_r))
             assert abs(moved - base) <= 1e-12, (delta_r, moved, base)
             assert abs(shift.first_order - shift.delta_exact) <= 2.0 * delta_r ** 2 * 0.1
 

@@ -37,27 +37,27 @@ class TestSingleBondGrowth:
 
 class TestSingleBondFraction:
     def test_worked_example_exact(self):
-        assert single_bond_fraction(BondSpec(0.2, 1.0)).fraction == 0.6
+        assert single_bond_fraction(BondSpec(0.2, 1.0)) == 0.6
 
     def test_zero_edge(self):
-        assert single_bond_fraction(BondSpec(0.5, 1.0)).fraction == 0.0
+        assert single_bond_fraction(BondSpec(0.5, 1.0)) == 0.0
 
     def test_riskless_limit_clamps_at_full_stake(self):
-        assert single_bond_fraction(BondSpec(0.0, 1.0)).fraction == SINGLE_UPPER
+        assert single_bond_fraction(BondSpec(0.0, 1.0)) == SINGLE_UPPER
 
     def test_negative_edge_clamped_and_flagged(self):
-        assert single_bond_fraction(BondSpec(0.9, 0.1)).fraction == 0.0
+        assert single_bond_fraction(BondSpec(0.9, 0.1)) == 0.0
 
     @given(q=probs, r=returns)
     def test_clamping_soundness(self, q, r):
         # whenever the analytic fraction clamps to zero the growth must be
         # non-increasing at the origin
-        if single_bond_fraction(BondSpec(q, r)).fraction == 0.0:
+        if single_bond_fraction(BondSpec(q, r)) == 0.0:
             assert single_bond_growth_deriv(0.0, BondSpec(q, r)) <= 1e-12
 
     @given(q=probs, r=returns)
     def test_first_order_optimality(self, q, r):
-        f = single_bond_fraction(BondSpec(q, r)).fraction
+        f = single_bond_fraction(BondSpec(q, r))
         if 0.0 < f < SINGLE_UPPER:
             assert single_bond_growth_deriv(f, BondSpec(q, r)) == \
                 pytest.approx(0.0, abs=1e-10)
@@ -68,15 +68,15 @@ class TestSingleBondNumeric:
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0])
     def test_agrees_with_analytic(self, q, r):
         bond = BondSpec(q, r)
-        analytic = single_bond_fraction(bond).fraction
-        numeric = single_bond_fraction_numeric(bond).fraction
+        analytic = single_bond_fraction(bond)
+        numeric = single_bond_fraction_numeric(bond)
         assert abs(analytic - numeric) <= 1e-8
 
     def test_zero_edge(self):
-        assert abs(single_bond_fraction_numeric(BondSpec(0.5, 1.0)).fraction) <= 1e-8
+        assert abs(single_bond_fraction_numeric(BondSpec(0.5, 1.0))) <= 1e-8
 
     def test_negative_edge_lands_at_zero(self):
-        assert abs(single_bond_fraction_numeric(BondSpec(0.9, 0.1)).fraction) <= 1e-8
+        assert abs(single_bond_fraction_numeric(BondSpec(0.9, 0.1))) <= 1e-8
 
 
 class TestIsoFractionShift:
@@ -91,11 +91,11 @@ class TestIsoFractionShift:
 
     def test_exact_shift_keeps_fraction(self):
         bond = BondSpec(0.1, 1.0)
-        base = single_bond_fraction(bond).fraction
+        base = single_bond_fraction(bond)
         for delta_r in (1e-2, 1e-3):
             shift = iso_fraction_shift(bond, delta_r)
             moved = single_bond_fraction(
-                BondSpec(0.1 + shift.delta_exact, 1.0 + delta_r)).fraction
+                BondSpec(0.1 + shift.delta_exact, 1.0 + delta_r))
             assert moved == pytest.approx(base, abs=1e-12)
 
     def test_first_order_gap_shrinks_quadratically(self):
@@ -140,27 +140,27 @@ class TestTwoBondGrowth:
 
 class TestTwoBondSeries:
     def test_no_risk_boundary_clamps_to_half(self):
-        assert two_bond_fraction_series(BondSpec(0.0, 1.0)).fraction == TWO_BOND_UPPER
+        assert two_bond_fraction_series(BondSpec(0.0, 1.0)) == TWO_BOND_UPPER
 
     def test_printed_series_value(self):
-        got = two_bond_fraction_series(BondSpec(0.01, 1.0)).fraction
+        got = two_bond_fraction_series(BondSpec(0.01, 1.0))
         assert got == pytest.approx(0.5 - 0.01 - 0.00005 - (0.01 / 3.0) * 1e-4, rel=1e-13)
         assert got == pytest.approx(0.48994966666666667, rel=1e-13)
 
     def test_large_risk_clamps_to_zero(self):
-        assert two_bond_fraction_series(BondSpec(0.45, 0.5)).fraction == 0.0
+        assert two_bond_fraction_series(BondSpec(0.45, 0.5)) == 0.0
 
 
 class TestTwoBondNumeric:
     def test_interior_maximum_beats_series_point(self):
         bond = BondSpec(0.2, 1.0)
-        numeric = two_bond_fraction_numeric(bond).fraction
-        series = two_bond_fraction_series(bond).fraction
+        numeric = two_bond_fraction_numeric(bond)
+        series = two_bond_fraction_series(bond)
         assert 0.0 < numeric < 0.5
         assert two_bond_growth(numeric, bond) >= two_bond_growth(series, bond)
 
     def test_no_risk_boundary(self):
-        got = two_bond_fraction_numeric(BondSpec(0.0, 1.0)).fraction
+        got = two_bond_fraction_numeric(BondSpec(0.0, 1.0))
         assert got == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("q", [0.02, 0.01, 0.005, 0.0025])
@@ -169,7 +169,7 @@ class TestTwoBondNumeric:
         # p^2 (1 - 2f) = q^2 (1 + 2f) exactly
         p2, q2 = (1.0 - q) ** 2, q * q
         exact = (p2 - q2) / (2.0 * (p2 + q2))
-        got = two_bond_fraction_numeric(BondSpec(q, 1.0)).fraction
+        got = two_bond_fraction_numeric(BondSpec(q, 1.0))
         assert got == pytest.approx(exact, abs=2e-9)
 
     def test_series_gap_is_first_order_in_q(self):
@@ -178,8 +178,8 @@ class TestTwoBondNumeric:
         gaps = []
         for q in (0.02, 0.01, 0.005, 0.0025):
             bond = BondSpec(q, 1.0)
-            gap = abs(two_bond_fraction_series(bond).fraction
-                      - two_bond_fraction_numeric(bond).fraction)
+            gap = abs(two_bond_fraction_series(bond)
+                      - two_bond_fraction_numeric(bond))
             assert gap == pytest.approx(q, rel=0.05)
             gaps.append(gap)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))

@@ -5,11 +5,10 @@ import pytest
 
 from liqlab.errors import BracketError, DomainError
 from liqlab.golden import golden_section_max
-from liqlab.impact import (GrowthModel, ImpactPoint, growth_per_time_fou,
-                           impact_exponent, optimal_impact_fou,
-                           optimal_impact_leverage_form, optimal_impact_sqrt,
-                           optimal_size_numeric, simulate_self_financing,
-                           wealth_closed_form)
+from liqlab.impact import (GrowthModel, growth_per_time_fou, impact_exponent,
+                           optimal_impact_fou, optimal_impact_leverage_form,
+                           optimal_impact_sqrt, optimal_size_numeric,
+                           simulate_self_financing, wealth_closed_form)
 from liqlab.paths import FouParams, refine_linear, simulate_fou
 
 
@@ -179,27 +178,26 @@ class TestOptimalSizeNumeric:
 class TestImpactExponent:
     def grid_points(self, m):
         grid = np.logspace(-2, 4, 25)
-        return [ImpactPoint(q, optimal_impact_fou(q, m)) for q in grid]
+        return grid, [optimal_impact_fou(q, m) for q in grid]
 
     def test_sqrt_law_slope(self):
-        assert impact_exponent(self.grid_points(model(hurst=0.5))) == pytest.approx(0.5, abs=1e-6)
+        assert impact_exponent(*self.grid_points(model(hurst=0.5))) == pytest.approx(0.5, abs=1e-6)
 
     def test_linear_threshold_slope(self):
-        assert impact_exponent(self.grid_points(model(hurst=0.75))) == pytest.approx(1.0, abs=1e-6)
+        assert impact_exponent(*self.grid_points(model(hurst=0.75))) == pytest.approx(1.0, abs=1e-6)
 
     def test_constant_curve_has_zero_slope(self):
-        points = [ImpactPoint(q, 3.0) for q in (1.0, 2.0, 4.0)]
-        assert impact_exponent(points) == pytest.approx(0.0, abs=1e-12)
+        assert impact_exponent((1.0, 2.0, 4.0), (3.0, 3.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_super_linearity_threshold(self):
-        assert impact_exponent(self.grid_points(model(hurst=0.6))) < 1.0
-        assert impact_exponent(self.grid_points(model(hurst=0.9))) > 1.0
+        assert impact_exponent(*self.grid_points(model(hurst=0.6))) < 1.0
+        assert impact_exponent(*self.grid_points(model(hurst=0.9))) > 1.0
 
     def test_degenerate_inputs(self):
         with pytest.raises(DomainError):
-            impact_exponent([ImpactPoint(1.0, 1.0)] * 2)
+            impact_exponent([1.0] * 2, [1.0] * 2)
         with pytest.raises(DomainError):
-            impact_exponent([ImpactPoint(1.0, v) for v in (1.0, 2.0, 3.0)])
+            impact_exponent([1.0] * 3, (1.0, 2.0, 3.0))
 
 
 class TestKellyFractionOu:
@@ -346,6 +344,6 @@ class TestModelValidation:
 
     def test_impact_point_domain(self):
         with pytest.raises(DomainError):
-            ImpactPoint(0.0, 1.0)
+            impact_exponent((0.0, 2.0, 4.0), (1.0, 1.0, 1.0))
         with pytest.raises(DomainError):
-            ImpactPoint(1.0, -0.1)
+            impact_exponent((1.0, 2.0, 4.0), (-0.1, 1.0, 1.0))
