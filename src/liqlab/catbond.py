@@ -119,8 +119,6 @@ def two_bond_growth(f: float, bond: BondSpec) -> float:
     if not 0.0 <= f < 0.5:
         raise DomainError(f"fraction must be in [0, 0.5), got {f}")
     q, r = bond.default_prob_q, bond.return_r
-    if 1.0 + f * (r - 1.0) <= 0.0:
-        raise DomainError("one-default outcome would bankrupt the portfolio")
     p = 1.0 - q
     out = p * p * math.log1p(2.0 * f * r)
     if q > 0.0:

@@ -33,8 +33,16 @@ class PoolState:
 
 
 def spot_price(pool: PoolState) -> float:
-    """Marginal exchange rate Y/X."""
-    return pool.reserve_y / pool.reserve_x
+    """Marginal exchange rate Y/X.
+
+    Raises :class:`OverflowError` naming both reserves when the ratio
+    overflows to inf or underflows to 0.
+    """
+    price = pool.reserve_y / pool.reserve_x
+    if not 0.0 < price < math.inf:
+        raise OverflowError(f"spot price reserve_y / reserve_x is {price} at "
+                            f"reserves ({pool.reserve_x}, {pool.reserve_y})")
+    return price
 
 
 def swap_x_for_y(pool: PoolState, dx: float) -> tuple[PoolState, float]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,7 +214,6 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray)
 class RunManifest:
     experiment: str
     config: dict[str, Any]
-    seed: int
     fbm_method: str
     outputs: list[tuple[str, str, int]]  # (name, sha256, bytes)
 
@@ -221,7 +221,7 @@ class RunManifest:
         lines = [
             f"experiment={self.experiment}",
             f"version={__version__}",
-            f"seed={self.seed}",
+            f"seed={self.config['seed']}",
             f"fbm_method={self.fbm_method}",
             f"prng={PRNG_LABEL}",
             f"normal_transform={NORMAL_LABEL}",
@@ -238,6 +238,11 @@ class RunManifest:
 
 def _positive(value: float) -> str | None:
     return None if value > 0 else "must be positive"
+
+
+def _normal(value: float) -> str | None:
+    return None if value >= sys.float_info.min else (
+        f"must be a positive normal float, at least {sys.float_info.min!r}")
 
 
 def _open_unit(value: float) -> str | None:
@@ -411,8 +416,8 @@ def _run_cpmm_compare(cfg: dict[str, Any], out: Path):
 
 
 _CPMM_SCHEMA = _COMMON | {
-    "reserve_x": Field(100.0, _positive),
-    "reserve_y": Field(100.0, _positive),
+    "reserve_x": Field(100.0, _normal),
+    "reserve_y": Field(100.0, _normal),
     "u_values": Field((0.01, 0.02, 0.05, 0.1), _open_unit),
 }
 
@@ -552,8 +557,8 @@ def run_experiment(name: str, config: Mapping[str, Value],
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         outputs.append((path.name, digest, path.stat().st_size))
     manifest = RunManifest(
-        experiment=name, config=cfg, seed=cfg["seed"],
-        fbm_method=fbm_method or "n/a", outputs=outputs)
+        experiment=name, config=cfg, fbm_method=fbm_method or "n/a",
+        outputs=outputs)
     (out / "manifest.txt").write_text(manifest.to_text(), newline="\n")
     (out / "run.json").write_text(
         json.dumps({"duration_seconds": duration}, indent=2) + "\n", newline="\n")

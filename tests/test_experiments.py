@@ -545,6 +545,25 @@ class TestCli:
                 f"smallest r is 0.1 (got {delta_r})") in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("sets, code, message", [
+        # each formerly exit 0, with inf, or 0, as a spot price in pool_trace.csv
+        (["reserve_x=1e-160", "reserve_y=1e300"], 3,
+         "spot price reserve_y / reserve_x is inf at reserves (1e-160, 1e+300)"),
+        (["reserve_x=2.7023703425e-314"], 2,
+         "key 'reserve_x': must be a positive normal float, at least "
+         "2.2250738585072014e-308 (got 2.7023703425e-314)"),
+        (["reserve_x=1e300", "reserve_y=1e-160"], 3,
+         "spot price reserve_y / reserve_x is 0.0 at reserves (1e+300, 1e-160)"),
+    ], ids=["inf-price", "subnormal-reserve", "zero-price"])
+    def test_cpmm_spot_price_out_of_range_named(self, tmp_path, capsys, sets, code,
+                                                message):
+        argv = ["cpmm-compare"]
+        for entry in sets:
+            argv += ["--set", entry]
+        assert main([*argv, "--out", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "pool_trace.csv").exists()
+
     def test_impact_curve_needs_no_square_of_k(self, tmp_path, capsys):
         assert main(["impact-curve", "--set", "k=1e-170", "--out", str(tmp_path)]) == 0
         assert "wrote impact_curve.csv" in capsys.readouterr().out

@@ -199,6 +199,19 @@ class TestImpactExponent:
         with pytest.raises(DomainError):
             impact_exponent([1.0] * 3, (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("sizes, deltas, message", [
+        ((1.0, 2.0, 4.0), (1.0, math.nan, 3.0), "finite and positive"),
+        ((1.0, 2.0, 4.0), (1.0, math.inf, 3.0), "finite and positive"),
+        ((0.0, 2.0, 4.0), (1.0, 2.0, 3.0), "finite and positive"),
+        ((1.0, math.nan, 4.0), (1.0, 2.0, 3.0), "finite and positive"),
+        ((1.0, 2.0, 4.0), (1.0, 2.0), "got 3 sizes and 2 deltas"),
+        ((1.0, 2.0), (1.0, 2.0), "at least 3 points"),
+    ], ids=["nan-delta", "inf-delta", "zero-q", "nan-q", "unequal-lengths",
+            "two-samples"])
+    def test_rejects_samples_it_cannot_fit(self, sizes, deltas, message):
+        with pytest.raises(DomainError, match=message):
+            impact_exponent(sizes, deltas)
+
 
 class TestKellyFractionOu:
     def test_no_edge_at_level(self):
