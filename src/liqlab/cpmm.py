@@ -10,6 +10,7 @@ value, every operation returns a new state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, RatioMismatchError
@@ -36,12 +37,13 @@ def spot_price(pool: PoolState) -> float:
     """Marginal exchange rate Y/X.
 
     Raises :class:`OverflowError` naming both reserves when the ratio
-    overflows to inf or underflows to 0.
+    overflows to inf or underflows below the smallest normal float.
     """
     price = pool.reserve_y / pool.reserve_x
-    if not 0.0 < price < math.inf:
+    if not sys.float_info.min <= price < math.inf:
         raise OverflowError(f"spot price reserve_y / reserve_x is {price} at "
-                            f"reserves ({pool.reserve_x}, {pool.reserve_y})")
+                            f"reserves ({pool.reserve_x}, {pool.reserve_y}), "
+                            f"outside the normal float range")
     return price
 
 

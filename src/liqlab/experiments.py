@@ -391,6 +391,9 @@ def _run_cpmm_compare(cfg: dict[str, Any], out: Path):
     step = 0
     for u in cfg["u_values"]:
         dx = u * pool.reserve_x
+        if not dx >= sys.float_info.min:
+            raise ConfigError(f"key 'u_values': the swap u * reserve_x is {dx!r}, "
+                              f"below the smallest normal float (got {u!r})")
         exact = cpmm.exact_relative_impact(pool, dx)
         linear = cpmm.linearized_relative_impact(pool, dx)
         compare_rows.append([u, dx, exact, linear, abs(exact - linear), 3.5 * u * u])

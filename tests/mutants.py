@@ -5,11 +5,12 @@ replacement of ``old`` by ``new`` in ``file`` (relative to the repository
 root), and the pytest ids of the tests of which at least one must fail
 once it is made.
 
-Run as a script, ``python tests/mutants.py [ID ...]`` copies the repository
-to a temporary directory once per mutant (all rows, or the named ones),
-makes the replacement there, runs the named tests with ``-x -q`` and lists
-the mutants that survive.  It exits 1 when a mutant survives or its run
-cannot start.  pytest does not collect this file; ``tests/test_mutants.py``
+Run as a script, ``python tests/mutants.py`` first runs every named test
+on the unchanged tree, and stops with exit 1 if one fails there: a mutant
+"killed" by a test that already fails shows nothing.  It then copies the
+repository to a temporary directory once per mutant, makes the replacement
+there, runs the named tests with ``-x -q`` and lists the mutants that
+survive.  It exits 1 when a mutant survives or its run cannot start.  pytest does not collect this file; ``tests/test_mutants.py``
 checks that every row still applies to the tree.
 """
 
@@ -28,6 +29,7 @@ _WRITER = "src/liqlab/experiments.py"
 _PATHS = "src/liqlab/paths.py"
 _CSV = "tests/test_experiments.py::TestWriteCsv::"
 _INCREMENTS = "tests/test_paths.py::TestGenerateFbm::test_increment_blocks_are_the_flat_diff"
+_SPOT = "tests/test_experiments.py::TestCli::test_cpmm_spot_price_out_of_range_named"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -66,11 +68,16 @@ MUTANTS = [
      ["tests/test_impact.py::TestImpactExponent::test_rejects_samples_it_cannot_fit[zero-q]",
       "tests/test_impact.py::TestImpactExponent::test_rejects_samples_it_cannot_fit[nan-q]",
       "tests/test_impact.py::TestModelValidation::test_impact_point_domain"]),
-    # cpmm.spot_price's range check
+    # cpmm.spot_price's range check and cpmm-compare's check of the swap
     ("spot-price-check-dropped", "src/liqlab/cpmm.py",
-     "if not 0.0 < price < math.inf:", "if False:",
-     ["tests/test_experiments.py::TestCli::test_cpmm_spot_price_out_of_range_named[inf-price]",
-      "tests/test_experiments.py::TestCli::test_cpmm_spot_price_out_of_range_named[zero-price]"]),
+     "if not sys.float_info.min <= price < math.inf:", "if False:",
+     [_SPOT + "[inf-price]", _SPOT + "[zero-price]", _SPOT + "[tiny-price]"]),
+    ("spot-price-check-lets-subnormal-through", "src/liqlab/cpmm.py",
+     "if not sys.float_info.min <= price < math.inf:", "if not 0.0 < price < math.inf:",
+     [_SPOT + "[tiny-price]"]),
+    ("cpmm-compare-dx-check-dropped", _WRITER,
+     "if not dx >= sys.float_info.min:", "if False:",
+     [_SPOT + "[subnormal-dx]"]),
 ]
 
 
@@ -88,32 +95,35 @@ def _copy_with(mutant_id: str, file: str, old: str, new: str, into: Path) -> Pat
     return copy
 
 
+def _pytest(tests: list[str], cwd: Path, *options: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options, *tests],
+        cwd=cwd, env=env, capture_output=True, text=True)
+
+
 def run(mutant_id: str, file: str, old: str, new: str, tests: list[str]) -> str:
     """``killed``, ``survived`` or ``error`` for one mutant."""
     with tempfile.TemporaryDirectory() as tmp:
-        copy = _copy_with(mutant_id, file, old, new, Path(tmp))
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=copy, env=env, capture_output=True, text=True)
+        done = _pytest(tests, _copy_with(mutant_id, file, old, new, Path(tmp)), "-x")
     if done.returncode not in (0, 1):
         print(done.stdout[-2000:], done.stderr[-2000:], sep="\n")
     return {0: "survived", 1: "killed"}.get(done.returncode, "error")
 
 
-def main(argv: list[str]) -> int:
-    rows = [row for row in MUTANTS if not argv or row[0] in argv]
-    unknown = set(argv) - {row[0] for row in MUTANTS}
-    if unknown:
-        print(f"unknown mutant ids: {sorted(unknown)}")
-        return 2
-    outcomes = {row[0]: run(*row) for row in rows}
+def main() -> int:
+    baseline = _pytest(sorted({test for row in MUTANTS for test in row[4]}), ROOT)
+    if baseline.returncode != 0:
+        print(baseline.stdout[-2000:], baseline.stderr[-2000:], sep="\n")
+        print("the named tests do not all pass on the unchanged tree")
+        return 1
+    outcomes = {row[0]: run(*row) for row in MUTANTS}
     for mutant_id, outcome in outcomes.items():
         print(f"{outcome:8}  {mutant_id}")
     left = [mutant_id for mutant_id, outcome in outcomes.items() if outcome != "killed"]
-    print(f"{len(rows) - len(left)} of {len(rows)} killed; not killed: {left or 'none'}")
+    print(f"{len(MUTANTS) - len(left)} of {len(MUTANTS)} killed; not killed: {left or 'none'}")
     return 1 if left else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -554,7 +554,14 @@ class TestCli:
          "2.2250738585072014e-308 (got 2.7023703425e-314)"),
         (["reserve_x=1e300", "reserve_y=1e-160"], 3,
          "spot price reserve_y / reserve_x is 0.0 at reserves (1e+300, 1e-160)"),
-    ], ids=["inf-price", "subnormal-reserve", "zero-price"])
+        # formerly exit 0, with a subnormal spot price or dx and lost digits
+        (["reserve_x=1e10", "reserve_y=3e-308"], 3,
+         "spot price reserve_y / reserve_x is 3e-318 at reserves (10000000000.0, "
+         "3e-308), outside the normal float range"),
+        (["reserve_x=3e-308", "reserve_y=1", "u_values=0.0001,0.01"], 2,
+         "key 'u_values': the swap u * reserve_x is 3e-312, "
+         "below the smallest normal float (got 0.0001)"),
+    ], ids=["inf-price", "subnormal-reserve", "zero-price", "tiny-price", "subnormal-dx"])
     def test_cpmm_spot_price_out_of_range_named(self, tmp_path, capsys, sets, code,
                                                 message):
         argv = ["cpmm-compare"]
