@@ -1,10 +1,11 @@
 """Exact constant-product pool mechanics plus the linearized price impact.
 
-Swaps are fee-free and preserve the product of the reserves; liquidity
-changes must match the current reserve ratio, or raise
-:class:`RatioMismatchError`.  They are the cycle's stage 2 and explicit
-stage 4 (:func:`~liqlab.cycle.run_cycle`).  ``PoolState`` is an immutable
-value, every operation returns a new state.
+Swaps are fee-free and preserve the product of the reserves, and raise
+:class:`OverflowError` naming the swap when that product is not a normal
+finite float.  Liquidity changes must match the current reserve ratio, or
+raise :class:`RatioMismatchError`.  They are the cycle's stage 2 and
+explicit stage 4 (:func:`~liqlab.cycle.run_cycle`).  ``PoolState`` is an
+immutable value, every operation returns a new state.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ def spot_price(pool: PoolState) -> float:
     return price
 
 
+def _swap_invariant(pool: PoolState, swap: str) -> float:
+    """The product a swap keeps; :class:`OverflowError` if it is not normal."""
+    k = pool.invariant_k
+    if not sys.float_info.min <= k < math.inf:
+        raise OverflowError(f"{swap}: the invariant reserve_x * reserve_y is {k} at "
+                            f"reserves ({pool.reserve_x}, {pool.reserve_y}), "
+                            f"outside the normal float range")
+    return k
+
+
 def swap_x_for_y(pool: PoolState, dx: float) -> tuple[PoolState, float]:
     """Deposit ``dx`` of X, withdraw Y keeping the product constant."""
     if not dx > 0.0:
@@ -55,7 +66,7 @@ def swap_x_for_y(pool: PoolState, dx: float) -> tuple[PoolState, float]:
         raise DomainError(
             f"single swap of {dx} would exceed the X reserve {pool.reserve_x}")
     new_x = pool.reserve_x + dx
-    new_y = pool.invariant_k / new_x
+    new_y = _swap_invariant(pool, "swap_x_for_y") / new_x
     dy = pool.reserve_y - new_y
     return PoolState(new_x, new_y), dy
 
@@ -68,7 +79,7 @@ def swap_y_for_x(pool: PoolState, dy: float) -> tuple[PoolState, float]:
         raise DomainError(
             f"single swap of {dy} would exceed the Y reserve {pool.reserve_y}")
     new_y = pool.reserve_y + dy
-    new_x = pool.invariant_k / new_y
+    new_x = _swap_invariant(pool, "swap_y_for_x") / new_y
     dx = pool.reserve_x - new_x
     return PoolState(new_x, new_y), dx
 

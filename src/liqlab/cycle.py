@@ -2,12 +2,14 @@
 
 The investor alternates between taking liquidity (stages 1 and 3) and
 changing the pool size (stages 2 and 4); :func:`run_cycle` computes the
-four stages in turn and keeps a ledger snapshot after each.  Every stage
-moves tokens between the pool and the investor's outside wallet, so
+four stages in turn and keeps the ledger at the start and after each, one
+snapshot per label of :data:`STAGES`.  Every stage moves tokens between the
+pool and the investor's outside wallet, so
 
     pool + outside == starting pool reserves        (componentwise)
 
-holds at every snapshot; the in-pool position tracks the amounts the
+holds at every snapshot (:meth:`CycleReport.conservation_errors` gives the
+residuals); the in-pool position tracks the amounts the
 investor contributed in stage 2 minus what stage 4 removed, and is allowed
 to go negative, as are the outside balances (temporary shorts).
 
@@ -26,12 +28,8 @@ from .cpmm import PoolState, add_liquidity, remove_liquidity
 from .errors import DomainError
 
 
-class Stage(Enum):
-    START = "Start"
-    AFTER_STAGE1 = "AfterStage1"
-    AFTER_STAGE2 = "AfterStage2"
-    AFTER_STAGE3 = "AfterStage3"
-    AFTER_STAGE4 = "AfterStage4"
+# the label of each snapshot: snapshot i is the ledger after stage i
+STAGES = ("Start", "AfterStage1", "AfterStage2", "AfterStage3", "AfterStage4")
 
 
 class Stage3Formula(Enum):
@@ -48,14 +46,6 @@ class CycleLedger:
     inside_y: float = 0.0
     outside_x: float = 0.0
     outside_y: float = 0.0
-    stage: Stage = Stage.START
-    start_x: float = 0.0
-    start_y: float = 0.0
-
-    def conservation_error(self) -> tuple[float, float]:
-        """Componentwise residual of pool + outside - start."""
-        return (self.pool.reserve_x + self.outside_x - self.start_x,
-                self.pool.reserve_y + self.outside_y - self.start_y)
 
 
 @dataclass(frozen=True)
@@ -63,7 +53,7 @@ class CycleConfig:
     """Inputs of a full cycle run.
 
     Stage 4 either closes the pool back to its starting reserves
-    (``closure=True``) or removes the explicit amounts ``g_amt``/``h_amt``.
+    (``removal=None``) or removes the explicit amounts ``removal = (G, H)``.
     """
 
     x0: float
@@ -71,9 +61,7 @@ class CycleConfig:
     alpha: float
     m: float
     sigma_amt: float
-    closure: bool = True
-    g_amt: float | None = None
-    h_amt: float | None = None
+    removal: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.x0 > 0.0 or not self.y0 > 0.0:
@@ -82,16 +70,14 @@ class CycleConfig:
             raise DomainError(f"alpha must be in (0, x0), got {self.alpha}")
         if self.m < 0.0 or self.sigma_amt < 0.0:
             raise DomainError("m and sigma_amt must be non-negative")
-        if not self.closure and (self.g_amt is None or self.h_amt is None):
-            raise DomainError("explicit g_amt and h_amt required when closure=False")
 
 
 @dataclass(frozen=True)
 class CycleReport:
     """Per-stage ledgers plus the investor's bottom line.
 
-    ``snapshots`` holds the ledger at the start and after each stage;
-    ``g_amt``/``h_amt`` are what stage 4 removed.  ``work_analogue`` values
+    ``snapshots[i]`` is the ledger after stage i (0 is the start, labelled
+    by :data:`STAGES`); ``g_amt``/``h_amt`` are what stage 4 removed.  ``work_analogue`` values
     the final outside position at the starting spot price y0/x0 (in units
     of token Y); the gross shorts are the largest negative outside balance
     reached per token over the cycle.
@@ -104,9 +90,12 @@ class CycleReport:
     gross_short_x: float
     gross_short_y: float
 
-    @property
-    def final(self) -> CycleLedger:
-        return self.snapshots[-1]
+    def conservation_errors(self) -> list[tuple[float, float]]:
+        """Componentwise residual of pool + outside - starting pool, per snapshot."""
+        start = self.snapshots[0].pool
+        return [(s.pool.reserve_x + s.outside_x - start.reserve_x,
+                 s.pool.reserve_y + s.outside_y - start.reserve_y)
+                for s in self.snapshots]
 
 
 def _check_reserve(value: float, stage: int, name: str, formula: str) -> None:
@@ -119,7 +108,7 @@ def run_cycle(config: CycleConfig,
               stage3_mode: Stage3Formula = Stage3Formula.EXACT_INVARIANT) -> CycleReport:
     """Run stages 1 through 4 and summarize the investor's outcome.
 
-    ``snapshots`` holds the ledger at the start and after each stage.
+    ``snapshots[i]`` is the ledger after stage i, 0 being the start.
     :class:`CycleConfig` has already checked alpha, M and sigma, so only
     the checks that depend on the pool state are made here.
 
@@ -134,15 +123,14 @@ def run_cycle(config: CycleConfig,
     whatever Y excess the first three stages left in the pool.  Only the
     pool is guaranteed to close; the investor's positions generally stay
     open.  A closure that needs a negative G or H raises :class:`DomainError`.
-    Stage 2 and an explicit removal (``closure=False``) go through
+    Stage 2 and an explicit ``removal`` go through
     :func:`~liqlab.cpmm.add_liquidity` and :func:`~liqlab.cpmm.remove_liquidity`,
     which reject amounts off the pool ratio with :class:`RatioMismatchError`.
     A reserve that overflows the float range in stage 1, 2 or 3 raises
     :class:`DomainError` naming the stage and the reserve.
     """
     alpha, m, sigma_amt = config.alpha, config.m, config.sigma_amt
-    ledger = CycleLedger(pool=PoolState(config.x0, config.y0),
-                         start_x=config.x0, start_y=config.y0)
+    ledger = CycleLedger(pool=PoolState(config.x0, config.y0))
     snapshots = [ledger]
 
     # Stage 1: take alpha of X out of the pool against beta = XY/(X-alpha) - Y.
@@ -152,7 +140,7 @@ def run_cycle(config: CycleConfig,
     beta = new_y - y
     ledger = replace(ledger, pool=PoolState(x - alpha, new_y),
                      outside_x=ledger.outside_x + alpha,
-                     outside_y=ledger.outside_y - beta, stage=Stage.AFTER_STAGE1)
+                     outside_y=ledger.outside_y - beta)
     snapshots.append(ledger)
 
     # Stage 2: contribute M of X plus the ratio-matching n of Y to the pool.
@@ -163,7 +151,7 @@ def run_cycle(config: CycleConfig,
     ledger = replace(ledger, pool=add_liquidity(ledger.pool, m, n),
                      inside_x=ledger.inside_x + m, inside_y=ledger.inside_y + n,
                      outside_x=ledger.outside_x - m,
-                     outside_y=ledger.outside_y - n, stage=Stage.AFTER_STAGE2)
+                     outside_y=ledger.outside_y - n)
     snapshots.append(ledger)
 
     # Stage 3: give sigma of X back to the pool against delta of Y.
@@ -179,12 +167,12 @@ def run_cycle(config: CycleConfig,
         raise DomainError(f"stage-3 payout {delta} would drain the Y reserve {y}")
     ledger = replace(ledger, pool=PoolState(x + sigma_amt, y - delta),
                      outside_x=ledger.outside_x - sigma_amt,
-                     outside_y=ledger.outside_y + delta, stage=Stage.AFTER_STAGE3)
+                     outside_y=ledger.outside_y + delta)
     snapshots.append(ledger)
 
     # Stage 4: withdraw G of X and H of Y; a closure is off the pool ratio.
     x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
-    if config.closure:
+    if config.removal is None:
         g_amt = m - alpha + sigma_amt
         h_amt = y - config.y0
         if g_amt < 0.0 or h_amt < 0.0:
@@ -194,13 +182,13 @@ def run_cycle(config: CycleConfig,
             raise DomainError(f"removal ({g_amt}, {h_amt}) would drain reserves ({x}, {y})")
         pool = PoolState(x - g_amt, y - h_amt)
     else:
-        g_amt, h_amt = float(config.g_amt), float(config.h_amt)
+        g_amt, h_amt = config.removal
         pool = remove_liquidity(ledger.pool, g_amt, h_amt)
     ledger = replace(ledger, pool=pool,
                      inside_x=ledger.inside_x - g_amt,
                      inside_y=ledger.inside_y - h_amt,
                      outside_x=ledger.outside_x + g_amt,
-                     outside_y=ledger.outside_y + h_amt, stage=Stage.AFTER_STAGE4)
+                     outside_y=ledger.outside_y + h_amt)
     snapshots.append(ledger)
 
     p0 = config.y0 / config.x0

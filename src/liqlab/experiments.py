@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from . import catbond, cpmm, impact
 from .config import Field, Value, validate_config
-from .cycle import CycleConfig, Stage3Formula, run_cycle
+from .cycle import STAGES, CycleConfig, Stage3Formula, run_cycle
 from .errors import ConfigError, DomainError
 from .paths import MAX_ARRAY_BYTES, NORMAL_LABEL, PRNG_LABEL, iter_fbm
 
@@ -429,15 +429,14 @@ def _run_cycle_run(cfg: dict[str, Any], out: Path):
     try:
         config = CycleConfig(
             x0=cfg["x0"], y0=cfg["y0"], alpha=cfg["alpha"], m=cfg["m"],
-            sigma_amt=cfg["sigma_amt"], closure=cfg["closure"],
-            g_amt=None if cfg["closure"] else cfg["g_amt"],
-            h_amt=None if cfg["closure"] else cfg["h_amt"])
+            sigma_amt=cfg["sigma_amt"],
+            removal=None if cfg["closure"] else (cfg["g_amt"], cfg["h_amt"]))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     report = run_cycle(config, Stage3Formula(cfg["stage3_mode"]))
-    rows = [[s.stage.value, s.pool.reserve_x, s.pool.reserve_y,
+    rows = [[stage, s.pool.reserve_x, s.pool.reserve_y,
              s.inside_x, s.inside_y, s.outside_x, s.outside_y]
-            for s in report.snapshots]
+            for stage, s in zip(STAGES, report.snapshots)]
     path = out / "cycle_report.csv"
     write_csv(path, ["stage", "pool_x", "pool_y", "inside_x", "inside_y",
                      "outside_x", "outside_y"], rows)

@@ -164,7 +164,9 @@ def simulate_self_financing(path: SamplePath, params: FouParams, w0: float) -> S
     """Wealth path of the self-financing strategy along a given price path.
 
     Discrete update W[i+1] = W[i] + Q[i] * (P[i+1] - P[i]) with
-    Q[i] = W[i] * kappa * (P[i] - level) / (P[i] * sigma^2).
+    Q[i] = W[i] * kappa * (P[i] - level) / (P[i] * sigma^2).  The wealth
+    path has the price path's ``dt`` and its ``meta`` behind
+    ``"self-financing;"``.
     """
     if not w0 > 0.0:
         raise DomainError("w0 must be positive")
@@ -177,8 +179,7 @@ def simulate_self_financing(path: SamplePath, params: FouParams, w0: float) -> S
         raise DomainError("price * sigma^2 underflows to zero; the position is undefined")
     wealth = kernels.self_financing(path.values.reshape(1, -1), params.kappa,
                                     params.level, sigma2, float(w0))[0]
-    return SamplePath(times=path.times, values=wealth, seed=path.seed,
-                      meta=f"self-financing;{path.meta}")
+    return SamplePath(dt=path.dt, values=wealth, meta=f"self-financing;{path.meta}")
 
 
 def optimal_impact_leverage_form(q: float, price_level: float,

@@ -6,6 +6,8 @@ complex Gaussian vector is colored by the eigenvalue square roots.  If the
 embedding has a negative eigenvalue for the requested size and Hurst index,
 generation falls back to an exact Cholesky factorization of the increment
 covariance; the method actually used is recorded in ``SamplePath.meta``.
+A :class:`SamplePath` is ``(dt, values, meta)``: its times ``i * dt`` are
+derived, so its grid is uniform by construction.
 
 Randomness comes from one PCG64 stream per path (stream seed = base seed +
 path index); normal variates use numpy's ziggurat sampler.  Paths are drawn
@@ -78,41 +80,37 @@ class FouParams:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A path sampled on a uniform time grid.
+    """A path sampled at the times ``i * dt``, ``i = 0..n_steps``.
 
-    ``meta`` carries the generation-method label, e.g.
+    ``dt`` must be positive with a finite last time ``n_steps * dt``, and
+    the values finite; ``times`` is computed on each access.  ``meta``
+    carries the generation-method label, e.g.
     ``"davies-harte;prng=pcg64;normal=ziggurat"``.
     """
 
-    times: np.ndarray
+    dt: float
     values: np.ndarray
-    seed: int
     meta: str = ""
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "values", values)
-        if times.ndim != 1 or values.ndim != 1 or len(times) != len(values):
-            raise DomainError("times and values must be 1-d and equally long")
-        if len(times) < 2:
-            raise DomainError("a path needs at least two samples")
-        steps = np.diff(times)
-        if not np.all(steps > 0.0):
-            raise DomainError("times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise DomainError("time grid must be uniform")
+        if values.ndim != 1 or len(values) < 2:
+            raise DomainError("a path needs a 1-d array of at least two samples")
+        if not (self.dt > 0.0 and math.isfinite((len(values) - 1) * self.dt)):
+            raise DomainError(f"dt must be positive with a finite last time "
+                              f"{len(values) - 1} * dt, got {self.dt}")
         if not np.all(np.isfinite(values)):
             raise DomainError("path values must be finite")
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.values)) * self.dt
 
     @property
     def n_steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.values) - 1
 
 
 def _check_hurst(hurst: float) -> None:
@@ -272,11 +270,10 @@ def iter_fbm(n_paths: int, n_steps: int, dt: float, hurst: float,
 
     def sample_paths() -> Iterator[SamplePath]:
         for start in range(0, n_paths, rows):
-            seed = int(base_seed) + start
-            block = draw(seed, np.empty((min(rows, n_paths - start), n_steps + 1)))
-            for j, values in enumerate(block):
-                yield SamplePath(times=np.arange(n_steps + 1) * dt, values=values,
-                                 seed=seed + j, meta=meta)
+            block = draw(int(base_seed) + start,
+                         np.empty((min(rows, n_paths - start), n_steps + 1)))
+            for values in block:
+                yield SamplePath(dt=dt, values=values, meta=meta)
 
     return sample_paths()
 
@@ -325,8 +322,7 @@ def simulate_fou(params: FouParams, p0: float, n_steps: int, dt: float,
     shocks = (params.sigma * np.diff(driver.values)).reshape(1, -1)
     values = kernels.fou_euler(float(p0), params.kappa, params.level, float(dt),
                                shocks)[0]
-    return SamplePath(times=driver.times, values=values, seed=int(seed),
-                      meta=f"fou-euler;{driver.meta}")
+    return SamplePath(dt=driver.dt, values=values, meta=f"fou-euler;{driver.meta}")
 
 
 def refine_linear(path: SamplePath, factor: int) -> SamplePath:
@@ -342,7 +338,7 @@ def refine_linear(path: SamplePath, factor: int) -> SamplePath:
     n = path.n_steps
     grid = np.arange(n * factor + 1) / factor
     values = np.interp(grid, np.arange(n + 1, dtype=np.float64), path.values)
-    return SamplePath(times=grid * path.dt, values=values, seed=path.seed,
+    return SamplePath(dt=path.dt / factor, values=values,
                       meta=f"{path.meta};linear-refined-x{factor}")
 
 

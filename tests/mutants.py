@@ -30,6 +30,7 @@ _PATHS = "src/liqlab/paths.py"
 _CSV = "tests/test_experiments.py::TestWriteCsv::"
 _INCREMENTS = "tests/test_paths.py::TestGenerateFbm::test_increment_blocks_are_the_flat_diff"
 _SPOT = "tests/test_experiments.py::TestCli::test_cpmm_spot_price_out_of_range_named"
+_SAMPLE_PATH = "tests/test_paths.py::TestSamplePath::"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -78,6 +79,27 @@ MUTANTS = [
     ("cpmm-compare-dx-check-dropped", _WRITER,
      "if not dx >= sys.float_info.min:", "if False:",
      [_SPOT + "[subnormal-dx]"]),
+    # the swaps' check of the invariant reserve_x * reserve_y
+    ("swap-invariant-check-dropped", "src/liqlab/cpmm.py",
+     "if not sys.float_info.min <= k < math.inf:", "if False:",
+     [_SPOT + "[zero-invariant]", _SPOT + "[inf-invariant]",
+      "tests/test_cpmm.py::TestSwaps::test_invariant_outside_the_normal_range_is_named"
+      "[subnormal-swap_y_for_x]"]),
+    # SamplePath's checks of its grid and values
+    ("sample-path-dt-check-dropped", _PATHS,
+     "if not (self.dt > 0.0 and math.isfinite((len(values) - 1) * self.dt)):",
+     "if False:",
+     [_SAMPLE_PATH + "test_dt_must_be_positive_with_a_finite_last_time[zero]",
+      _SAMPLE_PATH + "test_dt_must_be_positive_with_a_finite_last_time[nan]",
+      _SAMPLE_PATH + "test_dt_must_be_positive_with_a_finite_last_time[last-time-overflows]"]),
+    ("sample-path-finite-check-dropped", _PATHS,
+     "if not np.all(np.isfinite(values)):", "if False:",
+     [_SAMPLE_PATH + "test_values_must_be_finite"]),
+    # run_cycle's overflow check of the X reserve in stage 3
+    ("cycle-stage-3-check-dropped", "src/liqlab/cycle.py",
+     '    _check_reserve(x + sigma_amt, 3, "X", "X + sigma")\n', "",
+     ["tests/test_cycle.py::TestRunCycle::test_overflowing_reserve_names_the_stage"
+      "[overrides2-stage 3 overflows the X reserve: X + sigma = inf]"]),
 ]
 
 

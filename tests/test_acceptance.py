@@ -113,10 +113,9 @@ def test_criterion_07_cycle_conservation_and_closure():
     with criterion("7", "cycle conservation and closure"):
         config = CycleConfig(100.0, 100.0, 10.0, 9.0, 1.0)
         report = run_cycle(config, Stage3Formula.EXACT_INVARIANT)
-        for snap in report.snapshots:
-            ex, ey = snap.conservation_error()
-            assert abs(ex) <= 1e-12 * 100.0 and abs(ey) <= 1e-12 * 100.0, snap
-        final = report.final
+        for ex, ey in report.conservation_errors():
+            assert abs(ex) <= 1e-12 * 100.0 and abs(ey) <= 1e-12 * 100.0, (ex, ey)
+        final = report.snapshots[-1]
         assert abs(final.pool.reserve_x - 100.0) <= 1e-12
         assert abs(final.pool.reserve_y - 100.0) <= 1e-12
         # the investor position has not collapsed: with the pool closed,
@@ -126,12 +125,11 @@ def test_criterion_07_cycle_conservation_and_closure():
         # ... and a generic (non-closing) fourth stage leaves the outside
         # wallet open as well
         led3 = report.snapshots[3]
-        generic = CycleConfig(100.0, 100.0, 10.0, 9.0, 1.0, closure=False,
-                              g_amt=0.05 * led3.pool.reserve_x,
-                              h_amt=0.05 * led3.pool.reserve_y)
-        open_report = run_cycle(generic, Stage3Formula.EXACT_INVARIANT)
-        assert (abs(open_report.final.outside_x) > 1e-6
-                or abs(open_report.final.outside_y) > 1e-6)
+        generic = CycleConfig(100.0, 100.0, 10.0, 9.0, 1.0,
+                              removal=(0.05 * led3.pool.reserve_x,
+                                       0.05 * led3.pool.reserve_y))
+        open_final = run_cycle(generic, Stage3Formula.EXACT_INVARIANT).snapshots[-1]
+        assert abs(open_final.outside_x) > 1e-6 or abs(open_final.outside_y) > 1e-6
 
 
 def test_criterion_08a_catbond_single_bond_agreement():

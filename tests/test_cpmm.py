@@ -63,6 +63,18 @@ class TestSwaps:
         with pytest.raises(DomainError):
             swap_y_for_x(PoolState(1.0, 1.0), -1.0)
 
+    @pytest.mark.parametrize("swap", [swap_x_for_y, swap_y_for_x])
+    @pytest.mark.parametrize("x, y, k", [(1e-300, 1e-30, "0.0"), (1e300, 1e10, "inf"),
+                                         (1e-160, 1e-160, "1e-320")],
+                             ids=["zero", "inf", "subnormal"])
+    def test_invariant_outside_the_normal_range_is_named(self, swap, x, y, k):
+        # formerly "reserves must be positive and finite" from the new state
+        with pytest.raises(OverflowError) as raised:
+            swap(PoolState(x, y), 0.5 * min(x, y))
+        assert str(raised.value) == (
+            f"{swap.__name__}: the invariant reserve_x * reserve_y is {k} at "
+            f"reserves ({x}, {y}), outside the normal float range")
+
     @given(x=reserves, y=reserves, u=fractions)
     def test_invariant_preserved(self, x, y, u):
         pool = PoolState(x, y)

@@ -1,7 +1,7 @@
 import pytest
 
 from liqlab.cli import main
-from liqlab.cycle import CycleConfig, CycleLedger, Stage, Stage3Formula, run_cycle
+from liqlab.cycle import STAGES, CycleConfig, CycleLedger, Stage3Formula, run_cycle
 from liqlab.errors import DomainError, RatioMismatchError
 
 # worked configuration: start (100, 100), alpha=10, m=9, sigma=1
@@ -19,8 +19,7 @@ def worked_after(stage: int, mode=Stage3Formula.EXACT_INVARIANT) -> CycleLedger:
 def open_run(alpha=ALPHA, m=M, sigma_amt=SIG, g_amt=0.0, h_amt=0.0,
              mode=Stage3Formula.EXACT_INVARIANT) -> list[CycleLedger]:
     """Snapshots of a run that removes explicit amounts instead of closing."""
-    config = CycleConfig(X0, Y0, alpha, m, sigma_amt, closure=False,
-                         g_amt=g_amt, h_amt=h_amt)
+    config = CycleConfig(X0, Y0, alpha, m, sigma_amt, removal=(g_amt, h_amt))
     return run_cycle(config, mode).snapshots
 
 
@@ -67,7 +66,6 @@ class TestStage2:
     def test_zero_add_is_noop(self):
         _, before, after, _, _ = open_run(m=0.0)
         assert after.pool == before.pool
-        assert after.stage is Stage.AFTER_STAGE2
 
 
 class TestStage3:
@@ -126,7 +124,6 @@ class TestStage4AndClosure:
     def test_zero_removal_is_noop(self):
         _, _, _, before, after = open_run()
         assert after.pool == before.pool
-        assert after.stage is Stage.AFTER_STAGE4
 
     @pytest.mark.parametrize("g_amt, h_amt", [(0.0, 21.0), (1.0, 0.0)])
     def test_ratio_enforced_by_default(self, g_amt, h_amt):
@@ -153,15 +150,13 @@ class TestConservation:
     @pytest.mark.parametrize("mode", list(Stage3Formula))
     def test_every_snapshot_conserves_tokens(self, mode):
         report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG), mode)
-        for snap in report.snapshots:
-            ex, ey = snap.conservation_error()
+        for ex, ey in report.conservation_errors():
             assert abs(ex) <= 1e-12 * X0
             assert abs(ey) <= 1e-12 * Y0
 
     def test_conservation_off_the_worked_point(self):
         report = run_cycle(CycleConfig(37.0, 410.0, 2.0, 4.5, 0.75))
-        for snap in report.snapshots:
-            ex, ey = snap.conservation_error()
+        for ex, ey in report.conservation_errors():
             assert abs(ex) <= 1e-12 * 37.0
             assert abs(ey) <= 1e-12 * 410.0
 
@@ -169,7 +164,7 @@ class TestConservation:
 class TestRunCycle:
     def test_closure_run_summary(self):
         report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG))
-        final = report.final
+        final = report.snapshots[-1]
         assert final.pool.reserve_x == pytest.approx(X0, abs=1e-12)
         assert final.pool.reserve_y == pytest.approx(Y0, abs=1e-12)
         # conservation forces the outside wallet to close with the pool;
@@ -182,9 +177,9 @@ class TestRunCycle:
         led3 = worked_after(3)
         g = 0.05 * led3.pool.reserve_x
         h = 0.05 * led3.pool.reserve_y
-        config = CycleConfig(X0, Y0, ALPHA, M, SIG, closure=False, g_amt=g, h_amt=h)
+        config = CycleConfig(X0, Y0, ALPHA, M, SIG, removal=(g, h))
         report = run_cycle(config)
-        final = report.final
+        final = report.snapshots[-1]
         assert abs(final.outside_x) > 1e-3 or abs(final.outside_y) > 1e-3
         assert report.work_analogue != 0.0
 
@@ -196,13 +191,16 @@ class TestRunCycle:
 
     def test_empty_cycle_limit(self):
         report = run_cycle(CycleConfig(X0, Y0, 1e-9, 1e-9, 1e-9))
-        final = report.final
+        final = report.snapshots[-1]
         assert abs(final.outside_x) < 1e-10 and abs(final.outside_y) < 1e-10
         assert abs(report.work_analogue) < 1e-9
 
     def test_five_snapshots_in_order(self):
         report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG))
-        assert [s.stage for s in report.snapshots] == list(Stage)
+        # the X reserve of the worked run, stage by stage
+        assert len(report.snapshots) == len(STAGES)
+        assert [s.pool.reserve_x for s in report.snapshots] == [
+            100.0, 90.0, 99.0, 100.0, 100.0]
 
     @pytest.mark.parametrize("overrides, message", [
         # X*Y overflows in stage 1; formerly "reserves must be positive,
@@ -250,5 +248,3 @@ class TestRunCycle:
             CycleConfig(X0, Y0, ALPHA, m=-1.0, sigma_amt=SIG)
         with pytest.raises(DomainError):
             CycleConfig(X0, Y0, ALPHA, M, sigma_amt=-1.0)
-        with pytest.raises(DomainError):
-            CycleConfig(X0, Y0, ALPHA, M, SIG, closure=False)

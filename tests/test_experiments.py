@@ -561,7 +561,16 @@ class TestCli:
         (["reserve_x=3e-308", "reserve_y=1", "u_values=0.0001,0.01"], 2,
          "key 'u_values': the swap u * reserve_x is 3e-312, "
          "below the smallest normal float (got 0.0001)"),
-    ], ids=["inf-price", "subnormal-reserve", "zero-price", "tiny-price", "subnormal-dx"])
+        # formerly "reserves must be positive and finite, got (1.01e-300, 0.0)"
+        # and "... (1.5e+300, inf)", naming neither the swap nor the product
+        (["reserve_x=1e-300", "reserve_y=1e-30"], 3,
+         "swap_x_for_y: the invariant reserve_x * reserve_y is 0.0 at reserves "
+         "(1e-300, 1e-30), outside the normal float range"),
+        (["reserve_x=1e300", "reserve_y=1e10", "u_values=0.5"], 3,
+         "swap_x_for_y: the invariant reserve_x * reserve_y is inf at reserves "
+         "(1e+300, 10000000000.0), outside the normal float range"),
+    ], ids=["inf-price", "subnormal-reserve", "zero-price", "tiny-price", "subnormal-dx",
+            "zero-invariant", "inf-invariant"])
     def test_cpmm_spot_price_out_of_range_named(self, tmp_path, capsys, sets, code,
                                                 message):
         argv = ["cpmm-compare"]

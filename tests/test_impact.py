@@ -256,7 +256,7 @@ class TestSimulateSelfFinancing:
 
     def test_constant_price_keeps_wealth_constant(self):
         from liqlab.paths import SamplePath
-        path = SamplePath(times=np.arange(10) * 0.1, values=np.full(10, 4.0), seed=0)
+        path = SamplePath(dt=0.1, values=np.full(10, 4.0))
         params = FouParams(kappa=-0.5, level=0.0, sigma=0.4)
         wealth = simulate_self_financing(path, params, 1.5)
         assert np.all(wealth.values == 1.5)
@@ -264,7 +264,7 @@ class TestSimulateSelfFinancing:
     def test_positivity_violation_names_index(self):
         from liqlab.paths import SamplePath
         values = np.array([1.0, 0.5, -0.25, 1.0])
-        path = SamplePath(times=np.arange(4.0), values=values, seed=0)
+        path = SamplePath(dt=1.0, values=values)
         params = FouParams(kappa=-0.5, level=0.0, sigma=0.4)
         with pytest.raises(DomainError, match="index 2"):
             simulate_self_financing(path, params, 1.0)
@@ -273,7 +273,7 @@ class TestSimulateSelfFinancing:
     def test_zero_denominator_is_a_domain_error(self, sigma, price):
         # sigma^2 (first case) or price * sigma^2 (second) underflows to 0
         from liqlab.paths import SamplePath
-        path = SamplePath(times=np.arange(3.0), values=[price, 2.0 * price, price], seed=0)
+        path = SamplePath(dt=1.0, values=[price, 2.0 * price, price])
         params = FouParams(kappa=-0.5, level=0.0, sigma=sigma)
         with pytest.raises(DomainError, match="underflows"):
             simulate_self_financing(path, params, 1.0)

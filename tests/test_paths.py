@@ -69,21 +69,37 @@ class TestFouParams:
 
 
 class TestSamplePath:
-    def test_grid_must_be_uniform(self):
-        with pytest.raises(DomainError):
-            SamplePath(times=[0.0, 1.0, 3.0], values=[0.0, 0.0, 0.0], seed=0)
-
-    def test_lengths_must_match(self):
-        with pytest.raises(DomainError):
-            SamplePath(times=[0.0, 1.0], values=[0.0], seed=0)
+    @pytest.mark.parametrize("dt, n_values", [
+        (0.0, 2), (-1.0, 2), (math.nan, 2), (math.inf, 2),
+        # positive, but the last time 2 * dt overflows
+        (1e308, 3),
+    ], ids=["zero", "negative", "nan", "inf", "last-time-overflows"])
+    def test_dt_must_be_positive_with_a_finite_last_time(self, dt, n_values):
+        with pytest.raises(DomainError, match="dt must be positive"):
+            SamplePath(dt=dt, values=np.zeros(n_values))
 
     def test_values_must_be_finite(self):
         with pytest.raises(DomainError):
-            SamplePath(times=[0.0, 1.0], values=[0.0, math.nan], seed=0)
+            SamplePath(dt=1.0, values=[0.0, math.nan])
+
+    def test_needs_two_samples(self):
+        with pytest.raises(DomainError):
+            SamplePath(dt=1.0, values=[0.0])
 
     def test_dt_property(self):
-        path = SamplePath(times=[0.0, 0.5, 1.0], values=[0.0, 1.0, 2.0], seed=0)
+        path = SamplePath(dt=0.5, values=[0.0, 1.0, 2.0])
         assert path.dt == 0.5 and path.n_steps == 2
+        assert path.times.tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("n, dt", [(1, 0.1), (63, 0.01), (4096, 1.0 / 4096.0)])
+    def test_fbm_times_are_the_index_times_dt(self, n, dt):
+        for path in iter_fbm(3, n, dt, 0.7, 11):
+            assert path.times.tobytes() == (np.arange(n + 1) * dt).tobytes()
+
+    @pytest.mark.parametrize("factor", [2, 3, 16])
+    def test_refined_dt_is_dt_over_factor(self, factor):
+        path = generate_fbm(8, 0.1, 0.3, 4)
+        assert refine_linear(path, factor).dt == path.dt / factor
 
 
 class TestGenerateFbm:
@@ -186,7 +202,7 @@ class TestGenerateFbm:
             assert np.array_equal(batch[i], single.values)
             assert np.array_equal(streamed[i].values, single.values)
             assert np.array_equal(streamed[i].times, single.times)
-            assert (streamed[i].seed, streamed[i].meta) == (single.seed, single.meta)
+            assert streamed[i].meta == single.meta
 
     @pytest.mark.parametrize("n", [1, 2, 63, 4096])
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
@@ -325,16 +341,16 @@ class TestSimulateFou:
 
 class TestRefineLinear:
     def test_keeps_knots_and_interpolates(self):
-        path = SamplePath(times=[0.0, 1.0, 2.0], values=[0.0, 2.0, 1.0], seed=5)
+        path = SamplePath(dt=1.0, values=[0.0, 2.0, 1.0])
         fine = refine_linear(path, 2)
         np.testing.assert_allclose(fine.times, [0.0, 0.5, 1.0, 1.5, 2.0])
         np.testing.assert_allclose(fine.values, [0.0, 1.0, 2.0, 1.5, 1.0])
 
     def test_factor_one_is_identity(self):
-        path = SamplePath(times=[0.0, 1.0], values=[0.0, 1.0], seed=5)
+        path = SamplePath(dt=1.0, values=[0.0, 1.0])
         assert refine_linear(path, 1) is path
 
     def test_bad_factor(self):
-        path = SamplePath(times=[0.0, 1.0], values=[0.0, 1.0], seed=5)
+        path = SamplePath(dt=1.0, values=[0.0, 1.0])
         with pytest.raises(DomainError):
             refine_linear(path, 0)

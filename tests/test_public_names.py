@@ -54,16 +54,28 @@ def test_every_public_name_is_reached():
     assert unreached == []
 
 
+def _field_reads(path: Path) -> set[str]:
+    tree = _parse(path)
+    # ``f(seed=path.seed)`` only hands a field on under its own name
+    copies = {id(kw.value) for node in ast.walk(tree) if isinstance(node, ast.Call)
+              for kw in node.keywords
+              if isinstance(kw.value, ast.Attribute) and kw.value.attr == kw.arg}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in copies
+            and not (path.name == "cli.py" and isinstance(node.value, ast.Name)
+                     and node.value.id == "args")}
+
+
 def test_every_public_field_is_read():
-    # A field is read where an attribute of its name is loaded (``x.field``).
-    # The match is by name alone, so a field can escape when any object
-    # there has an attribute of the same name: ``args.config`` in cli.py
-    # would hide a dataclass field called ``config``.
+    # A field is read where an attribute of its name is loaded (``x.field``),
+    # except in a keyword argument of the same name and on cli.py's argparse
+    # ``args``.  The match is by name alone, so a field can still escape when
+    # another object there has an attribute of the same name.
     read = set()
     for path in [*PACKAGE.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
                  ROOT / "liqbench" / "workloads.py"]:
-        read |= {node.attr for node in ast.walk(_parse(path))
-                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        read |= _field_reads(path)
     unread = [f"{name}.{field.name}" for name in liqlab.__all__
               if inspect.isclass(getattr(liqlab, name))
               and dataclasses.is_dataclass(getattr(liqlab, name))
