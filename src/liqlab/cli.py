@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _merge_config(args)
-        manifest = run_experiment(args.experiment, config, out_dir=args.out)
+        outputs = run_experiment(args.experiment, config, out_dir=args.out)
     except ConfigError as exc:
         print(f"liqlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"liqlab: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    names = ", ".join(name for name, _, _ in manifest.outputs)
+    names = ", ".join(name for name, _, _ in outputs)
     print(f"{args.experiment}: wrote {names}, manifest.txt and run.json to {args.out}")
     return EXIT_OK
 

@@ -17,7 +17,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -210,30 +209,24 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray)
     return path
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    experiment: str
-    config: dict[str, Any]
-    fbm_method: str
-    outputs: list[tuple[str, str, int]]  # (name, sha256, bytes)
-
-    def to_text(self) -> str:
-        lines = [
-            f"experiment={self.experiment}",
-            f"version={__version__}",
-            f"seed={self.config['seed']}",
-            f"fbm_method={self.fbm_method}",
-            f"prng={PRNG_LABEL}",
-            f"normal_transform={NORMAL_LABEL}",
-        ]
-        for key in sorted(self.config):
-            if key != "seed":
-                lines.append(f"config.{key}={fmt(self.config[key])}")
-        for i, (name, digest, size) in enumerate(self.outputs):
-            lines.append(f"output.{i}.path={name}")
-            lines.append(f"output.{i}.sha256={digest}")
-            lines.append(f"output.{i}.bytes={size}")
-        return "\n".join(lines) + "\n"
+def _manifest_text(experiment: str, config: Mapping[str, Any], fbm_method: str,
+                   outputs: list[tuple[str, str, int]]) -> str:
+    lines = [
+        f"experiment={experiment}",
+        f"version={__version__}",
+        f"seed={config['seed']}",
+        f"fbm_method={fbm_method}",
+        f"prng={PRNG_LABEL}",
+        f"normal_transform={NORMAL_LABEL}",
+    ]
+    for key in sorted(config):
+        if key != "seed":
+            lines.append(f"config.{key}={fmt(config[key])}")
+    for i, (name, digest, size) in enumerate(outputs):
+        lines.append(f"output.{i}.path={name}")
+        lines.append(f"output.{i}.sha256={digest}")
+        lines.append(f"output.{i}.bytes={size}")
+    return "\n".join(lines) + "\n"
 
 
 def _positive(value: float) -> str | None:
@@ -426,6 +419,9 @@ _CPMM_SCHEMA = _COMMON | {
 
 
 def _run_cycle_run(cfg: dict[str, Any], out: Path):
+    if cfg["closure"] and (cfg["g_amt"] or cfg["h_amt"]):
+        raise ConfigError(f"keys 'g_amt' and 'h_amt' apply only with closure=false "
+                          f"(got g_amt={cfg['g_amt']!r}, h_amt={cfg['h_amt']!r})")
     try:
         config = CycleConfig(
             x0=cfg["x0"], y0=cfg["y0"], alpha=cfg["alpha"], m=cfg["m"],
@@ -536,12 +532,13 @@ EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiment(name: str, config: Mapping[str, Value],
-                   out_dir: str | Path = ".") -> RunManifest:
+                   out_dir: str | Path = ".") -> list[tuple[str, str, int]]:
     """Run one named experiment deterministically and write its manifest.
 
-    ``manifest.txt`` depends only on the experiment, config and seed, so
-    reruns write it byte for byte again; the wall-clock duration goes to
-    ``run.json`` beside it.
+    Returns the ``(name, sha256, bytes)`` of each output, in the order
+    ``manifest.txt`` lists them.  ``manifest.txt`` depends only on the
+    experiment, config and seed, so reruns write it byte for byte again;
+    the wall-clock duration goes to ``run.json`` beside it.
     """
     if name not in _RUNNERS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
@@ -558,10 +555,8 @@ def run_experiment(name: str, config: Mapping[str, Value],
             raise OSError(f"experiment output {path} is missing or empty")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         outputs.append((path.name, digest, path.stat().st_size))
-    manifest = RunManifest(
-        experiment=name, config=cfg, fbm_method=fbm_method or "n/a",
-        outputs=outputs)
-    (out / "manifest.txt").write_text(manifest.to_text(), newline="\n")
+    (out / "manifest.txt").write_text(
+        _manifest_text(name, cfg, fbm_method or "n/a", outputs), newline="\n")
     (out / "run.json").write_text(
         json.dumps({"duration_seconds": duration}, indent=2) + "\n", newline="\n")
-    return manifest
+    return outputs

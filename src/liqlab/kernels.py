@@ -1,13 +1,13 @@
 """Hot numeric kernels: sequential path recurrences and pairwise sums.
 
-The two recurrences run one path (row) at a time over plain Python floats
-and write each finished path back into the result array.  The library
-sends one path per call, and a numpy step per time column would spend its
-time on ufunc calls over one-element views.  Python floats and numpy
-float64 both round each operation to IEEE double, so every path is
-bit-identical to a scalar loop over that path alone, which the tests keep
-as the reference.  FFT-based fractional noise generation lives in
-:mod:`liqlab.paths`.
+The two recurrences run over plain Python floats: ``fou_euler`` takes the
+shocks of one path, and ``self_financing`` runs an ``(n_paths, n_times)``
+array one row at a time.  The library sends one path per call, and a numpy
+step per time column would spend its time on ufunc calls over one-element
+views.  Python floats and numpy float64 both round each operation to IEEE
+double, so every path is bit-identical to a scalar loop over that path
+alone, which the tests keep as the reference.  FFT-based fractional noise
+generation lives in :mod:`liqlab.paths`.
 
 ``pairwise_sum`` reduces in a fixed binary-tree order, so Monte Carlo
 moments do not depend on how paths were batched.  The tree is cut at
@@ -32,23 +32,17 @@ NUMBA_ENABLED = False
 
 def fou_euler(p0: float, kappa: float, level: float, dt: float,
               shocks: np.ndarray) -> np.ndarray:
-    """Euler recurrence p' = p + kappa*(p - level)*dt + shock, per path.
+    """Euler recurrence p' = p + kappa*(p - level)*dt + shock, for one path.
 
-    ``shocks`` has shape ``(n_paths, n_steps)``; the result has shape
-    ``(n_paths, n_steps + 1)`` and starts every path at ``p0``.
+    ``shocks`` is the 1-d array of the path's ``n_steps`` shocks; the result
+    holds its ``n_steps + 1`` values and starts at ``p0``.
     """
-    p0, kappa, level, dt = float(p0), float(kappa), float(level), float(dt)
-    shocks = np.asarray(shocks, dtype=np.float64)
-    n_paths, n_steps = shocks.shape
-    out = np.empty((n_paths, n_steps + 1))
-    for i, row in enumerate(shocks.tolist()):
-        p = p0
-        values = [p]
-        for s in row:
-            p = p + kappa * (p - level) * dt + s
-            values.append(p)
-        out[i] = values
-    return out
+    p, kappa, level, dt = float(p0), float(kappa), float(level), float(dt)
+    values = [p]
+    for s in np.asarray(shocks, dtype=np.float64).tolist():
+        p = p + kappa * (p - level) * dt + s
+        values.append(p)
+    return np.array(values)
 
 
 def self_financing(prices: np.ndarray, kappa: float, level: float,

@@ -53,6 +53,11 @@ class EmbeddingError(DomainError):
     """Circulant embedding produced a genuinely negative eigenvalue."""
 
 
+def _check_hurst(hurst: float) -> None:
+    if not 0.0 < hurst < 1.0:
+        raise DomainError(f"hurst must be in (0, 1), got {hurst}")
+
+
 @dataclass(frozen=True)
 class FouParams:
     """Parameters of dP = kappa * (P - level) dt + sigma dB^H.
@@ -67,8 +72,7 @@ class FouParams:
     hurst: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hurst < 1.0:
-            raise DomainError(f"hurst must be in (0, 1), got {self.hurst}")
+        _check_hurst(self.hurst)
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         # sigma * sigma, not sigma ** 2: float ** raises OverflowError itself
@@ -111,11 +115,6 @@ class SamplePath:
     @property
     def n_steps(self) -> int:
         return len(self.values) - 1
-
-
-def _check_hurst(hurst: float) -> None:
-    if not 0.0 < hurst < 1.0:
-        raise DomainError(f"hurst must be in (0, 1), got {hurst}")
 
 
 def _fgn_autocov(n_lags: int, hurst: float) -> np.ndarray:
@@ -319,9 +318,8 @@ def simulate_fou(params: FouParams, p0: float, n_steps: int, dt: float,
     if not math.isfinite(p0):
         raise DomainError("p0 must be finite")
     driver = generate_fbm(n_steps, dt, params.hurst, seed, method=method)
-    shocks = (params.sigma * np.diff(driver.values)).reshape(1, -1)
     values = kernels.fou_euler(float(p0), params.kappa, params.level, float(dt),
-                               shocks)[0]
+                               params.sigma * np.diff(driver.values))
     return SamplePath(dt=driver.dt, values=values, meta=f"fou-euler;{driver.meta}")
 
 

@@ -31,6 +31,17 @@ _CSV = "tests/test_experiments.py::TestWriteCsv::"
 _INCREMENTS = "tests/test_paths.py::TestGenerateFbm::test_increment_blocks_are_the_flat_diff"
 _SPOT = "tests/test_experiments.py::TestCli::test_cpmm_spot_price_out_of_range_named"
 _SAMPLE_PATH = "tests/test_paths.py::TestSamplePath::"
+_FBM = "tests/test_paths.py::TestGenerateFbm::"
+_CYCLE = "src/liqlab/cycle.py"
+_RUN_CYCLE = "tests/test_cycle.py::TestRunCycle::"
+_IMPACT = "src/liqlab/impact.py"
+_IMPACT_DOMAIN = ("tests/test_impact.py::TestModelValidation::"
+                  "test_inputs_outside_the_domain_are_named")
+_CLI = "tests/test_experiments.py::TestCli::"
+_CLOSURE_AMOUNTS = (_CLI + "test_list_error_names_the_failing_entry[cycle-run-{}-keys 'g_amt' "
+                    "and 'h_amt' apply only with closure=false (got g_amt={}, h_amt={})]")
+_HALVING = "tests/test_kernels.py::test_pairwise_sum_matches_halving_reference"
+_POWERS = _CSV + "test_powers_of_ten_and_their_neighbours"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -100,6 +111,125 @@ MUTANTS = [
      '    _check_reserve(x + sigma_amt, 3, "X", "X + sigma")\n', "",
      ["tests/test_cycle.py::TestRunCycle::test_overflowing_reserve_names_the_stage"
       "[overrides2-stage 3 overflows the X reserve: X + sigma = inf]"]),
+    # the writer's fast domain and its fix of a digit count one off
+    ("writer-fast-domain-from-1e-5", _WRITER,
+     "fast = zero | ((a >= 1e-4) & (a < 1e16))", "fast = zero | ((a >= 1e-5) & (a < 1e16))",
+     [_POWERS, _CSV + "test_float_table_matches_per_cell_reference"]),
+    ("writer-fast-domain-to-1e17", _WRITER,
+     "fast = zero | ((a >= 1e-4) & (a < 1e16))", "fast = zero | ((a >= 1e-4) & (a < 1e17))",
+     [_POWERS]),
+    ("writer-k-fix-dropped", _WRITER,
+     "    k[off] += high[off].astype(np.intp) - low[off]\n"
+     "    hi[off], lo[off] = _times_pow10(a[off], 17 - k[off])\n", "",
+     [_POWERS]),
+    # run_experiment's check of the outputs and the runners' config checks
+    ("output-check-dropped", _WRITER,
+     "if not path.is_file() or path.stat().st_size == 0:", "if False:",
+     [_CLI + "test_missing_or_empty_output_is_an_io_error[missing]",
+      _CLI + "test_missing_or_empty_output_is_an_io_error[empty]"]),
+    ("log-grid-check-dropped", _WRITER,
+     "if not q_min < q_max:", "if False:",
+     [_CLI + "test_q_min_must_be_below_q_max[impact-curve]",
+      _CLI + "test_q_min_must_be_below_q_max[impact-verify]"]),
+    ("cycle-run-closure-amounts-check-dropped", _WRITER,
+     'if cfg["closure"] and (cfg["g_amt"] or cfg["h_amt"]):', "if False:",
+     [_CLOSURE_AMOUNTS.format("g_amt=5", "5.0", "0.0"),
+      _CLOSURE_AMOUNTS.format("h_amt=-1", "0.0", "-1.0")]),
+    # kernels._tree, the halving sum of a leaf
+    ("tree-odd-row-carry-wrong", "src/liqlab/kernels.py",
+     "dst[half] = acc[n - 1]", "dst[half] = acc[n - 2]",
+     [_HALVING + "[3]", _HALVING + "[5]"]),
+    ("tree-first-level-into-input", "src/liqlab/kernels.py",
+     "dst, spare = np.empty(((n + 1) // 2, *rest)), np.empty(((n + 3) // 4, *rest))",
+     "dst, spare = values, np.empty(((n + 3) // 4, *rest))",
+     [_HALVING + "[2]", _HALVING + "[3]"]),
+    # fBM generation: one stream per path, the conjugate mirror, every block
+    ("one-stream-for-a-whole-block", _PATHS,
+     "_path_rng(seed + j).standard_normal(out=row)",
+     "_path_rng(seed).standard_normal(out=row)",
+     [_FBM + "test_batch_rows_equal_single_paths[auto]",
+      _FBM + "test_batch_rows_equal_single_paths[cholesky]"]),
+    ("coloring-conj-dropped", _PATHS,
+     "np.conjugate(w[:, n - 1:0:-1], out=w[:, n + 1:])", "w[:, n + 1:] = w[:, n - 1:0:-1]",
+     [_FBM + "test_precomputed_coloring_matches_per_draw_reference[0.3-63]",
+      _FBM + "test_precomputed_coloring_matches_per_draw_reference[0.7-4096]"]),
+    ("batch-last-block-never-drawn", _PATHS,
+     "for start in range(0, n_paths, rows):\n        draw(",
+     "for start in range(0, n_paths - rows, rows):\n        draw(",
+     [_FBM + "test_batch_rows_equal_single_paths[davies-harte]",
+      _FBM + "test_batch_rows_equal_single_paths[cholesky]"]),
+    # the paths module's argument checks
+    ("hurst-check-dropped", _PATHS,
+     "if not 0.0 < hurst < 1.0:", "if False:",
+     [_FBM + "test_domain_errors", "tests/test_paths.py::TestFouParams::test_validation"]),
+    ("iter-fbm-n-paths-check-dropped", _PATHS,
+     '    if n_paths < 1:\n        raise DomainError(f"n_paths must be >= 1, got {n_paths}")\n'
+     "    label, rows, draw", "    label, rows, draw",
+     [_FBM + "test_domain_errors"]),
+    ("batch-n-paths-check-dropped", _PATHS,
+     '    if n_paths < 1:\n        raise DomainError(f"n_paths must be >= 1, got {n_paths}")\n'
+     "    _, rows, draw", "    _, rows, draw",
+     [_FBM + "test_domain_errors"]),
+    ("simulate-fou-p0-check-dropped", _PATHS,
+     "if not math.isfinite(p0):", "if False:",
+     ["tests/test_paths.py::TestSimulateFou::test_p0_must_be_finite[nan]",
+      "tests/test_paths.py::TestSimulateFou::test_p0_must_be_finite[inf]"]),
+    ("autocorr-lag-check-dropped", _PATHS,
+     "if lag < 1 or lag >= n_steps:", "if False:",
+     [_FBM + "test_lag_outside_the_steps_rejected[0]",
+      _FBM + "test_lag_outside_the_steps_rejected[16]"]),
+    # the impact module's argument checks
+    ("impact-sqrt-q-check-dropped", _IMPACT,
+     '(sigma^2 / k) * sqrt(q)."""\n    if not q > 0.0:',
+     '(sigma^2 / k) * sqrt(q)."""\n    if False:',
+     [_IMPACT_DOMAIN + "[sqrt-q]"]),
+    ("growth-per-time-q-check-dropped", _IMPACT,
+     'underflows to 0."""\n    if not q > 0.0:', 'underflows to 0."""\n    if False:',
+     [_IMPACT_DOMAIN + "[growth-per-time-q]"]),
+    ("impact-fou-q-check-dropped", _IMPACT,
+     'not a finite float.\n    """\n    if not q > 0.0:',
+     'not a finite float.\n    """\n    if False:',
+     [_IMPACT_DOMAIN + "[fou-q]"]),
+    ("leverage-q-check-dropped", _IMPACT,
+     'hurst == 0.5")\n    if not q > 0.0:', 'hurst == 0.5")\n    if False:',
+     [_IMPACT_DOMAIN + "[leverage-q]"]),
+    ("leverage-price-level-check-dropped", _IMPACT,
+     "if not price_level > 0.0:", "if False:",
+     [_IMPACT_DOMAIN + "[leverage-price-level]"]),
+    ("closed-form-w0-check-dropped", _IMPACT,
+     'level == 0")\n    if not w0 > 0.0:', 'level == 0")\n    if False:',
+     [_IMPACT_DOMAIN + "[closed-form-w0]"]),
+    ("self-financing-w0-check-dropped", _IMPACT,
+     '``"self-financing;"``.\n    """\n    if not w0 > 0.0:',
+     '``"self-financing;"``.\n    """\n    if False:',
+     [_IMPACT_DOMAIN + "[self-financing-w0]"]),
+    # catbond's derivative domain
+    ("single-bond-deriv-domain-check-dropped", "src/liqlab/catbond.py",
+     'single-bond growth."""\n    if not 0.0 <= f < 1.0:',
+     'single-bond growth."""\n    if False:',
+     ["tests/test_catbond.py::TestSingleBondGrowth::test_domain"]),
+    # the cycle: its config, the stage-2 checks and add, stage 3's formula,
+    # and a removal of zero
+    ("cycle-config-reserve-check-dropped", _CYCLE,
+     "if not self.x0 > 0.0 or not self.y0 > 0.0:", "if False:",
+     [_RUN_CYCLE + "test_config_validation"]),
+    ("cycle-stage-2-x-check-dropped", _CYCLE,
+     '    _check_reserve(x + m, 2, "X", "X + M")\n', "",
+     [_RUN_CYCLE + "test_overflowing_x_reserve_in_stage_2"]),
+    ("cycle-stage-2-y-check-dropped", _CYCLE,
+     '    _check_reserve(y + n, 2, "Y", "Y + M*Y/X")\n', "",
+     [_RUN_CYCLE + "test_overflowing_reserve_names_the_stage"
+      "[overrides1-stage 2 overflows the Y reserve: Y + M*Y/X = inf]"]),
+    ("cycle-stage-2-skips-add-liquidity", _CYCLE,
+     "pool=add_liquidity(ledger.pool, m, n)", "pool=PoolState(x + m, y + n)",
+     [_RUN_CYCLE + "test_stage_2_off_the_pool_ratio_is_rejected"]),
+    ("cycle-stage-3-formula-check-dropped", _CYCLE,
+     '    else:\n        raise DomainError(f"unknown stage-3 formula {stage3_mode!r}")\n', "",
+     ["tests/test_cycle.py::TestStage3::test_unknown_stage_3_formula_rejected"]),
+    ("remove-liquidity-rejects-zero", "src/liqlab/cpmm.py",
+     "if not g >= 0.0 or not h >= 0.0:", "if not g > 0.0 or not h > 0.0:",
+     ["tests/test_cycle.py::TestStage4AndClosure::test_zero_removal_is_noop",
+      "tests/test_cpmm.py::TestLiquidity::test_zero_amounts_leave_the_pool[0.0]"]),
 ]
 
 

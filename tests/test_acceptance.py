@@ -184,9 +184,8 @@ def test_criterion_10_experiment_determinism(tmp_path):
         for name, cfg in (("impact-verify", {"seed": 7}),
                           ("fbm-gen", {"seed": 7, "n_steps": 256})):
             dirs = (tmp_path / f"{name}-a", tmp_path / f"{name}-b")
-            manifests = [run_experiment(name, dict(cfg), d) for d in dirs]
-            for (name_a, dig_a, _), (_, dig_b, _) in zip(manifests[0].outputs,
-                                                         manifests[1].outputs):
+            outputs = [run_experiment(name, dict(cfg), d) for d in dirs]
+            for (name_a, dig_a, _), (_, dig_b, _) in zip(*outputs):
                 assert dig_a == dig_b
                 assert ((dirs[0] / name_a).read_bytes()
                         == (dirs[1] / name_a).read_bytes())

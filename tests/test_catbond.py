@@ -33,6 +33,9 @@ class TestSingleBondGrowth:
             single_bond_growth(1.0, BondSpec(0.2, 1.0))
         with pytest.raises(DomainError):
             single_bond_growth(-0.1, BondSpec(0.2, 1.0))
+        for f in (-0.1, 1.0, math.nan):
+            with pytest.raises(DomainError, match=r"fraction must be in \[0, 1\)"):
+                single_bond_growth_deriv(f, BondSpec(0.2, 1.0))
 
 
 class TestSingleBondFraction:

@@ -96,6 +96,10 @@ class TestStage3:
         alt = worked_after(3, Stage3Formula.ORIGINAL_X).pool.reserve_y
         assert abs(exact - alt) > 0.05
 
+    def test_unknown_stage_3_formula_rejected(self):
+        with pytest.raises(DomainError, match="unknown stage-3 formula 'exact'"):
+            run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG), "exact")
+
     def test_tiny_sigma_amount(self):
         for mode in Stage3Formula:
             _, _, before, after, _ = open_run(sigma_amt=1e-13, mode=mode)
@@ -240,6 +244,9 @@ class TestRunCycle:
         assert "does not match pool ratio" in capsys.readouterr().err
 
     def test_config_validation(self):
+        for x0, y0 in ((0.0, Y0), (X0, -1.0), (X0, float("nan"))):
+            with pytest.raises(DomainError, match="starting reserves must be positive"):
+                CycleConfig(x0, y0, ALPHA, M, SIG)
         with pytest.raises(DomainError):
             CycleConfig(X0, Y0, alpha=0.0, m=1.0, sigma_amt=1.0)
         with pytest.raises(DomainError):

@@ -191,11 +191,12 @@ class TestRunExperiment:
             run_experiment("fbm-gen", {"bogus": 1}, tmp_path)
 
     def test_fbm_gen_outputs(self, tmp_path):
-        manifest = run_experiment("fbm-gen", {"n_steps": 32, "n_paths": 2, "seed": 9},
-                                  tmp_path)
+        outputs = run_experiment("fbm-gen", {"n_steps": 32, "n_paths": 2, "seed": 9},
+                                 tmp_path)
+        assert [name for name, _, _ in outputs] == ["fbm_0000.csv", "fbm_0001.csv"]
         assert (tmp_path / "fbm_0000.csv").is_file()
         assert (tmp_path / "fbm_0001.csv").is_file()
-        assert manifest.fbm_method == "davies-harte"
+        assert "\nfbm_method=davies-harte\n" in (tmp_path / "manifest.txt").read_text()
         header, rows = read_csv(tmp_path / "fbm_0000.csv")
         assert header == ["t", "value"]
         assert len(rows) == 33
@@ -210,9 +211,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(paths, "_embedding_eigenvalues", boom)
         cfg = {"n_steps": 16, "n_paths": 3, "dt": 0.0625, "hurst": 0.6, "seed": 4}
-        manifest = run_experiment("fbm-gen", cfg, tmp_path)
+        run_experiment("fbm-gen", cfg, tmp_path)
         assert calls == [16]  # the generator is resolved once per run
-        assert manifest.fbm_method == "cholesky"
         assert "\nfbm_method=cholesky\n" in (tmp_path / "manifest.txt").read_text()
         for i in range(3):
             _, rows = read_csv(tmp_path / f"fbm_{i:04d}.csv")
@@ -233,11 +233,11 @@ class TestRunExperiment:
                         == reference_csv(["t", "value"], rows))
 
     def test_manifest_lists_outputs_with_checksums(self, tmp_path):
-        manifest = run_experiment("impact-curve", {}, tmp_path)
+        outputs = run_experiment("impact-curve", {}, tmp_path)
         text = (tmp_path / "manifest.txt").read_text()
         assert "experiment=impact-curve" in text
         assert "prng=pcg64" in text
-        for name, digest, size in manifest.outputs:
+        for name, digest, size in outputs:
             path = tmp_path / name
             assert path.is_file() and path.stat().st_size == size > 0
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -318,8 +318,8 @@ class TestRunExperiment:
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         ma = run_experiment(name, cfg, a_dir)
         mb = run_experiment(name, cfg, b_dir)
-        assert [o[0] for o in ma.outputs] == [o[0] for o in mb.outputs]
-        for (name_a, dig_a, _), (_, dig_b, _) in zip(ma.outputs, mb.outputs):
+        assert [o[0] for o in ma] == [o[0] for o in mb]
+        for (name_a, dig_a, _), (_, dig_b, _) in zip(ma, mb):
             assert dig_a == dig_b
             assert (a_dir / name_a).read_bytes() == (b_dir / name_a).read_bytes()
         manifest = (a_dir / "manifest.txt").read_bytes()
@@ -427,11 +427,43 @@ class TestCli:
         ("cpmm-compare", "u_values=0.1,1e-17",
          "key 'u_values': the swap leaves the Y reserve unmoved, so it cannot "
          "be swapped back (got 1e-17)"),
+        # formerly exit 0: closure set its own removal and the manifest kept these
+        ("cycle-run", "g_amt=5",
+         "keys 'g_amt' and 'h_amt' apply only with closure=false (got g_amt=5.0, h_amt=0.0)"),
+        ("cycle-run", "h_amt=-1",
+         "keys 'g_amt' and 'h_amt' apply only with closure=false (got g_amt=0.0, h_amt=-1.0)"),
     ])
     def test_list_error_names_the_failing_entry(self, tmp_path, capsys,
                                                 name, item, message):
         assert main([name, "--set", item, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, sets, message", [
+        ("impact-curve", ["q_min=1e4"], "q_min must be below q_max, got 10000.0 >= 10000.0"),
+        ("impact-verify", ["q_min=2", "q_max=1"], "q_min must be below q_max, got 2.0 >= 1.0"),
+    ], ids=["impact-curve", "impact-verify"])
+    def test_q_min_must_be_below_q_max(self, tmp_path, capsys, name, sets, message):
+        argv = [name]
+        for item in sets:
+            argv += ["--set", item]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b""], ids=["missing", "empty"])
+    def test_missing_or_empty_output_is_an_io_error(self, tmp_path, monkeypatch, capsys,
+                                                    content):
+        def runner(cfg, out):
+            path = out / "table.csv"
+            if content is not None:
+                path.write_bytes(content)
+            return [path], ""
+
+        schema = _RUNNERS["catbond-optimize"][0]
+        monkeypatch.setitem(_RUNNERS, "catbond-optimize", (schema, runner))
+        assert main(["catbond-optimize", "--out", str(tmp_path)]) == 4
+        assert (f"i/o error: experiment output {tmp_path / 'table.csv'} is missing or "
+                f"empty") in capsys.readouterr().err
+        assert not (tmp_path / "manifest.txt").exists()
 
     def test_readme_commands_found(self):
         assert [argv[0] for argv in README_COMMANDS] == [

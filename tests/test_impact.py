@@ -9,7 +9,7 @@ from liqlab.impact import (GrowthModel, growth_per_time_fou, impact_exponent,
                            optimal_impact_fou, optimal_impact_leverage_form,
                            optimal_impact_sqrt, optimal_size_numeric,
                            simulate_self_financing, wealth_closed_form)
-from liqlab.paths import FouParams, refine_linear, simulate_fou
+from liqlab.paths import FouParams, SamplePath, refine_linear, simulate_fou
 
 
 def model(k=1.0, khat=1.0, sigma=1.0, hurst=0.5) -> GrowthModel:
@@ -255,14 +255,12 @@ class TestSimulateSelfFinancing:
         assert np.all(wealth.values == 2.0)
 
     def test_constant_price_keeps_wealth_constant(self):
-        from liqlab.paths import SamplePath
         path = SamplePath(dt=0.1, values=np.full(10, 4.0))
         params = FouParams(kappa=-0.5, level=0.0, sigma=0.4)
         wealth = simulate_self_financing(path, params, 1.5)
         assert np.all(wealth.values == 1.5)
 
     def test_positivity_violation_names_index(self):
-        from liqlab.paths import SamplePath
         values = np.array([1.0, 0.5, -0.25, 1.0])
         path = SamplePath(dt=1.0, values=values)
         params = FouParams(kappa=-0.5, level=0.0, sigma=0.4)
@@ -272,7 +270,6 @@ class TestSimulateSelfFinancing:
     @pytest.mark.parametrize("sigma, price", [(1e-170, 4.0), (1e-160, 1e-10)])
     def test_zero_denominator_is_a_domain_error(self, sigma, price):
         # sigma^2 (first case) or price * sigma^2 (second) underflows to 0
-        from liqlab.paths import SamplePath
         path = SamplePath(dt=1.0, values=[price, 2.0 * price, price])
         params = FouParams(kappa=-0.5, level=0.0, sigma=sigma)
         with pytest.raises(DomainError, match="underflows"):
@@ -354,6 +351,24 @@ class TestModelValidation:
             growth_per_time_fou(1.0, 1.0, m)
         with pytest.raises(DomainError, match="capital_scale_k=1e-170 squares to zero"):
             optimal_size_numeric(1.0, m)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: optimal_impact_sqrt(0.0, model()), "q must be positive"),
+        (lambda: growth_per_time_fou(-1.0, 1.0, model()), "q must be positive"),
+        (lambda: optimal_impact_fou(0.0, model()), "q must be positive"),
+        (lambda: optimal_impact_leverage_form(0.0, 1.0, model()), "q must be positive"),
+        (lambda: optimal_impact_leverage_form(1.0, 0.0, model()),
+         "price_level must be positive"),
+        (lambda: wealth_closed_form(1.0, 0.0, FouParams(1.0, 0.0, 1.0), 0.0),
+         "w0 must be positive"),
+        (lambda: simulate_self_financing(SamplePath(dt=1.0, values=[1.0, 2.0]),
+                                         FouParams(-0.5, 0.0, 0.4), -1.0),
+         "w0 must be positive"),
+    ], ids=["sqrt-q", "growth-per-time-q", "fou-q", "leverage-q", "leverage-price-level",
+            "closed-form-w0", "self-financing-w0"])
+    def test_inputs_outside_the_domain_are_named(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
     def test_impact_point_domain(self):
         with pytest.raises(DomainError):

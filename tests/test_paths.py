@@ -132,6 +132,12 @@ class TestGenerateFbm:
             generate_fbm(16, 1e308, 0.5, 0)
         with pytest.raises(DomainError, match="time grid overflows"):
             generate_fbm(8, math.inf, 0.5, 0)
+        for hurst in (0.0, 1.0, -0.2, math.nan):
+            with pytest.raises(DomainError, match=r"hurst must be in \(0, 1\)"):
+                generate_fbm(8, 0.1, hurst, 0)
+        for draw in (paths.iter_fbm, paths.generate_fbm_batch):
+            with pytest.raises(DomainError, match="n_paths must be >= 1, got 0"):
+                draw(0, 8, 0.1, 0.5, 0)
 
     @pytest.mark.parametrize("method", ["davies-harte", "cholesky"])
     @pytest.mark.parametrize("hurst", [0.3, 0.75])
@@ -288,6 +294,11 @@ class TestGenerateFbm:
         with pytest.raises(DomainError, match="variance_slope needs"):
             paths.variance_slope(n_paths, n_steps, 0.1, 0.7, 1)
 
+    @pytest.mark.parametrize("lag", [0, 16])
+    def test_lag_outside_the_steps_rejected(self, lag):
+        with pytest.raises(DomainError, match=rf"lag must be in \[1, n_steps\), got {lag}"):
+            paths.increment_autocorr(4, 16, 1.0 / 16, 0.7, 3, lag=lag)
+
     @pytest.mark.parametrize("estimator", [paths.variance_slope,
                                            paths.increment_autocorr])
     def test_estimator_holds_one_batch(self, estimator):
@@ -333,6 +344,12 @@ class TestSimulateFou:
         a = simulate_fou(params, 1.0, 64, 0.01, 21)
         b = simulate_fou(params, 1.0, 64, 0.01, 21)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("p0", [math.nan, math.inf])
+    def test_p0_must_be_finite(self, p0):
+        params = FouParams(kappa=-0.4, level=1.0, sigma=0.3, hurst=0.6)
+        with pytest.raises(DomainError, match="p0 must be finite"):
+            simulate_fou(params, p0, 16, 0.01, 21)
 
     def test_meta_carries_driver_method(self):
         params = FouParams(kappa=-0.4, level=1.0, sigma=0.3, hurst=0.6)

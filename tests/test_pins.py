@@ -185,8 +185,8 @@ def test_pin_ids_are_unique():
 
 @pytest.mark.parametrize("experiment, overrides, digests", PINS, ids=PIN_IDS)
 def test_experiment_outputs_are_pinned(tmp_path, experiment, overrides, digests):
-    manifest = run_experiment(experiment, dict(overrides), tmp_path)
-    names = [name for name, _, _ in manifest.outputs] + ["manifest.txt"]
+    outputs = run_experiment(experiment, dict(overrides), tmp_path)
+    names = [name for name, _, _ in outputs] + ["manifest.txt"]
     got = {name: _sha256((tmp_path / name).read_bytes()) for name in names}
     assert got == digests
 
