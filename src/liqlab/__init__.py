@@ -10,7 +10,7 @@ from .catbond import (BondSpec, IsoFractionShift, iso_fraction_shift,
 from .cpmm import (PoolState, add_liquidity, exact_relative_impact,
                    linearized_relative_impact, remove_liquidity, spot_price,
                    swap_x_for_y, swap_y_for_x)
-from .cycle import CycleConfig, CycleLedger, CycleReport, Stage3Formula, run_cycle
+from .cycle import CycleConfig, CycleLedger, CycleReport, run_cycle
 from .errors import (BracketError, ConfigError, ConvergenceError, DomainError,
                      RatioMismatchError)
 from .impact import (GrowthModel, growth_per_time_fou, impact_exponent,

@@ -13,16 +13,15 @@ residuals); the in-pool position tracks the amounts the
 investor contributed in stage 2 minus what stage 4 removed, and is allowed
 to go negative, as are the outside balances (temporary shorts).
 
-Stage 3 ships with two price rules (:class:`Stage3Formula`), one that keeps
-the constant-product invariant and one that does not, so the difference
-can be inspected side by side.
+Stage 3 ships with two price rules (``CycleConfig.stage3_rule``), one that
+keeps the constant-product invariant and one that does not, so the
+difference can be inspected side by side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .cpmm import PoolState, add_liquidity, remove_liquidity
 from .errors import DomainError
@@ -30,11 +29,8 @@ from .errors import DomainError
 
 # the label of each snapshot: snapshot i is the ledger after stage i
 STAGES = ("Start", "AfterStage1", "AfterStage2", "AfterStage3", "AfterStage4")
-
-
-class Stage3Formula(Enum):
-    EXACT_INVARIANT = "exact"
-    ORIGINAL_X = "original-x"
+# the stage-3 price rules, described at run_cycle
+STAGE3_RULES = ("exact", "original-x")
 
 
 @dataclass(frozen=True)
@@ -54,6 +50,7 @@ class CycleConfig:
 
     Stage 4 either closes the pool back to its starting reserves
     (``removal=None``) or removes the explicit amounts ``removal = (G, H)``.
+    ``stage3_rule`` is one of :data:`STAGE3_RULES`.
     """
 
     x0: float
@@ -62,6 +59,7 @@ class CycleConfig:
     m: float
     sigma_amt: float
     removal: tuple[float, float] | None = None
+    stage3_rule: str = "exact"
 
     def __post_init__(self) -> None:
         if not self.x0 > 0.0 or not self.y0 > 0.0:
@@ -70,6 +68,8 @@ class CycleConfig:
             raise DomainError(f"alpha must be in (0, x0), got {self.alpha}")
         if self.m < 0.0 or self.sigma_amt < 0.0:
             raise DomainError("m and sigma_amt must be non-negative")
+        if self.stage3_rule not in STAGE3_RULES:
+            raise DomainError(f"unknown stage-3 rule {self.stage3_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,16 @@ def _check_reserve(value: float, stage: int, name: str, formula: str) -> None:
             f"stage {stage} overflows the {name} reserve: {formula} = {value}")
 
 
-def run_cycle(config: CycleConfig,
-              stage3_mode: Stage3Formula = Stage3Formula.EXACT_INVARIANT) -> CycleReport:
+def run_cycle(config: CycleConfig) -> CycleReport:
     """Run stages 1 through 4 and summarize the investor's outcome.
 
     ``snapshots[i]`` is the ledger after stage i, 0 being the start.
-    :class:`CycleConfig` has already checked alpha, M and sigma, so only
-    the checks that depend on the pool state are made here.
+    :class:`CycleConfig` has already checked its inputs, so only the checks
+    that depend on the pool state are made here.
 
-    Stage 3 pays out delta of Y for sigma of X.  ``EXACT_INVARIANT`` sets
+    Stage 3 pays out delta of Y for sigma of X.  The rule ``"exact"`` sets
     delta = Y * sigma / (X + sigma), the unique amount preserving the
-    reserve product.  ``ORIGINAL_X`` sets delta = sigma * Y / (X0 + M),
+    reserve product.  ``"original-x"`` sets delta = sigma * Y / (X0 + M),
     keying the payout off the pre-cycle X reserve (reconstructed as the
     current X reserve plus alpha); it does not preserve the product.
 
@@ -157,12 +156,10 @@ def run_cycle(config: CycleConfig,
     # Stage 3: give sigma of X back to the pool against delta of Y.
     x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
     _check_reserve(x + sigma_amt, 3, "X", "X + sigma")
-    if stage3_mode is Stage3Formula.EXACT_INVARIANT:
+    if config.stage3_rule == "exact":
         delta = y * sigma_amt / (x + sigma_amt)
-    elif stage3_mode is Stage3Formula.ORIGINAL_X:
-        delta = sigma_amt * y / (x + alpha)
     else:
-        raise DomainError(f"unknown stage-3 formula {stage3_mode!r}")
+        delta = sigma_amt * y / (x + alpha)
     if delta >= y:
         raise DomainError(f"stage-3 payout {delta} would drain the Y reserve {y}")
     ledger = replace(ledger, pool=PoolState(x + sigma_amt, y - delta),

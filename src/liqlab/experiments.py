@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import catbond, cpmm, impact
 from .config import Field, Value, validate_config
-from .cycle import STAGES, CycleConfig, Stage3Formula, run_cycle
+from .cycle import STAGE3_RULES, STAGES, CycleConfig, run_cycle
 from .errors import ConfigError, DomainError
 from .paths import MAX_ARRAY_BYTES, NORMAL_LABEL, PRNG_LABEL, iter_fbm
 
@@ -426,10 +426,11 @@ def _run_cycle_run(cfg: dict[str, Any], out: Path):
         config = CycleConfig(
             x0=cfg["x0"], y0=cfg["y0"], alpha=cfg["alpha"], m=cfg["m"],
             sigma_amt=cfg["sigma_amt"],
-            removal=None if cfg["closure"] else (cfg["g_amt"], cfg["h_amt"]))
+            removal=None if cfg["closure"] else (cfg["g_amt"], cfg["h_amt"]),
+            stage3_rule=cfg["stage3_mode"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    report = run_cycle(config, Stage3Formula(cfg["stage3_mode"]))
+    report = run_cycle(config)
     rows = [[stage, s.pool.reserve_x, s.pool.reserve_y,
              s.inside_x, s.inside_y, s.outside_x, s.outside_y]
             for stage, s in zip(STAGES, report.snapshots)]
@@ -451,7 +452,7 @@ _CYCLE_SCHEMA = _COMMON | {
     "alpha": Field(10.0, _positive),
     "m": Field(9.0),
     "sigma_amt": Field(1.0),
-    "stage3_mode": Field("exact", _one_of(*(mode.value for mode in Stage3Formula))),
+    "stage3_mode": Field("exact", _one_of(*STAGE3_RULES)),
     "closure": Field(True),
     "g_amt": Field(0.0),
     "h_amt": Field(0.0),

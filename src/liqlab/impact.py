@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError
 from .golden import bisect_decreasing, bracket_decreasing, golden_section_max
-from .paths import FouParams, SamplePath
+from .paths import FouParams, SamplePath, _check_hurst, _check_sigma
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,8 @@ class GrowthModel:
         if not 0.0 < self.time_per_size_khat < math.inf:
             raise DomainError(f"time_per_size_khat must be positive and finite, "
                               f"got {self.time_per_size_khat}")
-        if not 0.0 < self.sigma < math.inf:
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-        # every use squares sigma; sigma * sigma, since float ** raises OverflowError
-        if not math.isfinite(self.sigma * self.sigma):
-            raise DomainError(f"sigma must have a finite square, got {self.sigma}")
-        if not 0.0 < self.hurst < 1.0:
-            raise DomainError(f"hurst must be in (0, 1), got {self.hurst}")
+        _check_sigma(self.sigma)
+        _check_hurst(self.hurst)
 
 
 def optimal_impact_sqrt(q: float, model: GrowthModel) -> float:

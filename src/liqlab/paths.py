@@ -15,7 +15,8 @@ in blocks of a few rows: each row still takes its normals from its own
 stream, and the coloring, FFT, cumulative sum and scaling then run once per
 block, with the same floating-point operations on every row as a block of
 one.  Identical inputs therefore reproduce bit-identical paths, however
-they are blocked.
+they are blocked, with the same numpy version and BLAS thread count (the
+OpenBLAS Cholesky factor's bits depend on it from ``n_steps = 128`` on).
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def _check_hurst(hurst: float) -> None:
         raise DomainError(f"hurst must be in (0, 1), got {hurst}")
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    # sigma * sigma, not sigma ** 2: float ** raises OverflowError itself
+    if not math.isfinite(sigma * sigma):
+        raise DomainError(f"sigma must have a finite square, got {sigma}")
+
+
 @dataclass(frozen=True)
 class FouParams:
     """Parameters of dP = kappa * (P - level) dt + sigma dB^H.
@@ -73,11 +82,7 @@ class FouParams:
 
     def __post_init__(self) -> None:
         _check_hurst(self.hurst)
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        # sigma * sigma, not sigma ** 2: float ** raises OverflowError itself
-        if not math.isfinite(self.sigma * self.sigma):
-            raise DomainError(f"sigma must have a finite square, got {self.sigma}")
+        _check_sigma(self.sigma)
         if not math.isfinite(self.kappa) or not math.isfinite(self.level):
             raise DomainError("kappa and level must be finite")
 

@@ -42,6 +42,10 @@ _CLOSURE_AMOUNTS = (_CLI + "test_list_error_names_the_failing_entry[cycle-run-{}
                     "and 'h_amt' apply only with closure=false (got g_amt={}, h_amt={})]")
 _HALVING = "tests/test_kernels.py::test_pairwise_sum_matches_halving_reference"
 _POWERS = _CSV + "test_powers_of_ten_and_their_neighbours"
+_EXACT_COV = _FBM + "test_exact_covariance_matches_oracle"
+_SHARED_CHECKS = ("tests/test_impact.py::TestModelValidation::"
+                  "test_growth_model_and_fou_params_share_their_checks")
+_FOU_PARAMS = "tests/test_paths.py::TestFouParams::"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -153,6 +157,16 @@ MUTANTS = [
      "np.conjugate(w[:, n - 1:0:-1], out=w[:, n + 1:])", "w[:, n + 1:] = w[:, n - 1:0:-1]",
      [_FBM + "test_precomputed_coloring_matches_per_draw_reference[0.3-63]",
       _FBM + "test_precomputed_coloring_matches_per_draw_reference[0.7-4096]"]),
+    # the Davies-Harte coloring against the exact covariance of its paths
+    ("coloring-middle-halved", _PATHS,
+     "middle = math.sqrt(lam[n] / m)", "middle = math.sqrt(lam[n] / (2 * m))",
+     [_EXACT_COV + "[0.05-1-davies-harte]", _EXACT_COV + "[0.95-63-davies-harte]"]),
+    ("coloring-head-halved", _PATHS,
+     "head = math.sqrt(lam[0] / m)", "head = math.sqrt(lam[0] / (2 * m))",
+     [_EXACT_COV + "[0.05-1-davies-harte]", _EXACT_COV + "[0.95-63-davies-harte]"]),
+    ("coloring-slice-shifted-by-one", _PATHS,
+     "coloring = np.sqrt(lam[1:n] / (2.0 * m))", "coloring = np.sqrt(lam[2:n + 1] / (2.0 * m))",
+     [_EXACT_COV + "[0.05-2-davies-harte]", _EXACT_COV + "[0.95-63-davies-harte]"]),
     ("batch-last-block-never-drawn", _PATHS,
      "for start in range(0, n_paths, rows):\n        draw(",
      "for start in range(0, n_paths - rows, rows):\n        draw(",
@@ -161,7 +175,21 @@ MUTANTS = [
     # the paths module's argument checks
     ("hurst-check-dropped", _PATHS,
      "if not 0.0 < hurst < 1.0:", "if False:",
-     [_FBM + "test_domain_errors", "tests/test_paths.py::TestFouParams::test_validation"]),
+     [_FBM + "test_domain_errors", _FOU_PARAMS + "test_validation"]),
+    ("hurst-check-accepts-zero", _PATHS,
+     "if not 0.0 < hurst < 1.0:", "if not 0.0 <= hurst < 1.0:",
+     [_SHARED_CHECKS + "[1.0-0.0]", _FBM + "test_domain_errors"]),
+    ("hurst-check-accepts-one", _PATHS,
+     "if not 0.0 < hurst < 1.0:", "if not 0.0 < hurst <= 1.0:",
+     [_SHARED_CHECKS + "[1.0-1.0]", _FOU_PARAMS + "test_validation"]),
+    ("sigma-check-accepts-zero", _PATHS,
+     "if not 0.0 < sigma < math.inf:", "if not 0.0 <= sigma < math.inf:",
+     [_SHARED_CHECKS + "[0.0-0.5]", _FOU_PARAMS + "test_validation"]),
+    ("sigma-check-accepts-inf", _PATHS,
+     "if not 0.0 < sigma < math.inf:", "if not 0.0 < sigma <= math.inf:",
+     [_FOU_PARAMS + "test_sigma_square_must_be_finite[inf]",
+      "tests/test_impact.py::TestModelValidation::"
+      "test_growth_model_rejects_non_finite_scales[1.0-1.0-inf]"]),
     ("iter-fbm-n-paths-check-dropped", _PATHS,
      '    if n_paths < 1:\n        raise DomainError(f"n_paths must be >= 1, got {n_paths}")\n'
      "    label, rows, draw", "    label, rows, draw",
@@ -196,6 +224,10 @@ MUTANTS = [
     ("leverage-price-level-check-dropped", _IMPACT,
      "if not price_level > 0.0:", "if False:",
      [_IMPACT_DOMAIN + "[leverage-price-level]"]),
+    ("growth-model-khat-accepts-zero", _IMPACT,
+     "if not 0.0 < self.time_per_size_khat < math.inf:",
+     "if not 0.0 <= self.time_per_size_khat < math.inf:",
+     ["tests/test_impact.py::TestModelValidation::test_growth_model_domain"]),
     ("closed-form-w0-check-dropped", _IMPACT,
      'level == 0")\n    if not w0 > 0.0:', 'level == 0")\n    if False:',
      [_IMPACT_DOMAIN + "[closed-form-w0]"]),
@@ -208,11 +240,16 @@ MUTANTS = [
      'single-bond growth."""\n    if not 0.0 <= f < 1.0:',
      'single-bond growth."""\n    if False:',
      ["tests/test_catbond.py::TestSingleBondGrowth::test_domain"]),
-    # the cycle: its config, the stage-2 checks and add, stage 3's formula,
-    # and a removal of zero
+    # the cycle: its config, the stage-2 checks and add, and a removal of zero
     ("cycle-config-reserve-check-dropped", _CYCLE,
      "if not self.x0 > 0.0 or not self.y0 > 0.0:", "if False:",
      [_RUN_CYCLE + "test_config_validation"]),
+    ("cycle-config-accepts-zero-y0", _CYCLE,
+     "if not self.x0 > 0.0 or not self.y0 > 0.0:", "if not self.x0 > 0.0 or not self.y0 >= 0.0:",
+     [_RUN_CYCLE + "test_config_validation"]),
+    ("cycle-config-stage-3-rule-check-dropped", _CYCLE,
+     "if self.stage3_rule not in STAGE3_RULES:", "if False:",
+     ["tests/test_cycle.py::TestStage3::test_unknown_stage_3_formula_rejected"]),
     ("cycle-stage-2-x-check-dropped", _CYCLE,
      '    _check_reserve(x + m, 2, "X", "X + M")\n', "",
      [_RUN_CYCLE + "test_overflowing_x_reserve_in_stage_2"]),
@@ -223,9 +260,6 @@ MUTANTS = [
     ("cycle-stage-2-skips-add-liquidity", _CYCLE,
      "pool=add_liquidity(ledger.pool, m, n)", "pool=PoolState(x + m, y + n)",
      [_RUN_CYCLE + "test_stage_2_off_the_pool_ratio_is_rejected"]),
-    ("cycle-stage-3-formula-check-dropped", _CYCLE,
-     '    else:\n        raise DomainError(f"unknown stage-3 formula {stage3_mode!r}")\n', "",
-     ["tests/test_cycle.py::TestStage3::test_unknown_stage_3_formula_rejected"]),
     ("remove-liquidity-rejects-zero", "src/liqlab/cpmm.py",
      "if not g >= 0.0 or not h >= 0.0:", "if not g > 0.0 or not h > 0.0:",
      ["tests/test_cycle.py::TestStage4AndClosure::test_zero_removal_is_noop",

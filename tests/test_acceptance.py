@@ -17,7 +17,7 @@ from liqlab.catbond import (BondSpec, single_bond_fraction,
                             two_bond_fraction_numeric, two_bond_fraction_series)
 from liqlab.cpmm import (PoolState, exact_relative_impact,
                          linearized_relative_impact)
-from liqlab.cycle import CycleConfig, Stage3Formula, run_cycle
+from liqlab.cycle import CycleConfig, run_cycle
 from liqlab.experiments import run_experiment
 from liqlab.impact import (GrowthModel, impact_exponent,
                            optimal_impact_fou, optimal_impact_leverage_form,
@@ -112,7 +112,7 @@ def test_criterion_06_cpmm_linearization():
 def test_criterion_07_cycle_conservation_and_closure():
     with criterion("7", "cycle conservation and closure"):
         config = CycleConfig(100.0, 100.0, 10.0, 9.0, 1.0)
-        report = run_cycle(config, Stage3Formula.EXACT_INVARIANT)
+        report = run_cycle(config)
         for ex, ey in report.conservation_errors():
             assert abs(ex) <= 1e-12 * 100.0 and abs(ey) <= 1e-12 * 100.0, (ex, ey)
         final = report.snapshots[-1]
@@ -128,7 +128,7 @@ def test_criterion_07_cycle_conservation_and_closure():
         generic = CycleConfig(100.0, 100.0, 10.0, 9.0, 1.0,
                               removal=(0.05 * led3.pool.reserve_x,
                                        0.05 * led3.pool.reserve_y))
-        open_final = run_cycle(generic, Stage3Formula.EXACT_INVARIANT).snapshots[-1]
+        open_final = run_cycle(generic).snapshots[-1]
         assert abs(open_final.outside_x) > 1e-6 or abs(open_final.outside_y) > 1e-6
 
 

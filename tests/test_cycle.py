@@ -1,7 +1,7 @@
 import pytest
 
 from liqlab.cli import main
-from liqlab.cycle import STAGES, CycleConfig, CycleLedger, Stage3Formula, run_cycle
+from liqlab.cycle import STAGE3_RULES, STAGES, CycleConfig, CycleLedger, run_cycle
 from liqlab.errors import DomainError, RatioMismatchError
 
 # worked configuration: start (100, 100), alpha=10, m=9, sigma=1
@@ -12,15 +12,16 @@ DELTA_EXACT = 11.0 / 9.0    # 12100 / 9900
 DELTA_ORIGINAL_X = 1100.0 / 981.0
 
 
-def worked_after(stage: int, mode=Stage3Formula.EXACT_INVARIANT) -> CycleLedger:
-    return run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG), mode).snapshots[stage]
+def worked_after(stage: int, rule="exact") -> CycleLedger:
+    return run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG, stage3_rule=rule)).snapshots[stage]
 
 
 def open_run(alpha=ALPHA, m=M, sigma_amt=SIG, g_amt=0.0, h_amt=0.0,
-             mode=Stage3Formula.EXACT_INVARIANT) -> list[CycleLedger]:
+             rule="exact") -> list[CycleLedger]:
     """Snapshots of a run that removes explicit amounts instead of closing."""
-    config = CycleConfig(X0, Y0, alpha, m, sigma_amt, removal=(g_amt, h_amt))
-    return run_cycle(config, mode).snapshots
+    config = CycleConfig(X0, Y0, alpha, m, sigma_amt, removal=(g_amt, h_amt),
+                         stage3_rule=rule)
+    return run_cycle(config).snapshots
 
 
 class TestStage1:
@@ -81,28 +82,29 @@ class TestStage3:
                                                        rel=1e-15)
 
     def test_original_x_worked_delta(self):
-        led = worked_after(3, Stage3Formula.ORIGINAL_X)
+        led = worked_after(3, "original-x")
         assert led.pool.reserve_y == pytest.approx(1100.0 / 9.0 - DELTA_ORIGINAL_X,
                                                    rel=1e-14)
 
     def test_original_x_formula_breaks_product(self):
-        before = worked_after(2, Stage3Formula.ORIGINAL_X)
-        after = worked_after(3, Stage3Formula.ORIGINAL_X)
+        before = worked_after(2, "original-x")
+        after = worked_after(3, "original-x")
         rel_drift = abs(after.pool.invariant_k / before.pool.invariant_k - 1.0)
         assert rel_drift > 1e-6
 
     def test_modes_differ(self):
         exact = worked_after(3).pool.reserve_y
-        alt = worked_after(3, Stage3Formula.ORIGINAL_X).pool.reserve_y
+        alt = worked_after(3, "original-x").pool.reserve_y
         assert abs(exact - alt) > 0.05
 
     def test_unknown_stage_3_formula_rejected(self):
-        with pytest.raises(DomainError, match="unknown stage-3 formula 'exact'"):
-            run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG), "exact")
+        for rule in ("magic", "EXACT", ""):
+            with pytest.raises(DomainError, match=f"unknown stage-3 rule '{rule}'"):
+                CycleConfig(X0, Y0, ALPHA, M, SIG, stage3_rule=rule)
 
     def test_tiny_sigma_amount(self):
-        for mode in Stage3Formula:
-            _, _, before, after, _ = open_run(sigma_amt=1e-13, mode=mode)
+        for rule in STAGE3_RULES:
+            _, _, before, after, _ = open_run(sigma_amt=1e-13, rule=rule)
             assert after.outside_y == pytest.approx(before.outside_y, abs=1e-10)
 
 
@@ -151,9 +153,9 @@ class TestStage4AndClosure:
 
 
 class TestConservation:
-    @pytest.mark.parametrize("mode", list(Stage3Formula))
-    def test_every_snapshot_conserves_tokens(self, mode):
-        report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG), mode)
+    @pytest.mark.parametrize("rule", STAGE3_RULES)
+    def test_every_snapshot_conserves_tokens(self, rule):
+        report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG, stage3_rule=rule))
         for ex, ey in report.conservation_errors():
             assert abs(ex) <= 1e-12 * X0
             assert abs(ey) <= 1e-12 * Y0
@@ -244,7 +246,7 @@ class TestRunCycle:
         assert "does not match pool ratio" in capsys.readouterr().err
 
     def test_config_validation(self):
-        for x0, y0 in ((0.0, Y0), (X0, -1.0), (X0, float("nan"))):
+        for x0, y0 in ((0.0, Y0), (X0, 0.0), (X0, -1.0), (X0, float("nan"))):
             with pytest.raises(DomainError, match="starting reserves must be positive"):
                 CycleConfig(x0, y0, ALPHA, M, SIG)
         with pytest.raises(DomainError):

@@ -326,8 +326,22 @@ class TestModelValidation:
             GrowthModel(0.0, 1.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             GrowthModel(1.0, -1.0, 1.0, 0.5)
+        with pytest.raises(DomainError, match="time_per_size_khat must be positive"):
+            GrowthModel(1.0, 0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             GrowthModel(1.0, 1.0, 1.0, 1.2)
+
+    @pytest.mark.parametrize("sigma, hurst", [
+        (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (1e200, 0.5),
+        (1.0, 0.0), (1.0, 1.0), (1.0, -0.2), (1.0, 1.2), (1.0, math.nan),
+    ])
+    def test_growth_model_and_fou_params_share_their_checks(self, sigma, hurst):
+        with pytest.raises(DomainError) as fou:
+            FouParams(kappa=1.0, level=0.0, sigma=sigma, hurst=hurst)
+        with pytest.raises(DomainError) as growth:
+            GrowthModel(1.0, 1.0, sigma, hurst)
+        assert str(growth.value) == str(fou.value)
+        assert str(fou.value).startswith("sigma must" if hurst == 0.5 else "hurst must")
 
     @pytest.mark.parametrize("k, khat, sigma", [
         (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),

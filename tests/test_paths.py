@@ -61,10 +61,13 @@ class TestFouParams:
         with pytest.raises(DomainError):
             FouParams(kappa=math.inf, level=0.0, sigma=1.0, hurst=0.5)
 
-    @pytest.mark.parametrize("sigma", [math.inf, 1e160])
-    def test_sigma_square_must_be_finite(self, sigma):
+    @pytest.mark.parametrize("sigma, message", [
+        (math.inf, "sigma must be positive and finite, got inf"),
+        (1e160, "sigma must have a finite square, got 1e[+]160"),
+    ], ids=["inf", "1e+160"])
+    def test_sigma_square_must_be_finite(self, sigma, message):
         # formerly wealth frozen at w0 (inf), or OverflowError in sigma ** 2
-        with pytest.raises(DomainError, match="finite square"):
+        with pytest.raises(DomainError, match=message):
             FouParams(kappa=1.0, level=0.0, sigma=sigma, hurst=0.5)
 
 
@@ -157,6 +160,20 @@ class TestGenerateFbm:
                         + fbm_covariance(i * dt, j * dt, hurst))
                 theo[i, j] = cell
         assert np.max(np.abs(emp - theo)) < 6.0 / math.sqrt(20_000)
+
+    @pytest.mark.parametrize("method", ["davies-harte", "cholesky"])
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.95, 0.99, 0.999])
+    def test_exact_covariance_matches_oracle(self, method, n, hurst):
+        # a generator is linear in its normals, path = cumsum(color(z)), so
+        # the image A of the identity gives A^T A, the exact covariance of
+        # every path it can draw at unit dt, with no sampling
+        label, n_normals, color = paths._resolve_method(n, hurst, method)
+        assert label == method
+        a = np.cumsum(color(np.eye(n_normals)), axis=1)
+        theo = np.array([[fbm_covariance(i, j, hurst) for j in range(1, n + 1)]
+                         for i in range(1, n + 1)])
+        assert np.max(np.abs(a.T @ a - theo)) <= n * 1e-15 * theo.max()
 
     def test_brownian_increment_variance(self):
         path = generate_fbm(20_000, 0.25, 0.5, 7)
