@@ -182,13 +182,17 @@ def optimal_impact_leverage_form(q: float, price_level: float,
     """Impact recovered by optimizing leverage instead of size.
 
     For the leverage growth g(f) = (dp/P) f - sigma^2/(2 P^2) f^2 the
-    optimal f is the root of dg/df, found by
-    :func:`~liqlab.golden.bisect_decreasing`; a second bisection solves for
-    the dp at which this optimum equals the fraction implied by the capital
-    constraint, f = P sqrt(q) / k.  Both solves have the bits of plain
-    halving, which ``bisect_decreasing`` keeps for a decreasing function
-    only: dg/df falls in f, and its float root never falls as dp grows, so
-    the shortfall falls in dp.  The result agrees with
+    optimal f is the root of dg/df; a bisection by
+    :func:`~liqlab.golden.bisect_decreasing` solves for the dp at which
+    this optimum equals the fraction implied by the capital constraint,
+    f = P sqrt(q) / k.  That bisection reads only the sign of the shortfall
+    f - f*(dp).  A nested bisection of dg/df (rel 1e-15) returns f*(dp)
+    within about 1.25e-15 of the quotient (dp/P) / (sigma^2/P^2), so where
+    f and the quotient differ by more than 4e-15 of the larger, the
+    quotient gives the same sign and the nested solve is skipped.  It still
+    runs inside that band, and for a quotient outside (1e-199, 1e199),
+    which holds every root its bracket cannot reach, so each result and
+    error is that of nested plain halving.  The result agrees with
     :func:`optimal_impact_sqrt` and is independent of ``price_level``.
     Subnormal sigma^2/P^2 or dp/P raise :class:`DomainError`; an optimal f
     or dp outside [1e-200, 1e200] raises :class:`BracketError`.
@@ -210,6 +214,9 @@ def optimal_impact_leverage_form(q: float, price_level: float,
 
     def shortfall(dp: float) -> float:
         # f_target minus the root of dg/df; positive while dp is too small
+        root = dp / p / curvature
+        if 1e-199 < root < 1e199 and abs(f_target - root) > 4e-15 * max(f_target, root):
+            return f_target - root
         return f_target - bisect_decreasing(lambda f: dp / p - curvature * f, 1e-15)
 
     return bisect_decreasing(shortfall, 1e-14)

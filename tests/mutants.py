@@ -10,17 +10,35 @@ on the unchanged tree, and stops with exit 1 if one fails there: a mutant
 "killed" by a test that already fails shows nothing.  It then copies the
 repository to a temporary directory once per mutant, makes the replacement
 there, runs the named tests with ``-x -q`` and lists the mutants that
-survive.  It exits 1 when a mutant survives or its run cannot start.  pytest does not collect this file; ``tests/test_mutants.py``
-checks that every row still applies to the tree.
+survive.  A mutant's run that outlasts ten times the unchanged run plus a
+minute is stopped and counts as a kill.  It exits 1 when a mutant survives
+or its run cannot start.
+
+``python tests/mutants.py --sweep src/liqlab/MODULE.py`` generates the
+mutants instead: every comparison of the module flipped, one at a time
+(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), except those in
+``EQUIVALENT``.  Each runs the test files that import the module, with
+the acceptance and pin tests, less those that fail on the unchanged tree.  It prints the
+score and the survivors, and exits 1 when one is left.
+
+pytest does not collect this file; ``tests/test_mutants.py`` checks that
+every row still applies to the tree and every ``EQUIVALENT`` entry still
+names a comparison.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
+import itertools
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +64,9 @@ _EXACT_COV = _FBM + "test_exact_covariance_matches_oracle"
 _SHARED_CHECKS = ("tests/test_impact.py::TestModelValidation::"
                   "test_growth_model_and_fou_params_share_their_checks")
 _FOU_PARAMS = "tests/test_paths.py::TestFouParams::"
+_LEVERAGE = "tests/test_golden.py::test_leverage_form_matches_nested_plain_halving"
+_GOLDEN = "src/liqlab/golden.py"
+_GOLDEN_TESTS = "tests/test_golden.py::"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -264,6 +285,47 @@ MUTANTS = [
      "if not g >= 0.0 or not h >= 0.0:", "if not g > 0.0 or not h > 0.0:",
      ["tests/test_cycle.py::TestStage4AndClosure::test_zero_removal_is_noop",
       "tests/test_cpmm.py::TestLiquidity::test_zero_amounts_leave_the_pool[0.0]"]),
+    # the leverage form's quotient shortcut: its band and the reachable range
+    ("leverage-band-zero", _IMPACT,
+     "4e-15 * max(f_target, root)", "0.0 * max(f_target, root)", [_LEVERAGE]),
+    ("leverage-root-range-dropped", _IMPACT,
+     "if 1e-199 < root < 1e199 and abs(", "if abs(", [_LEVERAGE]),
+    # golden's edges: exact stops, and a derivative of exactly 0 at a probe
+    ("golden-section-stop-test-strict", _GOLDEN,
+     "if b - a <= tol:", "if b - a < tol:", [_GOLDEN_TESTS + "test_quadratic_argmax"]),
+    ("golden-section-final-check-at-tol", _GOLDEN,
+     "if b - a > tol:", "if b - a >= tol:", [_GOLDEN_TESTS + "test_quadratic_argmax"]),
+    ("bracket-first-probe-zero-goes-up", _GOLDEN,
+     "if _probe(deriv, 1.0) > 0.0:", "if _probe(deriv, 1.0) >= 0.0:",
+     [_GOLDEN_TESTS + "test_bracket_decreasing_expands_down"]),
+    ("bracket-doubling-passes-a-zero", _GOLDEN,
+     "while _probe(deriv, hi) > 0.0:", "while _probe(deriv, hi) >= 0.0:",
+     [_GOLDEN_TESTS + "test_bracket_decreasing_expands_up"]),
+    ("bracket-halving-stops-at-a-zero", _GOLDEN,
+     "while _probe(deriv, lo) <= 0.0:", "while _probe(deriv, lo) < 0.0:",
+     [_GOLDEN_TESTS + "test_bracket_decreasing_expands_down"]),
+    ("bisect-stop-test-strict", _GOLDEN,
+     "if hi - lo <= rel_tol * hi:", "if hi - lo < rel_tol * hi:",
+     [_GOLDEN_TESTS + "test_bisect_matches_plain_halving[0.00048828125-linear]"]),
+]
+
+# Comparison flips that change no result, by module and id (see
+# ``comparison_flips``), each with the reason.
+EQUIVALENT = [
+    (_GOLDEN, "bracket_decreasing: hi > 1e200 -> hi >= 1e200",
+     "hi is a power of two, and none equals 1e200"),
+    (_GOLDEN, "bracket_decreasing: lo < 1e-200 -> lo <= 1e-200",
+     "lo is a power of two, and none equals 1e-200"),
+    (_IMPACT, "optimal_impact_leverage_form.shortfall: 1e-199 < root < 1e199 -> "
+     "1e-199 <= root < 1e199",
+     "the inner bracket reaches a root of 1e-199, so both paths give the same sign"),
+    (_IMPACT, "optimal_impact_leverage_form.shortfall: 1e-199 < root < 1e199 -> "
+     "1e-199 < root <= 1e199",
+     "the inner bracket reaches a root of 1e199, so both paths give the same sign"),
+    (_IMPACT, "optimal_impact_leverage_form.shortfall: abs(f_target - root) > "
+     "4e-15 * max(f_target, root) -> abs(f_target - root) >= 4e-15 * max(f_target, root)",
+     "the inner root is within about 1.25e-15 of the quotient, so a gap of exactly "
+     "4e-15 gives both paths the same sign"),
 ]
 
 
@@ -281,35 +343,144 @@ def _copy_with(mutant_id: str, file: str, old: str, new: str, into: Path) -> Pat
     return copy
 
 
-def _pytest(tests: list[str], cwd: Path, *options: str) -> subprocess.CompletedProcess:
+def _pytest(tests: list[str], cwd: Path, *options: str,
+            timeout: float | None = None) -> subprocess.CompletedProcess | None:
+    """pytest's run of ``tests`` in ``cwd``; ``None`` once it outlasts ``timeout``."""
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options, *tests],
-        cwd=cwd, env=env, capture_output=True, text=True)
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options, *tests]
+    with subprocess.Popen(args, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return None
+    return subprocess.CompletedProcess(args, proc.returncode, out, err)
 
 
-def run(mutant_id: str, file: str, old: str, new: str, tests: list[str]) -> str:
-    """``killed``, ``survived`` or ``error`` for one mutant."""
+def run(mutant_id: str, file: str, old: str, new: str, tests: list[str],
+        *options: str, timeout: float | None = None) -> str:
+    """``killed``, ``timed out``, ``survived`` or ``error`` for one mutant."""
     with tempfile.TemporaryDirectory() as tmp:
-        done = _pytest(tests, _copy_with(mutant_id, file, old, new, Path(tmp)), "-x")
+        done = _pytest(tests, _copy_with(mutant_id, file, old, new, Path(tmp)), "-x",
+                       *options, timeout=timeout)
+    if done is None:
+        return "timed out"
     if done.returncode not in (0, 1):
         print(done.stdout[-2000:], done.stderr[-2000:], sep="\n")
     return {0: "survived", 1: "killed"}.get(done.returncode, "error")
 
 
+def _report(outcomes: dict[str, str]) -> list[str]:
+    """Print each outcome; return the ids of the mutants not killed."""
+    for mutant_id, outcome in outcomes.items():
+        print(f"{outcome:9}  {mutant_id}")
+    return [mutant_id for mutant_id, outcome in outcomes.items()
+            if outcome not in ("killed", "timed out")]
+
+
+def _time_limit(started: float) -> float:
+    """A mutant's time limit: ten times the unchanged run since ``started``, plus a minute."""
+    return 60.0 + 10.0 * (time.monotonic() - started)
+
+
 def main() -> int:
+    started = time.monotonic()
     baseline = _pytest(sorted({test for row in MUTANTS for test in row[4]}), ROOT)
+    timeout = _time_limit(started)
     if baseline.returncode != 0:
         print(baseline.stdout[-2000:], baseline.stderr[-2000:], sep="\n")
         print("the named tests do not all pass on the unchanged tree")
         return 1
-    outcomes = {row[0]: run(*row) for row in MUTANTS}
-    for mutant_id, outcome in outcomes.items():
-        print(f"{outcome:8}  {mutant_id}")
-    left = [mutant_id for mutant_id, outcome in outcomes.items() if outcome != "killed"]
+    left = _report({row[0]: run(*row, timeout=timeout) for row in MUTANTS})
     print(f"{len(MUTANTS) - len(left)} of {len(MUTANTS)} killed; not killed: {left or 'none'}")
     return 1 if left else 0
 
 
+_FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
+          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+
+
+def comparison_flips(file: str) -> dict[str, str]:
+    """Each comparison of ``file`` with one operator flipped: id to file text.
+
+    An id reads ``scope: comparison -> flipped comparison``, where the scope
+    is the dotted path of the enclosing functions and classes, or
+    ``<module>``; a repeat of an id in one scope gets `` #2``, `` #3``, ...
+    """
+    text = (ROOT / file).read_text()
+    lines = text.splitlines(keepends=True)
+    starts = list(itertools.accumulate(map(len, lines), initial=0))
+
+    def offset(lineno: int, col: int) -> int:
+        # ast columns count UTF-8 bytes
+        return starts[lineno - 1] + len(lines[lineno - 1].encode()[:col].decode())
+
+    flips: dict[str, str] = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Compare):
+                first = offset(child.lineno, child.col_offset)
+                last = offset(child.end_lineno, child.end_col_offset)
+                operands = [child.left, *child.comparators]
+                for op, left, right in zip(child.ops, operands, operands[1:]):
+                    if type(op) not in _FLIPS:
+                        continue
+                    old, new = _FLIPS[type(op)]
+                    gap = offset(left.end_lineno, left.end_col_offset)
+                    at = text.index(old, gap, offset(right.lineno, right.col_offset))
+                    mutated = text[:at] + new + text[at + len(old):]
+                    mutant_id = (f"{scope}: {' '.join(text[first:last].split())} -> "
+                                 f"{' '.join(mutated[first:last + len(new) - len(old)].split())}")
+                    unique, repeat = mutant_id, 1
+                    while unique in flips:
+                        repeat += 1
+                        unique = f"{mutant_id} #{repeat}"
+                    flips[unique] = mutated
+            visit(child, scope)
+
+    visit(ast.parse(text), "<module>")
+    return flips
+
+
+def sweep(file: str) -> int:
+    """Run every comparison flip of ``file`` outside ``EQUIVALENT``; 1 if one survives."""
+    stem = Path(file).stem
+    imports = re.compile(rf"\bliqlab\.{stem}\b|^from liqlab import .*\b{stem}\b", re.MULTILINE)
+    tests = sorted({"tests/test_acceptance.py", "tests/test_pins.py",
+                    *(f"tests/{test.name}" for test in (ROOT / "tests").glob("test_*.py")
+                      if imports.search(test.read_text()))})
+    started = time.monotonic()
+    baseline = _pytest(tests, ROOT, "-rfE")
+    timeout = _time_limit(started)
+    if baseline.returncode not in (0, 1):
+        print(baseline.stdout[-2000:], baseline.stderr[-2000:], sep="\n")
+        return 1
+    # a test that fails on the unchanged tree cannot show a kill
+    failing = re.findall(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[.*?\])?)(?: - |$)",
+                         baseline.stdout, re.MULTILINE)
+    for test in failing:
+        print(f"deselected, fails on the unchanged tree: {test}")
+    flips = comparison_flips(file)
+    equivalent = {mutant_id for module, mutant_id, _ in EQUIVALENT if module == file}
+    text = (ROOT / file).read_text()
+    deselect = [f"--deselect={test}" for test in failing]
+    left = _report({mutant_id: run(mutant_id, file, text, mutated, tests, *deselect,
+                                   timeout=timeout)
+                    for mutant_id, mutated in flips.items() if mutant_id not in equivalent})
+    print(f"{file}: {len(flips) - len(equivalent) - len(left)} killed, "
+          f"{len(equivalent)} equivalent, of {len(flips)}; survivors: {left or 'none'}")
+    return 1 if left else 0
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--sweep", metavar="MODULE",
+                        help="flip each comparison of this source file instead")
+    options = parser.parse_args()
+    sys.exit(sweep(options.sweep) if options.sweep else main())

@@ -1,8 +1,10 @@
 """Every row of ``tests/mutants.py`` still applies to the tree: its text to
 replace occurs exactly once in its file, and every test it names is
-collected.  A refactor that strands a mutant fails here and must update the
-row."""
+collected.  Every ``EQUIVALENT`` entry still names a comparison flip of its
+module.  A refactor that strands a mutant fails here and must update the
+row or the entry."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -29,3 +31,19 @@ def test_each_named_test_is_collected():
          *sorted(named)], cwd=mutants.ROOT, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     assert {line for line in done.stdout.splitlines() if "::" in line} == named
+
+
+def test_each_equivalent_mutant_is_a_comparison_flip():
+    for file, mutant_id, reason in mutants.EQUIVALENT:
+        assert reason and mutant_id in mutants.comparison_flips(file), mutant_id
+
+
+def test_comparison_flips_change_one_operator():
+    text = (mutants.ROOT / "src/liqlab/golden.py").read_text()
+    flips = mutants.comparison_flips("src/liqlab/golden.py")
+    flippable = [op for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Compare)
+                 for op in node.ops if type(op) in mutants._FLIPS]
+    assert len(flips) == len(flippable) > 0
+    for mutant_id, mutated in flips.items():
+        assert abs(len(mutated) - len(text)) == 1, mutant_id
+        assert ast.dump(ast.parse(mutated)) != ast.dump(ast.parse(text)), mutant_id
