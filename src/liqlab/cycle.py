@@ -1,27 +1,24 @@
 """Four-stage pool trading cycle as a double-entry token ledger.
 
 The investor alternates between taking liquidity (stages 1 and 3) and
-changing the pool size (stages 2 and 4); :func:`run_cycle` computes the
-four stages in turn and keeps the ledger at the start and after each, one
-snapshot per label of :data:`STAGES`.  Every stage moves tokens between the
-pool and the investor's outside wallet, so
+changing the pool size (stages 2 and 4); :func:`run_cycle` keeps the
+ledger at the start and after each stage, one snapshot per label of
+:data:`STAGES`.  Each stage pays an amount of each token from the
+investor's outside wallet into the pool: a taker phase moves the wallet,
+and a provider phase moves the wallet and the in-pool position alike.  So
 
     pool + outside == starting pool reserves        (componentwise)
 
 holds at every snapshot (:meth:`CycleReport.conservation_errors` gives the
-residuals); the in-pool position tracks the amounts the
-investor contributed in stage 2 minus what stage 4 removed, and is allowed
-to go negative, as are the outside balances (temporary shorts).
-
-Stage 3 ships with two price rules (``CycleConfig.stage3_rule``), one that
-keeps the constant-product invariant and one that does not, so the
-difference can be inspected side by side.
+residuals), and the position is what stage 2 added less what stage 4
+removed.  The position and the outside balances may go negative
+(temporary shorts).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cpmm import PoolState, add_liquidity, remove_liquidity
 from .errors import DomainError
@@ -104,10 +101,20 @@ def _check_reserve(value: float, stage: int, name: str, formula: str) -> None:
             f"stage {stage} overflows the {name} reserve: {formula} = {value}")
 
 
+def _book(ledger: CycleLedger, pool: PoolState, dx: float, dy: float,
+          provider: bool = False) -> CycleLedger:
+    """Pay ``(dx, dy)`` from the outside wallet into the pool, which becomes
+    ``pool``; a provider phase books them to the in-pool position too."""
+    inside = ((ledger.inside_x + dx, ledger.inside_y + dy) if provider
+              else (ledger.inside_x, ledger.inside_y))
+    return CycleLedger(pool, *inside, ledger.outside_x - dx, ledger.outside_y - dy)
+
+
 def run_cycle(config: CycleConfig) -> CycleReport:
     """Run stages 1 through 4 and summarize the investor's outcome.
 
-    ``snapshots[i]`` is the ledger after stage i, 0 being the start.
+    Stages 1 to 4 pay (-alpha, beta), (M, n), (sigma, -delta) and (-G, -H)
+    into the pool, each booked as the module docstring says.
     :class:`CycleConfig` has already checked its inputs, so only the checks
     that depend on the pool state are made here.
 
@@ -115,7 +122,8 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     delta = Y * sigma / (X + sigma), the unique amount preserving the
     reserve product.  ``"original-x"`` sets delta = sigma * Y / (X0 + M),
     keying the payout off the pre-cycle X reserve (reconstructed as the
-    current X reserve plus alpha); it does not preserve the product.
+    current X reserve plus alpha); it does not preserve the product, so the
+    two rules can be compared side by side.
 
     A closure run removes the stage-4 amounts (G, H) that restore the
     starting pool reserves: G = M - alpha + sigma balances the X side; H is
@@ -136,10 +144,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
     new_y = x * y / (x - alpha)
     _check_reserve(new_y, 1, "Y", "X*Y/(X - alpha)")
-    beta = new_y - y
-    ledger = replace(ledger, pool=PoolState(x - alpha, new_y),
-                     outside_x=ledger.outside_x + alpha,
-                     outside_y=ledger.outside_y - beta)
+    ledger = _book(ledger, PoolState(x - alpha, new_y), -alpha, new_y - y)
     snapshots.append(ledger)
 
     # Stage 2: contribute M of X plus the ratio-matching n of Y to the pool.
@@ -147,10 +152,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     n = m * y / x
     _check_reserve(x + m, 2, "X", "X + M")
     _check_reserve(y + n, 2, "Y", "Y + M*Y/X")
-    ledger = replace(ledger, pool=add_liquidity(ledger.pool, m, n),
-                     inside_x=ledger.inside_x + m, inside_y=ledger.inside_y + n,
-                     outside_x=ledger.outside_x - m,
-                     outside_y=ledger.outside_y - n)
+    ledger = _book(ledger, add_liquidity(ledger.pool, m, n), m, n, provider=True)
     snapshots.append(ledger)
 
     # Stage 3: give sigma of X back to the pool against delta of Y.
@@ -162,9 +164,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
         delta = sigma_amt * y / (x + alpha)
     if delta >= y:
         raise DomainError(f"stage-3 payout {delta} would drain the Y reserve {y}")
-    ledger = replace(ledger, pool=PoolState(x + sigma_amt, y - delta),
-                     outside_x=ledger.outside_x - sigma_amt,
-                     outside_y=ledger.outside_y + delta)
+    ledger = _book(ledger, PoolState(x + sigma_amt, y - delta), sigma_amt, -delta)
     snapshots.append(ledger)
 
     # Stage 4: withdraw G of X and H of Y; a closure is off the pool ratio.
@@ -181,11 +181,7 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     else:
         g_amt, h_amt = config.removal
         pool = remove_liquidity(ledger.pool, g_amt, h_amt)
-    ledger = replace(ledger, pool=pool,
-                     inside_x=ledger.inside_x - g_amt,
-                     inside_y=ledger.inside_y - h_amt,
-                     outside_x=ledger.outside_x + g_amt,
-                     outside_y=ledger.outside_y + h_amt)
+    ledger = _book(ledger, pool, -g_amt, -h_amt, provider=True)
     snapshots.append(ledger)
 
     p0 = config.y0 / config.x0

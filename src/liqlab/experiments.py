@@ -3,7 +3,8 @@
 Every float is serialized as ``%.17g`` (17 significant digits) with LF
 line endings, so reruns with the same configuration and seed are
 byte-identical.  Float tables are formatted in numpy, in blocks of about
-2**14 cells: a cell that ``%.17g`` writes in fixed notation (0, and
+2**14 cells, except the first column, whose text is kept whole until the
+run ends: a cell that ``%.17g`` writes in fixed notation (0, and
 1e-4 <= |x| < 1e16) gets its digits from an exact decimal scaling, and
 every other cell gets its text from :func:`fmt`.  The manifest lists every
 output file with its SHA-256 checksum; facts that change from run to run
@@ -40,7 +41,7 @@ def fmt(value: Any) -> str:
 
 
 # A float table is formatted this many cells at a time, so write_csv's
-# scratch memory does not grow with the table.
+# scratch memory grows with the table only by its first column's records.
 _BLOCK_CELLS = 2 ** 14
 
 # A cell's text is first laid out in a record of five uint64 words, padded
@@ -163,8 +164,9 @@ def _records(x: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _column_records(column: bytes) -> np.ndarray:
-    """Records of a float64 column; the last column is kept, so files that
-    share a first column (``fbm-gen``'s time column) format it once."""
+    """Records of a float64 column, 40 bytes a row; the last column is kept
+    until :func:`run_experiment` ends, so files that share a first column
+    (``fbm-gen``'s time column) format it once."""
     x = np.frombuffer(column)
     records = np.empty((len(x), 5), np.uint64)
     for start in range(0, len(x), _BLOCK_CELLS):
@@ -181,9 +183,10 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray)
     cells that go to the file one by one.  Cells in the fast domain, 0 and
     1e-4 <= |x| < 1e16, which ``%.17g`` writes in fixed notation, get their
     digits from an exact decimal scaling of the whole block; every other
-    cell goes through :func:`fmt`.  The last first column's text is kept, so
-    files that share it format it only once.  A list of rows is for tables
-    with text cells; it is formatted cell by cell.
+    cell goes through :func:`fmt`.  The first column's records, 40 bytes a
+    row, are kept whole until :func:`run_experiment` ends, so files that
+    share it format it only once.  A list of rows is for tables with text
+    cells; it is formatted cell by cell.
     """
     if not isinstance(rows, np.ndarray):
         body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
@@ -548,7 +551,10 @@ def run_experiment(name: str, config: Mapping[str, Value],
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    files, fbm_method = runner(cfg, out)
+    try:
+        files, fbm_method = runner(cfg, out)
+    finally:
+        _column_records.cache_clear()  # the shared first column is one run's
     duration = time.perf_counter() - start
     outputs = []
     for path in files:

@@ -67,6 +67,14 @@ _FOU_PARAMS = "tests/test_paths.py::TestFouParams::"
 _LEVERAGE = "tests/test_golden.py::test_leverage_form_matches_nested_plain_halving"
 _GOLDEN = "src/liqlab/golden.py"
 _GOLDEN_TESTS = "tests/test_golden.py::"
+_POSITION = ("tests/test_cycle.py::TestConservation::"
+             "test_position_is_stage_2_add_less_stage_4_removal")
+_DRAINED = _RUN_CYCLE + "test_overflowing_reserve_names_the_stage"
+_CPMM = "src/liqlab/cpmm.py"
+_SWAPS = "tests/test_cpmm.py::TestSwaps::"
+_CATBOND = "src/liqlab/catbond.py"
+_EXPONENT = "tests/test_impact.py::TestImpactExponent::test_rejects_samples_it_cannot_fit"
+_RUN = "tests/test_experiments.py::TestRunExperiment::"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -279,8 +287,33 @@ MUTANTS = [
      [_RUN_CYCLE + "test_overflowing_reserve_names_the_stage"
       "[overrides1-stage 2 overflows the Y reserve: Y + M*Y/X = inf]"]),
     ("cycle-stage-2-skips-add-liquidity", _CYCLE,
-     "pool=add_liquidity(ledger.pool, m, n)", "pool=PoolState(x + m, y + n)",
+     "add_liquidity(ledger.pool, m, n)", "PoolState(x + m, y + n)",
      [_RUN_CYCLE + "test_stage_2_off_the_pool_ratio_is_rejected"]),
+    # the cycle's one booking step: providers move the position, and the
+    # wallet pays into the pool
+    ("cycle-stage-4-books-as-a-taker", _CYCLE,
+     "-g_amt, -h_amt, provider=True)", "-g_amt, -h_amt)",
+     [_POSITION + "[True]", _POSITION + "[False]"]),
+    ("cycle-wallet-sign-flipped", _CYCLE,
+     "ledger.outside_x - dx, ledger.outside_y - dy",
+     "ledger.outside_x + dx, ledger.outside_y + dy",
+     ["tests/test_cycle.py::TestConservation::test_every_snapshot_conserves_tokens[exact]",
+      "tests/test_cycle.py::TestStage1::test_worked_numbers"]),
+    # the cycle's drain checks at equality: a reserve taken whole
+    ("cycle-stage-3-payout-may-equal-y", _CYCLE,
+     "if delta >= y:", "if delta > y:",
+     [_DRAINED + "[overrides3-stage-3 payout 2.0 would drain the Y reserve 2.0]"]),
+    ("cycle-closure-drain-check-dropped", _CYCLE,
+     "if g_amt >= x or h_amt >= y:", "if False:",
+     [_DRAINED + "[overrides4-removal (1e+17, 4e+19) would drain reserves (1e+17, 4e+19)]"]),
+    ("cycle-closure-may-take-all-of-x", _CYCLE,
+     "if g_amt >= x or", "if g_amt > x or",
+     [_DRAINED + "[overrides5-removal (1.000000000000001e+18, 1048575.0) would drain "
+      "reserves (1.000000000000001e+18, 1048576.0)]"]),
+    ("cycle-closure-may-take-all-of-y", _CYCLE,
+     "or h_amt >= y:", "or h_amt > y:",
+     [_DRAINED + "[overrides6-removal (999999.000001, 9.999999999434886e+17) would drain "
+      "reserves (1000000.000001, 9.999999999434886e+17)]"]),
     ("remove-liquidity-rejects-zero", "src/liqlab/cpmm.py",
      "if not g >= 0.0 or not h >= 0.0:", "if not g > 0.0 or not h > 0.0:",
      ["tests/test_cycle.py::TestStage4AndClosure::test_zero_removal_is_noop",
@@ -307,6 +340,65 @@ MUTANTS = [
     ("bisect-stop-test-strict", _GOLDEN,
      "if hi - lo <= rel_tol * hi:", "if hi - lo < rel_tol * hi:",
      [_GOLDEN_TESTS + "test_bisect_matches_plain_halving[0.00048828125-linear]"]),
+    # cpmm's edges: each range check at its bound
+    ("pool-accepts-zero-y", _CPMM,
+     "0.0 < self.reserve_y < math.inf", "0.0 <= self.reserve_y < math.inf",
+     ["tests/test_cpmm.py::TestPoolState::test_requires_positive_reserves"]),
+    ("spot-price-rejects-the-smallest-normal", _CPMM,
+     "if not sys.float_info.min <= price < math.inf:",
+     "if not sys.float_info.min < price < math.inf:",
+     ["tests/test_cpmm.py::TestSpotPrice::test_ratio"]),
+    ("spot-price-accepts-inf", _CPMM,
+     "if not sys.float_info.min <= price < math.inf:",
+     "if not sys.float_info.min <= price <= math.inf:",
+     ["tests/test_cpmm.py::TestSpotPrice::test_infinite_price_is_named"]),
+    ("swap-invariant-rejects-the-smallest-normal", _CPMM,
+     "if not sys.float_info.min <= k < math.inf:", "if not sys.float_info.min < k < math.inf:",
+     [_SWAPS + "test_smallest_normal_invariant_is_accepted[swap_x_for_y]",
+      _SWAPS + "test_smallest_normal_invariant_is_accepted[swap_y_for_x]"]),
+    ("swap-may-match-the-x-reserve", _CPMM,
+     "if dx >= pool.reserve_x:", "if dx > pool.reserve_x:",
+     [_SWAPS + "test_deposit_cannot_reach_reserve"]),
+    ("swap-accepts-zero-dy", _CPMM,
+     "if not dy > 0.0:", "if not dy >= 0.0:", [_SWAPS + "test_non_positive_amounts"]),
+    ("removal-may-take-all-of-x", _CPMM,
+     "if g >= pool.reserve_x or", "if g > pool.reserve_x or",
+     ["tests/test_cpmm.py::TestLiquidity::test_remove_underflow"]),
+    ("removal-may-take-all-of-y", _CPMM,
+     "or h >= pool.reserve_y:", "or h > pool.reserve_y:",
+     ["tests/test_cpmm.py::TestLiquidity::test_remove_underflow"]),
+    # catbond's growth at q = 0: the default terms are left out, not added as +0.0
+    ("single-bond-growth-adds-a-riskless-default-term", _CATBOND,
+     "out = p * math.log1p(f * bond.return_r)\n    if q > 0.0:",
+     "out = p * math.log1p(f * bond.return_r)\n    if q >= 0.0:",
+     ["tests/test_catbond.py::TestSingleBondGrowth::test_zero_bet"]),
+    ("two-bond-growth-adds-riskless-default-terms", _CATBOND,
+     "out = p * p * math.log1p(2.0 * f * r)\n    if q > 0.0:",
+     "out = p * p * math.log1p(2.0 * f * r)\n    if q >= 0.0:",
+     ["tests/test_catbond.py::TestTwoBondGrowth::test_zero_bet"]),
+    # impact's argument checks at their edges
+    ("growth-per-time-accepts-zero-q", _IMPACT,
+     'underflows to 0."""\n    if not q > 0.0:', 'underflows to 0."""\n    if not q >= 0.0:',
+     [_IMPACT_DOMAIN + "[growth-per-time-zero-q]"]),
+    ("impact-exponent-accepts-inf-q", _IMPACT,
+     "(qs < np.inf)", "(qs <= np.inf)", [_EXPONENT + "[inf-q]"]),
+    ("impact-exponent-accepts-zero-delta", _IMPACT,
+     "(dps > 0.0)", "(dps >= 0.0)", [_EXPONENT + "[zero-delta]"]),
+    ("self-financing-accepts-zero-w0", _IMPACT,
+     '``"self-financing;"``.\n    """\n    if not w0 > 0.0:',
+     '``"self-financing;"``.\n    """\n    if not w0 >= 0.0:',
+     [_IMPACT_DOMAIN + "[self-financing-zero-w0]"]),
+    ("self-financing-accepts-a-zero-price", _IMPACT,
+     "np.nonzero(path.values <= 0.0)", "np.nonzero(path.values < 0.0)",
+     [_IMPACT_DOMAIN + "[self-financing-zero-price]"]),
+    # the first-column memo: one time column per run, released when the run ends
+    ("run-keeps-the-first-column-memo", _WRITER,
+     "_column_records.cache_clear()  # the shared first column is one run's", "pass",
+     [_RUN + "test_time_column_is_formatted_once_per_run",
+      _RUN + "test_first_column_is_released_when_a_run_raises"]),
+    ("first-column-memo-off", _WRITER,
+     "@functools.lru_cache(maxsize=1)", "@functools.lru_cache(maxsize=0)",
+     [_RUN + "test_time_column_is_formatted_once_per_run"]),
 ]
 
 # Comparison flips that change no result, by module and id (see

@@ -17,6 +17,8 @@ returns = st.floats(min_value=0.01, max_value=10.0)
 class TestSingleBondGrowth:
     def test_zero_bet(self):
         assert single_bond_growth(0.0, BondSpec(0.3, 2.0)) == 0.0
+        # with q = 0 the default term is left out, so a bet of -0.0 keeps its sign
+        assert math.copysign(1.0, single_bond_growth(-0.0, BondSpec(0.0, 2.0))) == -1.0
 
     def test_fair_coin_peaks_at_zero(self):
         bond = BondSpec(0.5, 1.0)
@@ -118,6 +120,8 @@ class TestIsoFractionShift:
 class TestTwoBondGrowth:
     def test_zero_bet(self):
         assert two_bond_growth(0.0, BondSpec(0.2, 1.0)) == 0.0
+        # with q = 0 the default terms are left out, so a bet of -0.0 keeps its sign
+        assert math.copysign(1.0, two_bond_growth(-0.0, BondSpec(0.0, 2.0))) == -1.0
 
     def test_no_default_risk_rises_to_boundary(self):
         bond = BondSpec(0.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,11 +21,16 @@ class TestSpotPrice:
 
     def test_ratio(self):
         assert spot_price(PoolState(50.0, 100.0)) == 2.0
+        assert spot_price(PoolState(1.0, sys.float_info.min)) == sys.float_info.min
 
     def test_unchanged_by_ratio_add(self):
         pool = PoolState(90.0, 111.0)
         grown = add_liquidity(pool, 9.0, 11.1)
         assert spot_price(grown) == pytest.approx(spot_price(pool), rel=1e-12)
+
+    def test_infinite_price_is_named(self):
+        with pytest.raises(OverflowError, match="spot price reserve_y / reserve_x is inf "):
+            spot_price(PoolState(1e-300, 1e300))
 
 
 class TestSwaps:
@@ -56,12 +62,22 @@ class TestSwaps:
             swap_y_for_x(PoolState(100.0, 100.0), 100.0)
         with pytest.raises(DomainError):
             swap_x_for_y(PoolState(100.0, 100.0), 150.0)
+        with pytest.raises(DomainError, match="would exceed the X reserve 100.0"):
+            swap_x_for_y(PoolState(100.0, 100.0), 100.0)
 
     def test_non_positive_amounts(self):
         with pytest.raises(DomainError):
             swap_x_for_y(PoolState(1.0, 1.0), 0.0)
         with pytest.raises(DomainError):
             swap_y_for_x(PoolState(1.0, 1.0), -1.0)
+        with pytest.raises(DomainError, match="dy must be positive, got 0.0"):
+            swap_y_for_x(PoolState(1.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize("swap", [swap_x_for_y, swap_y_for_x])
+    def test_smallest_normal_invariant_is_accepted(self, swap):
+        pool = PoolState(1.0, sys.float_info.min)
+        new_pool, _ = swap(pool, 0.5 * pool.reserve_y)
+        assert new_pool.invariant_k > 0.0
 
     @pytest.mark.parametrize("swap", [swap_x_for_y, swap_y_for_x])
     @pytest.mark.parametrize("x, y, k", [(1e-300, 1e-30, "0.0"), (1e300, 1e10, "inf"),
@@ -122,6 +138,10 @@ class TestLiquidity:
     def test_remove_underflow(self):
         with pytest.raises(DomainError):
             remove_liquidity(PoolState(10.0, 10.0), 10.0, 10.0)
+        # one reserve taken whole, the other short of it within the ratio tolerance
+        for g, h in ((10.0, 10.0 - 1e-11), (10.0 - 1e-11, 10.0)):
+            with pytest.raises(DomainError, match="would drain reserves"):
+                remove_liquidity(PoolState(10.0, 10.0), g, h)
 
     def test_remove_ratio_mismatch(self):
         with pytest.raises(RatioMismatchError):
@@ -193,6 +213,8 @@ class TestPoolState:
             PoolState(0.0, 1.0)
         with pytest.raises(DomainError):
             PoolState(1.0, -2.0)
+        with pytest.raises(DomainError):
+            PoolState(1.0, 0.0)
 
     @pytest.mark.parametrize("x, y", [(math.inf, 1.0), (1.0, math.inf),
                                       (math.nan, 1.0), (1.0, math.nan)])

@@ -166,6 +166,19 @@ class TestConservation:
             assert abs(ex) <= 1e-12 * 37.0
             assert abs(ey) <= 1e-12 * 410.0
 
+    @pytest.mark.parametrize("closure", [True, False])
+    def test_position_is_stage_2_add_less_stage_4_removal(self, closure):
+        # takers move only the wallet; providers move the wallet and the position
+        pool = worked_after(3).pool
+        removal = None if closure else (0.05 * pool.reserve_x, 0.05 * pool.reserve_y)
+        report = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG, removal=removal))
+        _, after1, after2, after3, final = report.snapshots
+        assert (after1.inside_x, after1.inside_y) == (0.0, 0.0)
+        assert (after3.inside_x, after3.inside_y) == (after2.inside_x, after2.inside_y)
+        assert final.inside_x == after2.inside_x - report.g_amt
+        assert final.inside_y == after2.inside_y - report.h_amt
+        assert report.h_amt > 0.0
+
 
 class TestRunCycle:
     def test_closure_run_summary(self):
@@ -222,6 +235,22 @@ class TestRunCycle:
         (["x0=1e308", "y0=1", "alpha=1", "m=0", "sigma_amt=1e308",
           "closure=false", "g_amt=0", "h_amt=0"],
          "stage 3 overflows the X reserve: X + sigma = inf"),
+        # X is lost against sigma, so the exact payout is the whole Y reserve
+        (["x0=1", "y0=1", "alpha=0.5", "m=0", "sigma_amt=1e17"],
+         "stage-3 payout 2.0 would drain the Y reserve 2.0"),
+        # the closure takes both reserves whole: x0 is lost against M, and
+        # y0 against the Y reserve; without the drain check, "reserves must
+        # be positive and finite, got (0.0, 0.0)"
+        (["x0=1", "y0=100", "alpha=0.5", "m=1e17", "sigma_amt=0"],
+         "removal (1e+17, 4e+19) would drain reserves (1e+17, 4e+19)"),
+        # only the X reserve taken whole: x0 is lost against sigma
+        (["x0=1", "y0=1", "alpha=0.999999999", "m=1000", "sigma_amt=1e18"],
+         "removal (1.000000000000001e+18, 1048575.0) would drain reserves "
+         "(1.000000000000001e+18, 1048576.0)"),
+        # only the Y reserve taken whole: y0 is lost against it
+        (["x0=1", "y0=1", "alpha=0.999999", "m=1e6", "sigma_amt=0"],
+         "removal (999999.000001, 9.999999999434886e+17) would drain reserves "
+         "(1000000.000001, 9.999999999434886e+17)"),
     ])
     def test_overflowing_reserve_names_the_stage(self, tmp_path, capsys,
                                                  overrides, message):

@@ -232,6 +232,36 @@ class TestRunExperiment:
                 assert ((out / f"fbm_{i:04d}.csv").read_bytes()
                         == reference_csv(["t", "value"], rows))
 
+    def test_time_column_is_formatted_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        records = experiments._records
+
+        def spy(x):
+            calls.append(len(x))
+            return records(x)
+
+        monkeypatch.setattr(experiments, "_records", spy)
+        experiments._column_records.cache_clear()
+        run_experiment("fbm-gen", {"n_steps": 16, "n_paths": 3, "seed": 2}, tmp_path)
+        # the time column, then the value column of each of the three files
+        assert calls == [17, 17, 17, 17]
+        assert experiments._column_records.cache_info().currsize == 0
+
+    def test_first_column_is_released_when_a_run_raises(self, tmp_path, monkeypatch):
+        kept = []
+
+        def runner(cfg, out):
+            write_csv(out / "table.csv", ["t"], np.zeros((4, 1)))
+            kept.append(experiments._column_records.cache_info().currsize)
+            raise errors.DomainError("forced")
+
+        schema = _RUNNERS["fbm-gen"][0]
+        monkeypatch.setitem(_RUNNERS, "fbm-gen", (schema, runner))
+        with pytest.raises(errors.DomainError, match="forced"):
+            run_experiment("fbm-gen", {}, tmp_path)
+        assert kept == [1]
+        assert experiments._column_records.cache_info().currsize == 0
+
     def test_manifest_lists_outputs_with_checksums(self, tmp_path):
         outputs = run_experiment("impact-curve", {}, tmp_path)
         text = (tmp_path / "manifest.txt").read_text()

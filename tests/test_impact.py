@@ -206,8 +206,10 @@ class TestImpactExponent:
         ((1.0, math.nan, 4.0), (1.0, 2.0, 3.0), "finite and positive"),
         ((1.0, 2.0, 4.0), (1.0, 2.0), "got 3 sizes and 2 deltas"),
         ((1.0, 2.0), (1.0, 2.0), "at least 3 points"),
+        ((1.0, math.inf, 4.0), (1.0, 2.0, 3.0), "finite and positive"),
+        ((1.0, 2.0, 4.0), (1.0, 0.0, 3.0), "finite and positive"),
     ], ids=["nan-delta", "inf-delta", "zero-q", "nan-q", "unequal-lengths",
-            "two-samples"])
+            "two-samples", "inf-q", "zero-delta"])
     def test_rejects_samples_it_cannot_fit(self, sizes, deltas, message):
         with pytest.raises(DomainError, match=message):
             impact_exponent(sizes, deltas)
@@ -378,8 +380,17 @@ class TestModelValidation:
         (lambda: simulate_self_financing(SamplePath(dt=1.0, values=[1.0, 2.0]),
                                          FouParams(-0.5, 0.0, 0.4), -1.0),
          "w0 must be positive"),
+        # each check at its edge
+        (lambda: growth_per_time_fou(0.0, 1.0, model()), "q must be positive"),
+        (lambda: simulate_self_financing(SamplePath(dt=1.0, values=[1.0, 2.0]),
+                                         FouParams(-0.5, 0.0, 0.4), 0.0),
+         "w0 must be positive"),
+        (lambda: simulate_self_financing(SamplePath(dt=1.0, values=[1.0, 0.0]),
+                                         FouParams(-0.5, 0.0, 0.4), 1.0),
+         "price path must be strictly positive; first violation at index 1"),
     ], ids=["sqrt-q", "growth-per-time-q", "fou-q", "leverage-q", "leverage-price-level",
-            "closed-form-w0", "self-financing-w0"])
+            "closed-form-w0", "self-financing-w0", "growth-per-time-zero-q",
+            "self-financing-zero-w0", "self-financing-zero-price"])
     def test_inputs_outside_the_domain_are_named(self, call, message):
         with pytest.raises(DomainError, match=message):
             call()
