@@ -28,7 +28,7 @@ from . import catbond, cpmm, impact
 from .config import Field, Value, validate_config
 from .cycle import STAGE3_RULES, STAGES, CycleConfig, run_cycle
 from .errors import ConfigError, DomainError
-from .paths import MAX_ARRAY_BYTES, NORMAL_LABEL, PRNG_LABEL, iter_fbm
+from .paths import FBM_METHODS, MAX_ARRAY_BYTES, NORMAL_LABEL, PRNG_LABEL, iter_fbm
 
 
 def fmt(value: Any) -> str:
@@ -318,7 +318,7 @@ _FBM_SCHEMA = _COMMON | {
     "dt": Field(1.0 / 1024.0, _positive),
     "hurst": Field(0.5, _open_unit),
     "n_paths": Field(1, _at_least_one),
-    "method": Field("auto", _one_of("auto", "davies-harte", "cholesky")),
+    "method": Field("auto", _one_of(*FBM_METHODS)),
 }
 
 

@@ -10,13 +10,12 @@ alone, which the tests keep as the reference.  FFT-based fractional noise
 generation lives in :mod:`liqlab.paths`.
 
 ``pairwise_sum`` reduces in a fixed binary-tree order, so Monte Carlo
-moments do not depend on how paths were batched.  The tree is cut at
-aligned power-of-two leaf blocks of about 256 KiB: a full leaf is one node
-of the tree and the last, partial leaf's own tree is the last node, so the
-sum has the same bits as one tree over the whole input.
-``pairwise_reduce`` asks a callback for one leaf at a time, so a caller can
-compute the summands block by block, and its scratch is one leaf, a half
-and a quarter of a leaf, and one node per tree level.
+moments do not depend on how paths were batched.  The tree over n rows is
+the tree over the largest power of two below n, plus the tree over the
+rest.  ``pairwise_reduce`` asks a callback for one aligned power-of-two run
+of at most a leaf of about 256 KiB at a time, so a caller can compute the
+summands block by block, and its scratch is one leaf, a half and a
+quarter of a leaf, and one node per tree level.
 """
 
 from __future__ import annotations
@@ -73,23 +72,19 @@ _LEAF_BYTES = 1 << 18
 
 
 def _tree(values: np.ndarray) -> np.ndarray:
-    """Sum a non-empty array along axis 0 by halving; return a new array.
+    """Sum a power-of-two run of rows along axis 0 by halving; return a new array.
 
     Level one adds even and odd rows of ``values`` into a buffer half its
     size; later levels alternate between that buffer and one a quarter the
-    size.  An odd last row is carried up a level unchanged.  ``values``
-    itself is only read.
+    size.  ``values`` itself is only read.
     """
     n, rest = values.shape[0], values.shape[1:]
     acc = values
-    dst, spare = np.empty(((n + 1) // 2, *rest)), np.empty(((n + 3) // 4, *rest))
+    dst, spare = np.empty((n // 2, *rest)), np.empty((n // 4, *rest))
     while n > 1:
-        half = n // 2
-        np.add(acc[0:2 * half:2], acc[1:2 * half:2], out=dst[:half])
-        if n % 2:
-            dst[half] = acc[n - 1]
-        acc, n = dst, n - half
-        dst, spare = spare, dst
+        n //= 2
+        np.add(acc[0:2 * n:2], acc[1:2 * n:2], out=dst[:n])
+        acc, dst, spare = dst, spare, dst
     return np.array(acc[0])
 
 
@@ -98,12 +93,11 @@ def pairwise_reduce(n: int, block: Callable[[int, int], np.ndarray],
     """Pairwise sum along axis 0 of ``n`` rows of shape ``rest``, leaf by leaf.
 
     ``block(start, stop)`` returns rows ``start:stop`` as a float64 array
-    of shape ``(stop - start, *rest)``.  It is called once per leaf, in
-    order, for aligned power-of-two runs of rows of about ``_LEAF_BYTES``.
-    Each leaf is summed by halving, and the leaf sums are combined as the
-    same halving tree would combine them: equal full subtrees pairwise as
-    they complete, then the remaining ones from the smallest up.  The
-    result has the same bits as halving the whole ``n`` rows at once.
+    of shape ``(stop - start, *rest)``.  The sum of a run of rows is the
+    sum of the largest power of two below its length plus the sum of the
+    rest, added left to right.  A power-of-two run of at most a leaf, about
+    ``_LEAF_BYTES``, is one ``block`` call, summed by halving; so ``block``
+    is called in order, on aligned power-of-two runs that tile ``[0, n)``.
     Returns a float for ``rest == ()`` and an array of shape ``rest``
     otherwise.
     """
@@ -111,16 +105,20 @@ def pairwise_reduce(n: int, block: Callable[[int, int], np.ndarray],
         return np.zeros(rest) if rest else 0.0
     rows = max(1, _LEAF_BYTES // (8 * max(1, math.prod(rest))))
     leaf = 1 << (rows.bit_length() - 1)  # the largest power of two <= rows
-    nodes = []  # (height, sum) of complete subtrees, heights decreasing
-    for start in range(0, n, leaf):
-        height, node = 0, _tree(block(start, min(start + leaf, n)))
-        while nodes and nodes[-1][0] == height:
-            height, node = height + 1, nodes.pop()[1] + node
-        nodes.append((height, node))
-    total = nodes.pop()[1]
-    while nodes:
-        total = nodes.pop()[1] + total
+    total = _subtree(block, leaf, 0, n)
     return total if rest else float(total)
+
+
+def _subtree(block: Callable[[int, int], np.ndarray], leaf: int, start: int,
+             count: int) -> np.ndarray:
+    # a module function, not a closure: a closure that calls itself is a
+    # reference cycle, which would keep ``block``'s arrays until the next
+    # garbage collection
+    if count <= leaf and count & (count - 1) == 0:
+        return _tree(block(start, start + count))
+    left = 1 << ((count - 1).bit_length() - 1)  # the largest power of two < count
+    return (_subtree(block, leaf, start, left)
+            + _subtree(block, leaf, start + left, count - left))
 
 
 def pairwise_sum(values: np.ndarray) -> np.ndarray:

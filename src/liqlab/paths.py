@@ -35,6 +35,7 @@ PRNG_LABEL = "pcg64"
 NORMAL_LABEL = "ziggurat"
 METHOD_DAVIES_HARTE = "davies-harte"
 METHOD_CHOLESKY = "cholesky"
+FBM_METHODS = ("auto", METHOD_DAVIES_HARTE, METHOD_CHOLESKY)
 
 # eigenvalues above -_EIG_TOL * max(eig) are treated as FFT round-off
 _EIG_TOL = 1e-12
@@ -203,15 +204,15 @@ def _meta(method: str) -> str:
 
 def _resolve_method(n_steps: int, hurst: float, method: str):
     """Pick the generator; return (label, normals per path, block colorer)."""
-    if method in ("auto", METHOD_DAVIES_HARTE):
+    if method not in FBM_METHODS:
+        raise DomainError(f"unknown fBM method {method!r}")
+    if method != METHOD_CHOLESKY:
         try:
             lam = _embedding_eigenvalues(n_steps, hurst)
             return METHOD_DAVIES_HARTE, lam.size, _davies_harte_coloring(lam)
         except EmbeddingError:
             if method == METHOD_DAVIES_HARTE:
                 raise
-    elif method != METHOD_CHOLESKY:
-        raise DomainError(f"unknown fBM method {method!r}")
     factor = _cholesky_factor(n_steps, hurst)
 
     def color(z: np.ndarray) -> np.ndarray:
@@ -363,6 +364,11 @@ def variance_slope(n_paths: int, n_steps: int, dt: float, hurst: float,
         n_paths, lambda start, stop: (x[start:stop] - mean) ** 2, mean.shape)
     var = sq_dev / (n_paths - 1)
     t = np.arange(1, n_steps + 1) * dt
+    positive = var > 0.0
+    if not positive.all():
+        first = float(t[np.argmin(positive)])
+        raise DomainError(f"variance_slope: the path variance at t = {first!r} is not "
+                          f"positive, so its log is undefined")
     slope, _ = np.polyfit(np.log(t), np.log(var), 1)
     return float(slope)
 
@@ -392,9 +398,12 @@ def increment_autocorr(n_paths: int, n_steps: int, dt: float, hurst: float,
     """
     if lag < 1 or lag >= n_steps:
         raise DomainError(f"lag must be in [1, n_steps), got {lag}")
-    batch = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)
     width = n_steps - lag
     n = n_paths * width
+    if n < 2:
+        raise DomainError(f"increment_autocorr needs at least two pooled pairs, "
+                          f"got n_paths * (n_steps - lag) = {n}")
+    batch = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)
 
     def centred(offset):
         increments = _increments(batch, offset, width)
@@ -407,4 +416,8 @@ def increment_autocorr(n_paths: int, n_steps: int, dt: float, hurst: float,
         return kernels.pairwise_reduce(
             n, lambda start, stop: first(start, stop) * second(start, stop))
 
-    return float(dot(a, b) / math.sqrt(dot(a, a) * dot(b, b)))
+    squares = dot(a, a) * dot(b, b)
+    if not squares > 0.0:
+        raise DomainError("increment_autocorr: a centred sum of squares of the increments "
+                          "is 0, or their product underflows to 0")
+    return float(dot(a, b) / math.sqrt(squares))

@@ -17,9 +17,10 @@ or its run cannot start.
 ``python tests/mutants.py --sweep src/liqlab/MODULE.py`` generates the
 mutants instead: every comparison of the module flipped, one at a time
 (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), except those in
-``EQUIVALENT``.  Each runs the test files that import the module, with
-the acceptance and pin tests, less those that fail on the unchanged tree.  It prints the
-score and the survivors, and exits 1 when one is left.
+``EQUIVALENT``.  Each runs the test files that import the module or
+``liqlab.cli``, with the acceptance and pin tests, less those that fail on
+the unchanged tree.  It prints the score and the survivors, and exits 1
+when one is left.
 
 pytest does not collect this file; ``tests/test_mutants.py`` checks that
 every row still applies to the tree and every ``EQUIVALENT`` entry still
@@ -58,7 +59,9 @@ _IMPACT_DOMAIN = ("tests/test_impact.py::TestModelValidation::"
 _CLI = "tests/test_experiments.py::TestCli::"
 _CLOSURE_AMOUNTS = (_CLI + "test_list_error_names_the_failing_entry[cycle-run-{}-keys 'g_amt' "
                     "and 'h_amt' apply only with closure=false (got g_amt={}, h_amt={})]")
+_KERNELS = "src/liqlab/kernels.py"
 _HALVING = "tests/test_kernels.py::test_pairwise_sum_matches_halving_reference"
+_LEAVES = "tests/test_kernels.py::test_pairwise_reduce_calls_aligned_leaves_in_order"
 _POWERS = _CSV + "test_powers_of_ten_and_their_neighbours"
 _EXACT_COV = _FBM + "test_exact_covariance_matches_oracle"
 _SHARED_CHECKS = ("tests/test_impact.py::TestModelValidation::"
@@ -168,14 +171,61 @@ MUTANTS = [
      'if cfg["closure"] and (cfg["g_amt"] or cfg["h_amt"]):', "if False:",
      [_CLOSURE_AMOUNTS.format("g_amt=5", "5.0", "0.0"),
       _CLOSURE_AMOUNTS.format("h_amt=-1", "0.0", "-1.0")]),
+    # kernels.pairwise_reduce: the largest power of two below n, plus the rest
+    ("tree-split-at-half", _KERNELS,
+     "left = 1 << ((count - 1).bit_length() - 1)", "left = count // 2",
+     [_HALVING + "[3]", _LEAVES + "[1-d]"]),
+    ("tree-power-of-two-test-dropped", _KERNELS,
+     "if count <= leaf and count & (count - 1) == 0:", "if count <= leaf:",
+     [_HALVING + "[3]", _LEAVES + "[1-d]"]),
+    ("tree-full-leaf-split", _KERNELS,
+     "if count <= leaf and", "if count < leaf and",
+     [_LEAVES + "[1-d]", _LEAVES + "[3-column]"]),
+    ("tree-recursion-as-a-closure", _KERNELS,
+     "    total = _subtree(block, leaf, 0, n)\n",
+     "    def run(start, count):\n"
+     "        if count <= leaf and count & (count - 1) == 0:\n"
+     "            return _tree(block(start, start + count))\n"
+     "        left = 1 << ((count - 1).bit_length() - 1)\n"
+     "        return run(start, left) + run(start + left, count - left)\n"
+     "    total = run(0, n)\n",
+     ["tests/test_kernels.py::test_pairwise_reduce_lets_go_of_the_summands"]),
     # kernels._tree, the halving sum of a leaf
-    ("tree-odd-row-carry-wrong", "src/liqlab/kernels.py",
-     "dst[half] = acc[n - 1]", "dst[half] = acc[n - 2]",
-     [_HALVING + "[3]", _HALVING + "[5]"]),
-    ("tree-first-level-into-input", "src/liqlab/kernels.py",
-     "dst, spare = np.empty(((n + 1) // 2, *rest)), np.empty(((n + 3) // 4, *rest))",
-     "dst, spare = values, np.empty(((n + 3) // 4, *rest))",
+    ("tree-first-level-into-input", _KERNELS,
+     "dst, spare = np.empty((n // 2, *rest)), np.empty((n // 4, *rest))",
+     "dst, spare = values, np.empty((n // 4, *rest))",
      [_HALVING + "[2]", _HALVING + "[3]"]),
+    # the Monte Carlo estimators' checks of degenerate moments
+    ("increment-autocorr-pair-check-dropped", _PATHS,
+     "    if n < 2:\n", "    if False:\n",
+     [_FBM + "test_increment_autocorr_needs_two_pairs[1-2-1]",
+      _FBM + "test_increment_autocorr_needs_two_pairs[1-3-2]"]),
+    ("increment-autocorr-squares-check-dropped", _PATHS,
+     "if not squares > 0.0:", "if False:",
+     [_FBM + "test_increment_autocorr_of_underflowing_increments"]),
+    ("variance-slope-zero-check-dropped", _PATHS,
+     "if not positive.all():", "if False:",
+     [_FBM + "test_variance_slope_of_a_zero_variance"]),
+    # paths' checks at their edge values
+    ("variance-slope-rejects-two-paths", _PATHS,
+     "if n_paths < 2 or n_steps < 2:", "if n_paths <= 2 or n_steps < 2:",
+     [_FBM + "test_variance_slope_of_two_paths_and_two_steps"]),
+    ("variance-slope-rejects-two-steps", _PATHS,
+     "if n_paths < 2 or n_steps < 2:", "if n_paths < 2 or n_steps <= 2:",
+     [_FBM + "test_variance_slope_of_two_paths_and_two_steps"]),
+    ("fbm-accepts-zero-dt", _PATHS,
+     "if not dt > 0.0:", "if not dt >= 0.0:",
+     [_FBM + "test_zero_dt_rejected"]),
+    ("fbm-overflow-check-at-the-largest-float", _PATHS,
+     "np.abs(out[:, 1:]).max() > sys.float_info.max / scale",
+     "np.abs(out[:, 1:]).max() >= sys.float_info.max / scale",
+     [_FBM + "test_values_that_scale_to_the_largest_float_are_kept"]),
+    ("cholesky-rejects-the-size-limit", _PATHS,
+     "if needed > MAX_ARRAY_BYTES:", "if needed >= MAX_ARRAY_BYTES:",
+     [_FBM + "test_cholesky_factor_at_the_size_limit_is_allowed"]),
+    ("embedding-rejects-the-round-off-bound", _PATHS,
+     "if lam.min() < -_EIG_TOL * lam.max():", "if lam.min() <= -_EIG_TOL * lam.max():",
+     [_FBM + "test_eigenvalue_at_the_round_off_bound_is_clipped"]),
     # fBM generation: one stream per path, the conjugate mirror, every block
     ("one-stream-for-a-whole-block", _PATHS,
      "_path_rng(seed + j).standard_normal(out=row)",
@@ -408,6 +458,9 @@ EQUIVALENT = [
      "hi is a power of two, and none equals 1e200"),
     (_GOLDEN, "bracket_decreasing: lo < 1e-200 -> lo <= 1e-200",
      "lo is a power of two, and none equals 1e-200"),
+    (_PATHS, "_fbm_generator.draw: scale > 1.0 -> scale >= 1.0",
+     "at scale 1.0 the check compares with the largest float, which no finite "
+     "path exceeds, and a path is a sum of colored normals far below it"),
     (_IMPACT, "optimal_impact_leverage_form.shortfall: 1e-199 < root < 1e199 -> "
      "1e-199 <= root < 1e199",
      "the inner bracket reaches a root of 1e-199, so both paths give the same sign"),
@@ -540,13 +593,21 @@ def comparison_flips(file: str) -> dict[str, str]:
     return flips
 
 
+def sweep_tests(file: str) -> list[str]:
+    """The test files a sweep of ``file`` runs: the acceptance and pin tests,
+    and every test file that imports the module or ``liqlab.cli``, which
+    runs every experiment."""
+    names = rf"(?:{Path(file).stem}|cli)"
+    imports = re.compile(rf"\bliqlab\.{names}\b|^from liqlab import (?:\([^)]*|.*)\b{names}\b",
+                         re.MULTILINE)
+    return sorted({"tests/test_acceptance.py", "tests/test_pins.py",
+                   *(f"tests/{test.name}" for test in (ROOT / "tests").glob("test_*.py")
+                     if imports.search(test.read_text()))})
+
+
 def sweep(file: str) -> int:
     """Run every comparison flip of ``file`` outside ``EQUIVALENT``; 1 if one survives."""
-    stem = Path(file).stem
-    imports = re.compile(rf"\bliqlab\.{stem}\b|^from liqlab import .*\b{stem}\b", re.MULTILINE)
-    tests = sorted({"tests/test_acceptance.py", "tests/test_pins.py",
-                    *(f"tests/{test.name}" for test in (ROOT / "tests").glob("test_*.py")
-                      if imports.search(test.read_text()))})
+    tests = sweep_tests(file)
     started = time.monotonic()
     baseline = _pytest(tests, ROOT, "-rfE")
     timeout = _time_limit(started)

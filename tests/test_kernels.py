@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -152,3 +154,53 @@ def test_pairwise_sum_deterministic():
 
 def test_pairwise_sum_empty():
     assert kernels.pairwise_sum(np.array([])) == 0.0
+
+
+def leaf_runs(n, leaf):
+    """The runs of a pairwise tree over ``n`` rows, left to right: at each
+    row, the largest power of two of at most ``leaf`` rows that fits."""
+    runs, start = [], 0
+    while start < n:
+        count = 1 << (min(leaf, n - start).bit_length() - 1)
+        runs.append((start, start + count))
+        start += count
+    return runs
+
+
+@pytest.mark.parametrize("rest", [(), (3,)], ids=["1-d", "3-column"])
+def test_pairwise_reduce_calls_aligned_leaves_in_order(monkeypatch, rest):
+    # leaves of 8 rows, so 300 rows cross many leaves and every partial one
+    leaf = 8
+    monkeypatch.setattr(kernels, "_LEAF_BYTES", 8 * leaf * max(1, math.prod(rest)))
+    rng = np.random.Generator(np.random.PCG64(8))
+    data = rng.standard_normal((300, *rest)) * 10.0 ** rng.integers(-8, 8, size=(300, *rest))
+    for n in range(301):
+        calls = []
+
+        def block(start, stop):
+            calls.append((start, stop))
+            return data[start:stop]
+
+        got = kernels.pairwise_reduce(n, block, rest)
+        assert calls == leaf_runs(n, leaf)
+        for start, stop in calls:
+            count = stop - start
+            assert count <= leaf and count & (count - 1) == 0 and start % count == 0
+        if n:
+            expected = pairwise_reference(data[:n])
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+            assert type(got) is type(expected)
+
+
+def test_pairwise_reduce_lets_go_of_the_summands():
+    # a Monte Carlo batch is freed as soon as its caller drops it, without a
+    # garbage collection: the reduction leaves no reference cycle behind
+    data = np.ones(64)
+    freed = weakref.ref(data)
+    gc.disable()
+    try:
+        kernels.pairwise_reduce(64, lambda start, stop, rows=data: rows[start:stop])
+        del data
+        assert freed() is None
+    finally:
+        gc.enable()

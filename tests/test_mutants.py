@@ -47,3 +47,12 @@ def test_comparison_flips_change_one_operator():
     for mutant_id, mutated in flips.items():
         assert abs(len(mutated) - len(text)) == 1, mutant_id
         assert ast.dump(ast.parse(mutated)) != ast.dump(ast.parse(text)), mutant_id
+
+
+def test_sweep_runs_the_tests_that_reach_the_module_through_the_cli():
+    # test_experiments.py reaches cpmm only through the CLI, and
+    # test_cycle.py imports the CLI beside cycle
+    tests = mutants.sweep_tests("src/liqlab/cpmm.py")
+    assert {"tests/test_cpmm.py", "tests/test_experiments.py", "tests/test_cycle.py",
+            "tests/test_acceptance.py", "tests/test_pins.py"} <= set(tests)
+    assert "tests/test_golden.py" not in tests

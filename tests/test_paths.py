@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -257,6 +258,17 @@ class TestGenerateFbm:
             with pytest.raises(DomainError, match="overflow"):
                 generate_fbm_batch(6, 16, 1e307, 0.9999, 0)
 
+    def test_values_that_scale_to_the_largest_float_are_kept(self, monkeypatch):
+        # dt ** hurst = 4.0 ** 0.5 = 2 exactly, and max / 2 scales to max
+        top = sys.float_info.max / 2.0
+        monkeypatch.setattr(paths, "_resolve_method", lambda n_steps, hurst, method: (
+            "davies-harte", 1, lambda z: np.full_like(z, top)))
+        assert generate_fbm_batch(1, 1, 4.0, 0.5, 0)[0, 1] == sys.float_info.max
+
+    def test_zero_dt_rejected(self):
+        with pytest.raises(DomainError, match="dt must be positive, got 0.0"):
+            generate_fbm_batch(2, 8, 0.0, 0.5, 0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 257])
     @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.7, 0.9])
     def test_cholesky_factor_matches_index_matrix_reference(self, n, hurst):
@@ -286,6 +298,11 @@ class TestGenerateFbm:
                      f"method={method}", "--set", "hurst=0.6",
                      "--out", str(tmp_path)]) == 2
 
+    def test_cholesky_factor_at_the_size_limit_is_allowed(self, monkeypatch):
+        # 2 * 8 * 8192**2 bytes is exactly the limit; the factor is not computed
+        monkeypatch.setattr(np.linalg, "cholesky", lambda cov: cov.shape)
+        assert paths._cholesky_factor(8192, 0.6) == (8192, 8192)
+
     def test_fallback_on_negative_eigenvalue(self, monkeypatch):
         def boom(n_steps, hurst):
             raise paths.EmbeddingError("forced")
@@ -293,6 +310,11 @@ class TestGenerateFbm:
         assert generate_fbm(16, 0.1, 0.6, 3).meta.startswith("cholesky")
         with pytest.raises(paths.EmbeddingError):
             generate_fbm(16, 0.1, 0.6, 3, method="davies-harte")
+
+    def test_eigenvalue_at_the_round_off_bound_is_clipped(self, monkeypatch):
+        # an eigenvalue of exactly -_EIG_TOL times the largest is round-off
+        monkeypatch.setattr(np.fft, "fft", lambda row: np.array([1.0, -paths._EIG_TOL]))
+        assert paths._embedding_eigenvalues(1, 0.5).tolist() == [1.0, 0.0]
 
     def test_fallback_needed_near_hurst_one(self):
         # a real negative eigenvalue where the Cholesky factor still exists
@@ -305,6 +327,9 @@ class TestGenerateFbm:
         slope = paths.variance_slope(2000, 256, 1.0 / 256.0, hurst, 77)
         assert slope == pytest.approx(2.0 * hurst, abs=0.05)
 
+    def test_variance_slope_of_two_paths_and_two_steps(self):
+        assert math.isfinite(paths.variance_slope(2, 2, 0.5, 0.7, 3))
+
     @pytest.mark.parametrize("n_paths, n_steps", [(1, 16), (4, 1)])
     def test_variance_slope_needs_two_paths_and_two_steps(self, n_paths, n_steps):
         # one path has no sample variance; one step gives one point to fit
@@ -315,6 +340,27 @@ class TestGenerateFbm:
     def test_lag_outside_the_steps_rejected(self, lag):
         with pytest.raises(DomainError, match=rf"lag must be in \[1, n_steps\), got {lag}"):
             paths.increment_autocorr(4, 16, 1.0 / 16, 0.7, 3, lag=lag)
+
+    @pytest.mark.parametrize("n_paths, n_steps, lag", [(1, 2, 1), (1, 3, 2)])
+    def test_increment_autocorr_needs_two_pairs(self, n_paths, n_steps, lag):
+        with pytest.raises(DomainError, match="at least two pooled pairs, got .* = 1"):
+            paths.increment_autocorr(n_paths, n_steps, 0.5, 0.7, 3, lag=lag)
+
+    def test_increment_autocorr_of_two_pairs(self):
+        # two centred points lie on a line, so their correlation is +-1
+        assert abs(paths.increment_autocorr(2, 2, 0.5, 0.7, 3)) == pytest.approx(1.0)
+
+    def test_increment_autocorr_of_underflowing_increments(self):
+        # dt**hurst ~ 1e-198: the increments' squares underflow to 0
+        with pytest.raises(DomainError, match="sum of squares .* is 0"):
+            paths.increment_autocorr(4, 16, 1e-200, 0.99, 3)
+
+    def test_variance_slope_of_a_zero_variance(self):
+        # dt**hurst underflows to a subnormal, and the squared deviations to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"variance at t = 1e-320 is not positive"):
+                paths.variance_slope(4, 16, 1e-320, 0.99, 3)
 
     @pytest.mark.parametrize("estimator", [paths.variance_slope,
                                            paths.increment_autocorr])
