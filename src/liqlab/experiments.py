@@ -245,10 +245,6 @@ def _open_unit(value: float) -> str | None:
     return None if 0.0 < value < 1.0 else "must be in the open interval (0, 1)"
 
 
-def _at_least_one(value: int) -> str | None:
-    return None if value >= 1 else "must be >= 1"
-
-
 def _non_negative(value: int) -> str | None:
     return None if value >= 0 else "must be >= 0"
 
@@ -277,7 +273,9 @@ def _too_big(count: int, bytes_each: int) -> str | None:
 
 
 def _sized(minimum: int, bytes_each: int) -> Callable[[int], str | None]:
-    """Check for a count of at least ``minimum`` units of ``bytes_each``."""
+    """Check for a count of at least ``minimum`` units of ``bytes_each``:
+    ``fbm-gen``'s ``n_steps`` and ``n_paths``, and the impact experiments'
+    ``n_points``."""
     def check(count: int) -> str | None:
         return f"must be >= {minimum}" if count < minimum else _too_big(count, bytes_each)
     return check
@@ -317,7 +315,7 @@ _FBM_SCHEMA = _COMMON | {
     "n_steps": Field(1024, _sized(1, 200)),
     "dt": Field(1.0 / 1024.0, _positive),
     "hurst": Field(0.5, _open_unit),
-    "n_paths": Field(1, _at_least_one),
+    "n_paths": Field(1, _sized(1, 2048)),
     "method": Field("auto", _one_of(*FBM_METHODS)),
 }
 
@@ -384,7 +382,6 @@ def _run_cpmm_compare(cfg: dict[str, Any], out: Path):
     pool = cpmm.PoolState(cfg["reserve_x"], cfg["reserve_y"])
     compare_rows = []
     trace_rows = [[0, "init", pool.reserve_x, pool.reserve_y, cpmm.spot_price(pool)]]
-    step = 0
     for u in cfg["u_values"]:
         dx = u * pool.reserve_x
         if not dx >= sys.float_info.min:
@@ -397,13 +394,11 @@ def _run_cpmm_compare(cfg: dict[str, Any], out: Path):
         if not dy > 0.0:
             raise ConfigError(f"key 'u_values': the swap leaves the Y reserve "
                               f"unmoved, so it cannot be swapped back (got {u!r})")
-        step += 1
-        trace_rows.append([step, "swap_x_for_y", after.reserve_x, after.reserve_y,
-                           cpmm.spot_price(after)])
+        trace_rows.append([len(trace_rows), "swap_x_for_y", after.reserve_x,
+                           after.reserve_y, cpmm.spot_price(after)])
         back, _ = cpmm.swap_y_for_x(after, dy)
-        step += 1
-        trace_rows.append([step, "swap_y_for_x", back.reserve_x, back.reserve_y,
-                           cpmm.spot_price(back)])
+        trace_rows.append([len(trace_rows), "swap_y_for_x", back.reserve_x,
+                           back.reserve_y, cpmm.spot_price(back)])
     return [
         write_csv(out / "cpmm_compare.csv",
                   ["u", "dx", "exact_impact", "linear_impact", "abs_err",
@@ -437,16 +432,14 @@ def _run_cycle_run(cfg: dict[str, Any], out: Path):
     rows = [[stage, s.pool.reserve_x, s.pool.reserve_y,
              s.inside_x, s.inside_y, s.outside_x, s.outside_y]
             for stage, s in zip(STAGES, report.snapshots)]
-    path = out / "cycle_report.csv"
-    write_csv(path, ["stage", "pool_x", "pool_y", "inside_x", "inside_y",
-                     "outside_x", "outside_y"], rows)
-    summary = ("# summary work_analogue={} gross_short_x={} gross_short_y={} "
-               "g_amt={} h_amt={}\n").format(
-        fmt(report.work_analogue), fmt(report.gross_short_x),
-        fmt(report.gross_short_y), fmt(report.g_amt), fmt(report.h_amt))
-    with path.open("a", newline="\n") as f:
-        f.write(summary)
-    return [path], ""
+    # a one-cell row is its text: the summary is the file's last line
+    rows.append(["# summary work_analogue={} gross_short_x={} gross_short_y={} "
+                 "g_amt={} h_amt={}".format(
+                     fmt(report.work_analogue), fmt(report.gross_short_x),
+                     fmt(report.gross_short_y), fmt(report.g_amt), fmt(report.h_amt))])
+    return [write_csv(out / "cycle_report.csv",
+                      ["stage", "pool_x", "pool_y", "inside_x", "inside_y",
+                       "outside_x", "outside_y"], rows)], ""
 
 
 _CYCLE_SCHEMA = _COMMON | {

@@ -359,11 +359,17 @@ def variance_slope(n_paths: int, n_steps: int, dt: float, hurst: float,
         raise DomainError(f"variance_slope needs n_paths >= 2 and n_steps >= 2, "
                           f"got {n_paths} and {n_steps}")
     x = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)[:, 1:]
-    mean = kernels.pairwise_sum(x) / n_paths
-    sq_dev = kernels.pairwise_reduce(
-        n_paths, lambda start, stop: (x[start:stop] - mean) ** 2, mean.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on var below
+        mean = kernels.pairwise_sum(x) / n_paths
+        sq_dev = kernels.pairwise_reduce(
+            n_paths, lambda start, stop: (x[start:stop] - mean) ** 2, mean.shape)
     var = sq_dev / (n_paths - 1)
     t = np.arange(1, n_steps + 1) * dt
+    finite = np.isfinite(var)
+    if not finite.all():
+        first = float(t[np.argmin(finite)])
+        raise DomainError(f"variance_slope: the path variance at t = {first!r} "
+                          f"overflows")
     positive = var > 0.0
     if not positive.all():
         first = float(t[np.argmin(positive)])
@@ -410,13 +416,16 @@ def increment_autocorr(n_paths: int, n_steps: int, dt: float, hurst: float,
         mean = kernels.pairwise_reduce(n, increments) / n
         return lambda start, stop: increments(start, stop) - mean
 
-    a, b = centred(0), centred(lag)
-
     def dot(first, second):
         return kernels.pairwise_reduce(
             n, lambda start, stop: first(start, stop) * second(start, stop))
 
-    squares = dot(a, a) * dot(b, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on squares below
+        a, b = centred(0), centred(lag)
+        squares = dot(a, a) * dot(b, b)
+    if not math.isfinite(squares):
+        raise DomainError("increment_autocorr: a centred sum of squares of the increments, "
+                          "or their product, overflows")
     if not squares > 0.0:
         raise DomainError("increment_autocorr: a centred sum of squares of the increments "
                           "is 0, or their product underflows to 0")

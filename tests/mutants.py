@@ -11,8 +11,10 @@ on the unchanged tree, and stops with exit 1 if one fails there: a mutant
 repository to a temporary directory once per mutant, makes the replacement
 there, runs the named tests with ``-x -q`` and lists the mutants that
 survive.  A mutant's run that outlasts ten times the unchanged run plus a
-minute is stopped and counts as a kill.  It exits 1 when a mutant survives
-or its run cannot start.
+minute is stopped and counts as a kill, and so does a run that pytest
+interrupts (exit 2) or that ends in its internal error (exit 3), as when
+the mutant stops the tests' collection: the unchanged run exits 0 or 1.
+It exits 1 when a mutant survives or its run cannot start.
 
 ``python tests/mutants.py --sweep src/liqlab/MODULE.py`` generates the
 mutants instead: every comparison of the module flipped, one at a time
@@ -78,6 +80,7 @@ _SWAPS = "tests/test_cpmm.py::TestSwaps::"
 _CATBOND = "src/liqlab/catbond.py"
 _EXPONENT = "tests/test_impact.py::TestImpactExponent::test_rejects_samples_it_cannot_fit"
 _RUN = "tests/test_experiments.py::TestRunExperiment::"
+_EDGES = _CLI + "test_checks_at_their_edge_values"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -126,6 +129,12 @@ MUTANTS = [
     ("cpmm-compare-dx-check-dropped", _WRITER,
      "if not dx >= sys.float_info.min:", "if False:",
      [_SPOT + "[subnormal-dx]"]),
+    ("cpmm-compare-dx-check-rejects-the-smallest-normal", _WRITER,
+     "if not dx >= sys.float_info.min:", "if not dx > sys.float_info.min:",
+     [_CLI + "test_cpmm_swap_of_the_smallest_normal_float_runs"]),
+    ("pool-trace-step-one-ahead", _WRITER,
+     '[len(trace_rows), "swap_y_for_x"', '[len(trace_rows) + 1, "swap_y_for_x"',
+     [_RUN + "test_cpmm_compare_outputs"]),
     # the swaps' check of the invariant reserve_x * reserve_y
     ("swap-invariant-check-dropped", "src/liqlab/cpmm.py",
      "if not sys.float_info.min <= k < math.inf:", "if False:",
@@ -158,6 +167,9 @@ MUTANTS = [
      "    k[off] += high[off].astype(np.intp) - low[off]\n"
      "    hi[off], lo[off] = _times_pow10(a[off], 17 - k[off])\n", "",
      [_POWERS]),
+    ("writer-k-fix-misses-an-exact-power", _WRITER,
+     "((hi == 1e17) & (lo >= 0))", "((hi == 1e17) & (lo > 0))",
+     [_CSV + "test_digit_count_one_off_is_fixed[one-low]"]),
     # run_experiment's check of the outputs and the runners' config checks
     ("output-check-dropped", _WRITER,
      "if not path.is_file() or path.stat().st_size == 0:", "if False:",
@@ -206,6 +218,12 @@ MUTANTS = [
     ("variance-slope-zero-check-dropped", _PATHS,
      "if not positive.all():", "if False:",
      [_FBM + "test_variance_slope_of_a_zero_variance"]),
+    ("variance-slope-overflow-check-dropped", _PATHS,
+     "if not finite.all():", "if False:",
+     [_FBM + "test_overflowing_moments_are_named[variance-slope]"]),
+    ("increment-autocorr-overflow-check-dropped", _PATHS,
+     "if not math.isfinite(squares):", "if False:",
+     [_FBM + "test_overflowing_moments_are_named[increment-autocorr]"]),
     # paths' checks at their edge values
     ("variance-slope-rejects-two-paths", _PATHS,
      "if n_paths < 2 or n_steps < 2:", "if n_paths <= 2 or n_steps < 2:",
@@ -441,6 +459,25 @@ MUTANTS = [
     ("self-financing-accepts-a-zero-price", _IMPACT,
      "np.nonzero(path.values <= 0.0)", "np.nonzero(path.values < 0.0)",
      [_IMPACT_DOMAIN + "[self-financing-zero-price]"]),
+    # the experiments' checks of their config values at the edges
+    ("normal-check-rejects-the-smallest-normal", _WRITER,
+     "return None if value >= sys.float_info.min else (",
+     "return None if value > sys.float_info.min else (",
+     [_EDGES + "[normal-at-smallest]"]),
+    ("open-unit-check-accepts-zero", _WRITER,
+     "return None if 0.0 < value < 1.0 else", "return None if 0.0 <= value < 1.0 else",
+     [_EDGES + "[open-unit-at-zero]"]),
+    ("sized-check-rejects-its-minimum", _WRITER,
+     'return f"must be >= {minimum}" if count < minimum else',
+     'return f"must be >= {minimum}" if count <= minimum else',
+     [_EDGES + "[paths-at-minimum]", _EDGES + "[points-at-minimum]"]),
+    ("size-limit-rejects-its-edge", _WRITER,
+     "if needed > MAX_ARRAY_BYTES:", "if needed >= MAX_ARRAY_BYTES:",
+     [_CLI + "test_size_limit_boundary[fbm-gen-n_paths-2048]"]),
+    ("fbm-gen-path-bound-dropped", _WRITER,
+     '"n_paths": Field(1, _sized(1, 2048)),', '"n_paths": Field(1, _sized(1, 0)),',
+     [_CLI + "test_too_many_paths_rejected_before_any_is_drawn",
+      _CLI + "test_size_limit_boundary[fbm-gen-n_paths-2048]"]),
     # the first-column memo: one time column per run, released when the run ends
     ("run-keeps-the-first-column-memo", _WRITER,
      "_column_records.cache_clear()  # the shared first column is one run's", "pass",
@@ -454,6 +491,16 @@ MUTANTS = [
 # Comparison flips that change no result, by module and id (see
 # ``comparison_flips``), each with the reason.
 EQUIVALENT = [
+    (_WRITER, "_records: a >= 1e-4 -> a > 1e-4",
+     "it sends only +-1e-4 to fmt instead of the fast path, and both write "
+     "0.0001 (test_powers_of_ten_and_their_neighbours checks the fast path's)"),
+    (_WRITER, "_records: a < 1e16 -> a <= 1e16",
+     "it sends only +-1e16 to the fast path instead of fmt, and both write "
+     "10000000000000000: 17 digits with the point in the separator's slot"),
+    (_WRITER, "_records: hi > 1e17 -> hi >= 1e17",
+     "hi is 1e17 with lo < 0 only for |x| * 10**s within 8 below 1e17, that is "
+     "within 8e-17 below a power of ten; the nearest double below each power "
+     "in the fast domain gives at least 8.3 below"),
     (_GOLDEN, "bracket_decreasing: hi > 1e200 -> hi >= 1e200",
      "hi is a power of two, and none equals 1e200"),
     (_GOLDEN, "bracket_decreasing: lo < 1e-200 -> lo <= 1e-200",
@@ -506,15 +553,20 @@ def _pytest(tests: list[str], cwd: Path, *options: str,
 
 def run(mutant_id: str, file: str, old: str, new: str, tests: list[str],
         *options: str, timeout: float | None = None) -> str:
-    """``killed``, ``timed out``, ``survived`` or ``error`` for one mutant."""
+    """``killed``, ``timed out``, ``survived`` or ``error`` for one mutant.
+
+    pytest exits 1 when a test fails, 2 when a test module fails to import
+    and 3 when one calls ``sys.exit`` at import; the unchanged run exits 0
+    or 1, so each of them comes from the mutant."""
     with tempfile.TemporaryDirectory() as tmp:
         done = _pytest(tests, _copy_with(mutant_id, file, old, new, Path(tmp)), "-x",
                        *options, timeout=timeout)
     if done is None:
         return "timed out"
-    if done.returncode not in (0, 1):
+    if done.returncode not in (0, 1, 2, 3):
         print(done.stdout[-2000:], done.stderr[-2000:], sep="\n")
-    return {0: "survived", 1: "killed"}.get(done.returncode, "error")
+    outcomes = {0: "survived", 1: "killed", 2: "killed", 3: "killed"}
+    return outcomes.get(done.returncode, "error")
 
 
 def _report(outcomes: dict[str, str]) -> list[str]:

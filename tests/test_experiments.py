@@ -6,6 +6,7 @@ import math
 import random
 import re
 import shlex
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -91,7 +92,8 @@ class TestWriteCsv:
                       [2, "swap_y_for_x", 100.00000000000001, 100.0, -0.0]]
         cycle_report = [["Initial", 100.0, 100.0, 0.0, 0.0, 0.0, 0.0],
                         ["AfterStage1", 90.0, 1000.0 / 9.0, 0.0, 0.0, 10.0, -1000.0 / 9.0 + 100.0],
-                        ["AfterStage2", 81.0, 100.0, 9.0, 100.0 / 9.0, 1.0, 5e-324]]
+                        ["AfterStage2", 81.0, 100.0, 9.0, 100.0 / 9.0, 1.0, 5e-324],
+                        ["# summary work_analogue=1.5"]]
         for rows in (pool_trace, cycle_report):
             header = [f"c{j}" for j in range(len(rows[0]))]
             path = write_csv(tmp_path / "t.csv", header, rows)
@@ -157,6 +159,21 @@ class TestWriteCsv:
         rows = np.array(cells).reshape(-1, 3)
         path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
         assert path.read_bytes() == reference_csv(["a", "b", "c"], rows.tolist())
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["one-low", "one-high"])
+    def test_digit_count_one_off_is_fixed(self, tmp_path, monkeypatch, shift):
+        # log10 may put a cell's digit count one off near a power of ten;
+        # here every cell's count starts one off, in one direction
+        powers = [float(f"1e{k}") for k in range(-4, 16)]
+        cells = [0.0, *powers, *(math.nextafter(p, 0.0) for p in powers[1:]),
+                 *(math.nextafter(p, math.inf) for p in powers),
+                 *10.0 ** np.random.default_rng(4).uniform(-4.0, 16.0, 40)]
+        rows = np.array(cells).reshape(-1, 5) * np.resize([1.0, -1.0, -1.0], (20, 5))
+        header = list("abcde")
+        expected = reference_csv(header, rows.tolist())
+        monkeypatch.setattr(np, "log10", lambda a: np.array(
+            [Decimal(v).adjusted() + shift + 0.5 for v in a.tolist()]))
+        assert write_csv(tmp_path / "t.csv", header, rows).read_bytes() == expected
 
     def test_exact_ties_round_half_to_even(self, tmp_path):
         ties = {1000000000000000.25: "1000000000000000.2",
@@ -299,6 +316,7 @@ class TestRunExperiment:
         header, trace = read_csv(tmp_path / "pool_trace.csv")
         assert header == ["step", "action", "reserve_x", "reserve_y", "spot_price"]
         assert trace[0][1] == "init"
+        assert [row[0] for row in trace] == [str(step) for step in range(len(trace))]
         # every round trip ends back at the starting reserves
         assert float(trace[-1][2]) == pytest.approx(100.0, rel=1e-12)
 
@@ -642,6 +660,14 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "pool_trace.csv").exists()
 
+    def test_cpmm_swap_of_the_smallest_normal_float_runs(self, tmp_path):
+        # u * reserve_x is exactly sys.float_info.min
+        assert main(["cpmm-compare", "--set", f"reserve_x={2.0 ** -1021!r}",
+                     "--set", "reserve_y=1", "--set", "u_values=0.5",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "cpmm_compare.csv")
+        assert float(rows[0][1]) == sys.float_info.min
+
     def test_impact_curve_needs_no_square_of_k(self, tmp_path, capsys):
         assert main(["impact-curve", "--set", "k=1e-170", "--out", str(tmp_path)]) == 0
         assert "wrote impact_curve.csv" in capsys.readouterr().out
@@ -682,15 +708,44 @@ class TestCli:
                 f"each, above the limit of {paths.MAX_ARRAY_BYTES} bytes"
                 in capsys.readouterr().err)
 
+    def test_too_many_paths_rejected_before_any_is_drawn(self, tmp_path, monkeypatch,
+                                                         capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no path may be drawn")
+
+        monkeypatch.setattr(experiments, "iter_fbm", unreachable)
+        count = paths.MAX_ARRAY_BYTES // 2048 + 1
+        assert main(["fbm-gen", "--set", f"n_paths={count}", "--set", "n_steps=1",
+                     "--out", str(tmp_path)]) == 2
+        assert (f"key 'n_paths': needs about {count * 2048} bytes at 2048 bytes each, "
+                f"above the limit" in capsys.readouterr().err)
+        assert not list(tmp_path.glob("fbm_*.csv"))
+
     @pytest.mark.parametrize("name, key, bytes_each", [
         ("fbm-gen", "n_steps", 200), ("impact-curve", "n_points", 350),
-        ("impact-verify", "n_points", 350)])
+        ("impact-verify", "n_points", 350), ("fbm-gen", "n_paths", 2048)])
     def test_size_limit_boundary(self, name, key, bytes_each):
         largest = paths.MAX_ARRAY_BYTES // bytes_each
         schema = _RUNNERS[name][0]
         assert validate_config({key: largest}, schema, name)[key] == largest
         with pytest.raises(ConfigError, match="above the limit"):
             validate_config({key: largest + 1}, schema, name)
+
+    @pytest.mark.parametrize("name, key, value, problem", [
+        ("cpmm-compare", "reserve_x", sys.float_info.min, None),
+        ("fbm-gen", "hurst", 0.0, "must be in the open interval (0, 1)"),
+        ("fbm-gen", "n_paths", 1, None),
+        ("impact-curve", "n_points", 3, None),
+        ("impact-curve", "n_points", 2, "must be >= 3"),
+    ], ids=["normal-at-smallest", "open-unit-at-zero", "paths-at-minimum",
+            "points-at-minimum", "points-below-minimum"])
+    def test_checks_at_their_edge_values(self, name, key, value, problem):
+        schema = _RUNNERS[name][0]
+        if problem is None:
+            assert validate_config({key: value}, schema, name)[key] == value
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"key {key!r}: {problem}")):
+                validate_config({key: value}, schema, name)
 
     @pytest.mark.parametrize("name, rows, cols, bytes_each, first_step", [
         ("catbond-sensitivity", "q_values", "r_values", 700, (catbond, "BondSpec")),
@@ -715,12 +770,18 @@ class TestCli:
 
     @pytest.mark.parametrize("name, key, count, bytes_each", [
         ("fbm-gen", "n_steps", 2 ** 17, 200), ("impact-curve", "n_points", 40_000, 350),
-        ("impact-verify", "n_points", 10_000, 350)])
+        ("impact-verify", "n_points", 10_000, 350), ("fbm-gen", "n_paths", 2000, 2048)])
     def test_peak_memory_per_unit_is_within_its_size_limit(self, tmp_path, name, key,
                                                            count, bytes_each):
         # the size limit takes bytes_each as the run's peak per unit; the
-        # counts are large enough for the per-unit cost to dominate
-        config = {key: count, "dt": 1.0 / count} if name == "fbm-gen" else {key: count}
+        # counts are large enough for the per-unit cost to dominate.  Paths
+        # are counted at one step each, so their own cost, the output list
+        # and manifest lines, dominates.
+        config = {key: count}
+        if key == "n_steps":
+            config["dt"] = 1.0 / count
+        elif key == "n_paths":
+            config["n_steps"] = 1
         run_experiment(name, {}, tmp_path)  # a first run, with another time column
         tracemalloc.start()
         try:

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "liqlab_mutants", Path(__file__).with_name("mutants.py"))
 mutants = importlib.util.module_from_spec(_spec)
@@ -56,3 +58,18 @@ def test_sweep_runs_the_tests_that_reach_the_module_through_the_cli():
     assert {"tests/test_cpmm.py", "tests/test_experiments.py", "tests/test_cycle.py",
             "tests/test_acceptance.py", "tests/test_pins.py"} <= set(tests)
     assert "tests/test_golden.py" not in tests
+
+
+@pytest.mark.parametrize("returncode, outcome", [
+    (0, "survived"), (1, "killed"), (2, "killed"), (3, "killed"), (4, "error"),
+    (5, "error"), (None, "timed out")])
+def test_run_reads_pytest_exit_codes(monkeypatch, tmp_path, returncode, outcome):
+    # 2 and 3 stop pytest early: a test module fails to import, or, as when
+    # cli.py runs main() at import, calls sys.exit there
+    def pytest_run(tests, cwd, *options, timeout=None):
+        if returncode is not None:
+            return subprocess.CompletedProcess(tests, returncode, "", "")
+
+    monkeypatch.setattr(mutants, "_copy_with", lambda *args: tmp_path)
+    monkeypatch.setattr(mutants, "_pytest", pytest_run)
+    assert mutants.run("m", "f.py", "a", "b", ["t.py::test"]) == outcome

@@ -362,6 +362,17 @@ class TestGenerateFbm:
             with pytest.raises(DomainError, match=r"variance at t = 1e-320 is not positive"):
                 paths.variance_slope(4, 16, 1e-320, 0.99, 3)
 
+    @pytest.mark.parametrize("estimator, message", [
+        (paths.variance_slope, r"variance at t = 1e\+300 overflows"),
+        (paths.increment_autocorr, r"sum of squares .*, or their product, overflows")],
+        ids=["variance-slope", "increment-autocorr"])
+    def test_overflowing_moments_are_named(self, estimator, message):
+        # dt**hurst ~ 1e297: the paths are finite, their squares are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                estimator(4, 16, 1e300, 0.99, 3)
+
     @pytest.mark.parametrize("estimator", [paths.variance_slope,
                                            paths.increment_autocorr])
     def test_estimator_holds_one_batch(self, estimator):

@@ -19,8 +19,9 @@ import liqlab
 from liqlab import (catbond, cli, config, cpmm, cycle, experiments, golden,
                     impact, kernels, paths)
 
+ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
-    "liqbench_tracer", Path(__file__).resolve().parents[1] / "liqbench" / "tracer.py")
+    "liqbench_tracer", ROOT / "liqbench" / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
@@ -72,6 +73,14 @@ def test_hooks_read_what_the_library_passes(trace, tmp_path):
     assert counts["kernels.self_financing.steps"] == 16
     assert spans["impact.simulate_self_financing"]["calls"] == 1
     assert isinstance(kernels.NUMBA_ENABLED, bool)
+
+
+def test_write_csv_counts_every_byte_an_experiment_writes(trace, tmp_path):
+    # cycle_report.csv's summary line is the last row of its one write_csv call
+    assert cli.main(["cycle-run", "--config", str(ROOT / "configs" / "cycle_worked.cfg"),
+                     "--out", str(tmp_path)]) == 0
+    size = (tmp_path / "cycle_report.csv").stat().st_size
+    assert trace.snapshot()["counts"]["experiments.write_csv.bytes"] == size == 463
 
 
 def test_auto_fallback_is_counted(trace, monkeypatch):
