@@ -18,6 +18,7 @@ removed.  The position and the outside balances may go negative
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .cpmm import PoolState, add_liquidity, remove_liquidity
@@ -134,7 +135,8 @@ def run_cycle(config: CycleConfig) -> CycleReport:
     :func:`~liqlab.cpmm.add_liquidity` and :func:`~liqlab.cpmm.remove_liquidity`,
     which reject amounts off the pool ratio with :class:`RatioMismatchError`.
     A reserve that overflows the float range in stage 1, 2 or 3 raises
-    :class:`DomainError` naming the stage and the reserve.
+    :class:`DomainError` naming the stage and the reserve, and so does a
+    stage-1 invariant X*Y below the normal float range.
     """
     alpha, m, sigma_amt = config.alpha, config.m, config.sigma_amt
     ledger = CycleLedger(pool=PoolState(config.x0, config.y0))
@@ -142,6 +144,10 @@ def run_cycle(config: CycleConfig) -> CycleReport:
 
     # Stage 1: take alpha of X out of the pool against beta = XY/(X-alpha) - Y.
     x, y = ledger.pool.reserve_x, ledger.pool.reserve_y
+    # a subnormal X*Y would cost new_y its precision without an error
+    if not x * y >= sys.float_info.min:
+        raise DomainError(f"stage 1 underflows the invariant: X*Y = {x * y} at "
+                          f"reserves ({x}, {y}), below the normal float range")
     new_y = x * y / (x - alpha)
     _check_reserve(new_y, 1, "Y", "X*Y/(X - alpha)")
     ledger = _book(ledger, PoolState(x - alpha, new_y), -alpha, new_y - y)

@@ -3,17 +3,16 @@
 Every float is serialized as ``%.17g`` (17 significant digits) with LF
 line endings, so reruns with the same configuration and seed are
 byte-identical.  Float tables are formatted in numpy, in blocks of about
-2**14 cells, except the first column, whose text is kept whole until the
-run ends: a cell that ``%.17g`` writes in fixed notation (0, and
+2**14 cells: a cell that ``%.17g`` writes in fixed notation (0, and
 1e-4 <= |x| < 1e16) gets its digits from an exact decimal scaling, and
-every other cell gets its text from :func:`fmt`.  The manifest lists every
-output file with its SHA-256 checksum; facts that change from run to run
-(the duration) go to ``run.json`` instead.
+every other cell gets its text from :func:`fmt`.  ``fbm-gen`` formats its
+shared time column once and hands that text to each file.  The manifest
+lists every output file with its SHA-256 checksum; facts that change from
+run to run (the duration) go to ``run.json`` instead.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import sys
@@ -41,7 +40,8 @@ def fmt(value: Any) -> str:
 
 
 # A float table is formatted this many cells at a time, so write_csv's
-# scratch memory grows with the table only by its first column's records.
+# scratch memory grows with the table only by its first column's records,
+# 40 bytes a row.
 _BLOCK_CELLS = 2 ** 14
 
 # A cell's text is first laid out in a record of five uint64 words, padded
@@ -104,6 +104,11 @@ def _record_tables() -> tuple[np.ndarray, ...]:
 # first `kept` digits, by `kept`.
 _GROUPS, _LEAD, _KEEP = _record_tables()
 
+# The doubles nearest 10**j, j = -4..15.  Those for j >= 0 are exact, and
+# those for j < 0 lie above 10**j, so a double is >= _DECADES[j + 4]
+# exactly when it is >= 10**j.
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 16)])
+
 
 def _records(x: np.ndarray) -> np.ndarray:
     """The ``(len(x), 5)`` uint64 records of the ``%.17g`` text of ``x``.
@@ -117,16 +122,9 @@ def _records(x: np.ndarray) -> np.ndarray:
     zero = a == 0
     fast = zero | ((a >= 1e-4) & (a < 1e16))
     a[zero | ~fast] = 1.0
-    # log10 may put k one off near a power of ten; the exact product
-    # hi + lo must lie in [1e16, 1e17)
-    k = np.floor(np.log10(a)).astype(np.intp)
-    k += 1
+    # 10**(k-1) <= a < 10**k, so the exact product hi + lo lies in [1e16, 1e17)
+    k = np.searchsorted(_DECADES, a, side="right") - 4
     hi, lo = _times_pow10(a, 17 - k)
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    off = np.flatnonzero(low | high)
-    k[off] += high[off].astype(np.intp) - low[off]
-    hi[off], lo[off] = _times_pow10(a[off], 17 - k[off])
     # hi is an even integer >= 1e16, so rounding lo half to even rounds
     # hi + lo half to even, as %.17g does.  n stays < 1e17: doubles are
     # 1.1e-16 apart or more (relative), far wider than half a 17th digit,
@@ -162,20 +160,16 @@ def _records(x: np.ndarray) -> np.ndarray:
     return records
 
 
-@functools.lru_cache(maxsize=1)
-def _column_records(column: bytes) -> np.ndarray:
-    """Records of a float64 column, 40 bytes a row; the last column is kept
-    until :func:`run_experiment` ends, so files that share a first column
-    (``fbm-gen``'s time column) format it once."""
-    x = np.frombuffer(column)
+def _column_records(x: np.ndarray) -> np.ndarray:
+    """The records of a float64 column, 40 bytes a row, formatted in blocks."""
     records = np.empty((len(x), 5), np.uint64)
     for start in range(0, len(x), _BLOCK_CELLS):
         records[start:start + _BLOCK_CELLS] = _records(x[start:start + _BLOCK_CELLS])
-    records.flags.writeable = False
     return records
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray) -> Path:
+def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray,
+              first: np.ndarray | None = None) -> Path:
     """Write ``header`` and ``rows`` as CSV with LF line endings.
 
     Every cell gets the text :func:`fmt` gives it.  A float table arrives as
@@ -184,8 +178,9 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray)
     1e-4 <= |x| < 1e16, which ``%.17g`` writes in fixed notation, get their
     digits from an exact decimal scaling of the whole block; every other
     cell goes through :func:`fmt`.  The first column's records, 40 bytes a
-    row, are kept whole until :func:`run_experiment` ends, so files that
-    share it format it only once.  A list of rows is for tables with text
+    row, are made for the whole table before its first block, unless
+    ``first`` already holds them (from :func:`_column_records`), as when
+    files share a first column.  A list of rows is for tables with text
     cells; it is formatted cell by cell.
     """
     if not isinstance(rows, np.ndarray):
@@ -196,7 +191,8 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray)
         raise TypeError(f"expected a 2-d float64 array with at least one "
                         f"column, got {rows.dtype} with shape {rows.shape}")
     n_rows, n_cols = rows.shape
-    first = _column_records(rows[:, 0].tobytes())
+    if first is None:
+        first = _column_records(rows[:, 0])
     step = max(1, _BLOCK_CELLS // n_cols)
     with path.open("wb") as f:
         f.write((",".join(header) + "\n").encode())
@@ -306,8 +302,10 @@ def _run_fbm_gen(cfg: dict[str, Any], out: Path):
     method_label = ""
     for i, path in enumerate(paths):
         method_label = path.meta.split(";", 1)[0]
+        if i == 0:  # after the first draw, not beside the generator's scratch
+            times = _column_records(path.times)
         files.append(write_csv(out / f"fbm_{i:04d}.csv", ["t", "value"],
-                               np.column_stack((path.times, path.values))))
+                               np.column_stack((path.times, path.values)), times))
     return files, method_label
 
 
@@ -544,10 +542,7 @@ def run_experiment(name: str, config: Mapping[str, Value],
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    try:
-        files, fbm_method = runner(cfg, out)
-    finally:
-        _column_records.cache_clear()  # the shared first column is one run's
+    files, fbm_method = runner(cfg, out)
     duration = time.perf_counter() - start
     outputs = []
     for path in files:

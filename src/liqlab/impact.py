@@ -95,7 +95,8 @@ def optimal_impact_fou(q: float, model: GrowthModel) -> float:
     """Impact that makes q optimal per unit of time:
     2 H khat^(2H-1) sigma^2 / k * q^(2H - 1/2).
 
-    Raises :class:`OverflowError` when the impact is not a finite float.
+    Raises :class:`ArithmeticError` when the impact falls below the normal
+    float range, and :class:`OverflowError` when it is not a finite float.
     """
     if not q > 0.0:
         raise DomainError("q must be positive")
@@ -108,6 +109,9 @@ def optimal_impact_fou(q: float, model: GrowthModel) -> float:
     delta_p = pre * model.sigma ** 2 / model.capital_scale_k * q_power
     if not math.isfinite(delta_p):
         raise OverflowError(f"optimal impact is not finite at q={q}")
+    if delta_p < sys.float_info.min:
+        raise ArithmeticError(f"optimal impact {delta_p!r} is below the normal "
+                              f"float range at q={q}")
     return delta_p
 
 
@@ -143,16 +147,23 @@ def impact_exponent(sizes: Sequence[float], deltas: Sequence[float]) -> float:
 
 
 def wealth_closed_form(p_t: float, p0: float, params: FouParams, w0: float) -> float:
-    """Terminal wealth w0 * exp(kappa/sigma^2 * (p_t - p0)).
+    """Terminal wealth of :func:`simulate_self_financing`'s strategy along a
+    price path from p0 to p_t that keeps one sign:
+    w0 * exp(kappa/sigma^2 * ((p_t - p0) - level * log(p_t / p0))).
 
-    Only valid for a reversion level of zero, where the optimal position
-    is proportional to wealth alone.
+    At level 0 the log term is left out, so p0 may be 0 there.  At any
+    other level, a p_t / p0 that is not positive and finite raises
+    :class:`DomainError`.
     """
-    if params.level != 0.0:
-        raise DomainError("closed form requires level == 0")
     if not w0 > 0.0:
         raise DomainError("w0 must be positive")
-    return w0 * math.exp(params.kappa / params.sigma ** 2 * (p_t - p0))
+    move = p_t - p0
+    if params.level != 0.0:
+        if not (p0 != 0.0 and 0.0 < p_t / p0 < math.inf):
+            raise DomainError(f"the log term needs a positive, finite p_t / p0, "
+                              f"got p_t={p_t}, p0={p0}")
+        move -= params.level * math.log(p_t / p0)
+    return w0 * math.exp(params.kappa / params.sigma ** 2 * move)
 
 
 def simulate_self_financing(path: SamplePath, params: FouParams, w0: float) -> SamplePath:

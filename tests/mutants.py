@@ -156,20 +156,20 @@ MUTANTS = [
      '    _check_reserve(x + sigma_amt, 3, "X", "X + sigma")\n', "",
      ["tests/test_cycle.py::TestRunCycle::test_overflowing_reserve_names_the_stage"
       "[overrides2-stage 3 overflows the X reserve: X + sigma = inf]"]),
-    # the writer's fast domain and its fix of a digit count one off
+    # the writer's fast domain and its digit count, one lookup in _DECADES
     ("writer-fast-domain-from-1e-5", _WRITER,
      "fast = zero | ((a >= 1e-4) & (a < 1e16))", "fast = zero | ((a >= 1e-5) & (a < 1e16))",
      [_POWERS, _CSV + "test_float_table_matches_per_cell_reference"]),
     ("writer-fast-domain-to-1e17", _WRITER,
      "fast = zero | ((a >= 1e-4) & (a < 1e16))", "fast = zero | ((a >= 1e-4) & (a < 1e17))",
      [_POWERS]),
-    ("writer-k-fix-dropped", _WRITER,
-     "    k[off] += high[off].astype(np.intp) - low[off]\n"
-     "    hi[off], lo[off] = _times_pow10(a[off], 17 - k[off])\n", "",
+    ("writer-decade-lookup-left", _WRITER,
+     'np.searchsorted(_DECADES, a, side="right")', 'np.searchsorted(_DECADES, a, side="left")',
      [_POWERS]),
-    ("writer-k-fix-misses-an-exact-power", _WRITER,
-     "((hi == 1e17) & (lo >= 0))", "((hi == 1e17) & (lo > 0))",
-     [_CSV + "test_digit_count_one_off_is_fixed[one-low]"]),
+    ("writer-decades-below-negative-powers", _WRITER,
+     '[float(f"1e{j}") for j in range(-4, 16)]',
+     '[np.nextafter(float(f"1e{j}"), 0) if j < 0 else float(f"1e{j}") for j in range(-4, 16)]',
+     [_CSV + "test_decades_bound_each_power_of_ten_exactly", _POWERS]),
     # run_experiment's check of the outputs and the runners' config checks
     ("output-check-dropped", _WRITER,
      "if not path.is_file() or path.stat().st_size == 0:", "if False:",
@@ -326,7 +326,8 @@ MUTANTS = [
      "if not 0.0 <= self.time_per_size_khat < math.inf:",
      ["tests/test_impact.py::TestModelValidation::test_growth_model_domain"]),
     ("closed-form-w0-check-dropped", _IMPACT,
-     'level == 0")\n    if not w0 > 0.0:', 'level == 0")\n    if False:',
+     ':class:`DomainError`.\n    """\n    if not w0 > 0.0:',
+     ':class:`DomainError`.\n    """\n    if False:',
      [_IMPACT_DOMAIN + "[closed-form-w0]"]),
     ("self-financing-w0-check-dropped", _IMPACT,
      '``"self-financing;"``.\n    """\n    if not w0 > 0.0:',
@@ -478,14 +479,28 @@ MUTANTS = [
      '"n_paths": Field(1, _sized(1, 2048)),', '"n_paths": Field(1, _sized(1, 0)),',
      [_CLI + "test_too_many_paths_rejected_before_any_is_drawn",
       _CLI + "test_size_limit_boundary[fbm-gen-n_paths-2048]"]),
-    # the first-column memo: one time column per run, released when the run ends
-    ("run-keeps-the-first-column-memo", _WRITER,
-     "_column_records.cache_clear()  # the shared first column is one run's", "pass",
-     [_RUN + "test_time_column_is_formatted_once_per_run",
-      _RUN + "test_first_column_is_released_when_a_run_raises"]),
-    ("first-column-memo-off", _WRITER,
-     "@functools.lru_cache(maxsize=1)", "@functools.lru_cache(maxsize=0)",
+    # fbm-gen formats its shared time column once a run
+    ("fbm-gen-formats-the-time-column-per-file", _WRITER,
+     "np.column_stack((path.times, path.values)), times))",
+     "np.column_stack((path.times, path.values))))",
      [_RUN + "test_time_column_is_formatted_once_per_run"]),
+    # an impact below the normal range, and a stage-1 invariant there
+    ("impact-fou-underflow-check-dropped", _IMPACT,
+     "if delta_p < sys.float_info.min:", "if False:",
+     ["tests/test_impact.py::TestOptimalImpactFou::test_impact_below_the_normal_range_is_named",
+      _CLI + "test_impact_arithmetic_errors_name_their_cause[underflow-curve]"]),
+    ("cycle-stage-1-invariant-check-dropped", _CYCLE,
+     "if not x * y >= sys.float_info.min:", "if False:",
+     [_DRAINED + "[overrides7-stage 1 underflows the invariant: X*Y = 1e-320 at reserves "
+      "(1e-160, 1e-160)]",
+      _DRAINED + "[overrides8-stage 1 underflows the invariant: X*Y = 0.0 at reserves "
+      "(1e-300, 1e-300)]"]),
+    # the work analogue values the X left outside at the starting price
+    ("cycle-work-divides-by-p0", _CYCLE,
+     "work = ledger.outside_x * p0 + ledger.outside_y",
+     "work = ledger.outside_x / p0 + ledger.outside_y",
+     [_RUN_CYCLE + "test_x_unit_scaling[exact-8.0]",
+      _RUN_CYCLE + "test_x_unit_scaling[original-x-8.0]"]),
 ]
 
 # Comparison flips that change no result, by module and id (see
@@ -497,10 +512,6 @@ EQUIVALENT = [
     (_WRITER, "_records: a < 1e16 -> a <= 1e16",
      "it sends only +-1e16 to the fast path instead of fmt, and both write "
      "10000000000000000: 17 digits with the point in the separator's slot"),
-    (_WRITER, "_records: hi > 1e17 -> hi >= 1e17",
-     "hi is 1e17 with lo < 0 only for |x| * 10**s within 8 below 1e17, that is "
-     "within 8e-17 below a power of ten; the nearest double below each power "
-     "in the fast domain gives at least 8.3 below"),
     (_GOLDEN, "bracket_decreasing: hi > 1e200 -> hi >= 1e200",
      "hi is a power of two, and none equals 1e200"),
     (_GOLDEN, "bracket_decreasing: lo < 1e-200 -> lo <= 1e-200",

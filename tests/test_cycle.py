@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from liqlab.cli import main
@@ -251,6 +253,14 @@ class TestRunCycle:
         (["x0=1", "y0=1", "alpha=0.999999", "m=1e6", "sigma_amt=0"],
          "removal (999999.000001, 9.999999999434886e+17) would drain reserves "
          "(1000000.000001, 9.999999999434886e+17)"),
+        # X*Y is subnormal: formerly exit 0 with a stage-1 Y reserve of
+        # 1.1110987e-160, where the exact value is 1.1111111e-160
+        (["x0=1e-160", "y0=1e-160", "alpha=1e-161", "m=1e-161", "sigma_amt=0"],
+         "stage 1 underflows the invariant: X*Y = 1e-320 at reserves (1e-160, 1e-160)"),
+        # X*Y is 0: formerly "reserves must be positive and finite, got
+        # (9e-301, 0.0)", which named no stage
+        (["x0=1e-300", "y0=1e-300", "alpha=1e-301", "m=1e-301", "sigma_amt=0"],
+         "stage 1 underflows the invariant: X*Y = 0.0 at reserves (1e-300, 1e-300)"),
     ])
     def test_overflowing_reserve_names_the_stage(self, tmp_path, capsys,
                                                  overrides, message):
@@ -259,6 +269,32 @@ class TestRunCycle:
             argv += ["--set", item]
         assert main(argv) == 3
         assert message in capsys.readouterr().err
+
+    def test_stage_1_invariant_at_the_smallest_normal_float_runs(self):
+        config = CycleConfig(1.0, sys.float_info.min, 0.5, 0.0, 0.0, removal=(0.0, 0.0))
+        assert run_cycle(config).snapshots[1].pool.reserve_y == 2.0 * sys.float_info.min
+
+    @pytest.mark.parametrize("c", [2.0 ** -30, 8.0, 2.0 ** 40])
+    @pytest.mark.parametrize("rule", STAGE3_RULES)
+    def test_x_unit_scaling(self, rule, c):
+        # scaling the X unit by a power of two scales every X amount by it,
+        # to the bit, and leaves every Y amount and the work analogue (in Y)
+        led3 = worked_after(3, rule)
+        g, h = 0.05 * led3.pool.reserve_x, 0.05 * led3.pool.reserve_y
+        base = run_cycle(CycleConfig(X0, Y0, ALPHA, M, SIG, removal=(g, h),
+                                     stage3_rule=rule))
+        scaled = run_cycle(CycleConfig(c * X0, Y0, c * ALPHA, c * M, c * SIG,
+                                       removal=(c * g, h), stage3_rule=rule))
+        assert base.snapshots[-1].outside_x != 0.0
+        for s, t in zip(base.snapshots, scaled.snapshots, strict=True):
+            assert (t.pool.reserve_x, t.inside_x, t.outside_x) == (
+                c * s.pool.reserve_x, c * s.inside_x, c * s.outside_x)
+            assert (t.pool.reserve_y, t.inside_y, t.outside_y) == (
+                s.pool.reserve_y, s.inside_y, s.outside_y)
+        assert (scaled.g_amt, scaled.gross_short_x) == (c * base.g_amt,
+                                                        c * base.gross_short_x)
+        assert (scaled.h_amt, scaled.gross_short_y, scaled.work_analogue) == (
+            base.h_amt, base.gross_short_y, base.work_analogue)
 
     def test_overflowing_x_reserve_in_stage_2(self):
         with pytest.raises(DomainError, match="stage 2 overflows the X reserve"):

@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,15 +110,16 @@ class TestWriteCsv:
             write_csv(tmp_path / "t.csv", [], np.zeros((2, 0)))
 
     def test_arrays_sharing_a_first_column(self, tmp_path):
-        # the second write reuses the first column's text; the longer
-        # table spans three blocks
+        # both writes take the first column's text from one formatting; the
+        # longer table spans three blocks
         for n_rows in (5, 2 * BLOCK_ROWS_OF_3 + 1):
             t = np.arange(n_rows) * 0.1
+            first = experiments._column_records(t)
             for values in ([0.0, 1 / 3, -2.5, 1e300, 5e-324],
                            [math.nan, math.inf, -0.0, 7.0, 0.1]):
                 values = np.resize(values, n_rows)
                 rows = np.column_stack((t, values, np.negative(values)))
-                path = write_csv(tmp_path / "t.csv", ["t", "a", "b"], rows)
+                path = write_csv(tmp_path / "t.csv", ["t", "a", "b"], rows, first)
                 assert path.read_bytes() == reference_csv(["t", "a", "b"], rows.tolist())
 
     def test_zero_and_negative_zero_first_columns(self, tmp_path):
@@ -160,20 +162,13 @@ class TestWriteCsv:
         path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
         assert path.read_bytes() == reference_csv(["a", "b", "c"], rows.tolist())
 
-    @pytest.mark.parametrize("shift", [-1, 1], ids=["one-low", "one-high"])
-    def test_digit_count_one_off_is_fixed(self, tmp_path, monkeypatch, shift):
-        # log10 may put a cell's digit count one off near a power of ten;
-        # here every cell's count starts one off, in one direction
-        powers = [float(f"1e{k}") for k in range(-4, 16)]
-        cells = [0.0, *powers, *(math.nextafter(p, 0.0) for p in powers[1:]),
-                 *(math.nextafter(p, math.inf) for p in powers),
-                 *10.0 ** np.random.default_rng(4).uniform(-4.0, 16.0, 40)]
-        rows = np.array(cells).reshape(-1, 5) * np.resize([1.0, -1.0, -1.0], (20, 5))
-        header = list("abcde")
-        expected = reference_csv(header, rows.tolist())
-        monkeypatch.setattr(np, "log10", lambda a: np.array(
-            [Decimal(v).adjusted() + shift + 0.5 for v in a.tolist()]))
-        assert write_csv(tmp_path / "t.csv", header, rows).read_bytes() == expected
+    def test_decades_bound_each_power_of_ten_exactly(self):
+        # a cell's digit count is the number of entries at or below it, so
+        # each entry is its power of ten or the first double above it
+        decades = experiments._DECADES.tolist()
+        for j, decade in zip(range(-4, 16), decades, strict=True):
+            below = math.nextafter(decade, 0.0)
+            assert Fraction(below) < Fraction(10) ** j <= Fraction(decade)
 
     def test_exact_ties_round_half_to_even(self, tmp_path):
         ties = {1000000000000000.25: "1000000000000000.2",
@@ -238,7 +233,7 @@ class TestRunExperiment:
             assert [float(v) for _, v in rows] == expected.values.tolist()
 
     def test_fbm_gen_runs_with_different_dt(self, tmp_path):
-        # each run's time column replaces the last run's template
+        # each run formats its own time column
         for dt in (0.25, 0.1, 0.25):
             out = tmp_path / str(dt)
             cfg = {"n_steps": 8, "n_paths": 2, "dt": dt, "seed": 3}
@@ -258,26 +253,9 @@ class TestRunExperiment:
             return records(x)
 
         monkeypatch.setattr(experiments, "_records", spy)
-        experiments._column_records.cache_clear()
         run_experiment("fbm-gen", {"n_steps": 16, "n_paths": 3, "seed": 2}, tmp_path)
         # the time column, then the value column of each of the three files
         assert calls == [17, 17, 17, 17]
-        assert experiments._column_records.cache_info().currsize == 0
-
-    def test_first_column_is_released_when_a_run_raises(self, tmp_path, monkeypatch):
-        kept = []
-
-        def runner(cfg, out):
-            write_csv(out / "table.csv", ["t"], np.zeros((4, 1)))
-            kept.append(experiments._column_records.cache_info().currsize)
-            raise errors.DomainError("forced")
-
-        schema = _RUNNERS["fbm-gen"][0]
-        monkeypatch.setitem(_RUNNERS, "fbm-gen", (schema, runner))
-        with pytest.raises(errors.DomainError, match="forced"):
-            run_experiment("fbm-gen", {}, tmp_path)
-        assert kept == [1]
-        assert experiments._column_records.cache_info().currsize == 0
 
     def test_manifest_lists_outputs_with_checksums(self, tmp_path):
         outputs = run_experiment("impact-curve", {}, tmp_path)
@@ -380,9 +358,9 @@ class TestRunExperiment:
     def test_only_text_tables_reach_write_csv_as_lists(self, tmp_path, monkeypatch):
         kinds = {}
 
-        def spy(path, header, rows):
+        def spy(path, header, rows, first=None):
             kinds[path.name] = type(rows)
-            return write_csv(path, header, rows)
+            return write_csv(path, header, rows, first)
 
         monkeypatch.setattr(experiments, "write_csv", spy)
         for name in EXPERIMENT_NAMES:
@@ -580,7 +558,14 @@ class TestCli:
         # khat ** (2H - 1) overflows
         (["impact-curve", "--set", "hurst=5e-324", "--set", "khat=5e-324"],
          "optimal impact is not finite at q=0.01"),
-    ], ids=["sigma", "q_values", "k", "khat"])
+        # q ** (2H - 1/2) underflows: formerly exit 0 with delta_p = 0 in
+        # every row, and "delta_p must be positive" from impact-verify
+        (["impact-curve", "--set", "q_min=1e-300", "--set", "q_max=1e-290",
+          "--set", "n_points=3", "--set", "hurst=0.9"],
+         "optimal impact 0.0 is below the normal float range at q=1e-300"),
+        (["impact-verify", "--set", "q_values=1e-300", "--set", "hursts=0.9"],
+         "optimal impact 0.0 is below the normal float range at q=1e-300"),
+    ], ids=["sigma", "q_values", "k", "khat", "underflow-curve", "underflow-verify"])
     def test_impact_arithmetic_errors_name_their_cause(self, tmp_path, capsys,
                                                        argv, message):
         # formerly Python's own text: "(34, 'Numerical result out of range')"

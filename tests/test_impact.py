@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,16 @@ class TestOptimalImpactFou:
         with pytest.raises(OverflowError, match="not finite"):
             optimal_impact_fou(np.float64(1e308), m)
 
+    def test_impact_below_the_normal_range_is_named(self):
+        # at H = 3/4 and k = 3/2 the impact is q itself, to the bit;
+        # formerly a subnormal q came back as its own impact
+        m = model(k=1.5, hurst=0.75)
+        assert optimal_impact_fou(sys.float_info.min, m) == sys.float_info.min
+        subnormal = math.nextafter(sys.float_info.min, 0.0)
+        with pytest.raises(ArithmeticError, match=f"below the normal float range "
+                                                  f"at q={subnormal}"):
+            optimal_impact_fou(subnormal, m)
+
 
 class TestOptimalSizeNumeric:
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
@@ -243,10 +254,17 @@ class TestWealthClosedForm:
         params = FouParams(kappa=1.0, level=0.0, sigma=1.0)
         assert wealth_closed_form(math.log(2.0), 0.0, params, 3.0) == pytest.approx(6.0, rel=1e-15)
 
-    def test_requires_zero_level(self):
+    def test_worked_value_at_a_nonzero_level(self):
+        # 2 * exp((2 - 1) - 1 * log(2 / 1)) = e
+        params = FouParams(kappa=1.0, level=1.0, sigma=1.0)
+        assert wealth_closed_form(2.0, 1.0, params, 2.0) == pytest.approx(math.e, rel=1e-15)
+
+    @pytest.mark.parametrize("p_t, p0", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                                         (math.nan, 1.0), (1e300, 1e-300)])
+    def test_log_term_needs_a_positive_finite_ratio(self, p_t, p0):
         params = FouParams(kappa=1.0, level=0.5, sigma=1.0)
-        with pytest.raises(DomainError):
-            wealth_closed_form(1.0, 0.0, params, 1.0)
+        with pytest.raises(DomainError, match="positive, finite p_t / p0"):
+            wealth_closed_form(p_t, p0, params, 1.0)
 
 
 class TestSimulateSelfFinancing:
@@ -277,9 +295,11 @@ class TestSimulateSelfFinancing:
         with pytest.raises(DomainError, match="underflows"):
             simulate_self_financing(path, params, 1.0)
 
-    def test_refinement_converges_to_closed_form(self):
+    @pytest.mark.parametrize("hurst", [0.5, 0.7, 0.3])
+    @pytest.mark.parametrize("level", [0.0, 5.0, -3.0])
+    def test_refinement_converges_to_closed_form(self, level, hurst):
         # fixed driver function, sampled at dt, dt/2, dt/4, dt/8
-        params = FouParams(kappa=-0.05, level=0.0, sigma=0.5)
+        params = FouParams(kappa=-0.05, level=level, sigma=0.5, hurst=hurst)
         driver = simulate_fou(params, 10.0, 100, 1e-2, seed=2024)
         target = wealth_closed_form(driver.values[-1], driver.values[0], params, 1.0)
         errs = []
@@ -287,7 +307,8 @@ class TestSimulateSelfFinancing:
             fine = refine_linear(driver, factor)
             wealth = simulate_self_financing(fine, params, 1.0)
             errs.append(abs(wealth.values[-1] - target) / target)
-        assert all(a > b for a, b in zip(errs, errs[1:]))
+        # first order in 1/factor: each doubling about halves the error
+        assert all(1.9 < a / b < 2.2 for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 0.01
 
 
