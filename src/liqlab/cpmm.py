@@ -59,7 +59,11 @@ def _swap_invariant(pool: PoolState, swap: str) -> float:
 
 
 def swap_x_for_y(pool: PoolState, dx: float) -> tuple[PoolState, float]:
-    """Deposit ``dx`` of X, withdraw Y keeping the product constant."""
+    """Deposit ``dx`` of X, withdraw Y keeping the product constant.
+
+    The ``dy`` withdrawn is the float difference ``reserve_y - new_y``,
+    which is exact (Sterbenz), so a ledger that books it conserves Y.
+    """
     if not dx > 0.0:
         raise DomainError(f"dx must be positive, got {dx}")
     if dx >= pool.reserve_x:

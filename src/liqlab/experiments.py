@@ -6,9 +6,9 @@ byte-identical.  Float tables are formatted in numpy, in blocks of about
 2**14 cells: a cell that ``%.17g`` writes in fixed notation (0, and
 1e-4 <= |x| < 1e16) gets its digits from an exact decimal scaling, and
 every other cell gets its text from :func:`fmt`.  ``fbm-gen`` formats its
-shared time column once and hands that text to each file.  The manifest
-lists every output file with its SHA-256 checksum; facts that change from
-run to run (the duration) go to ``run.json`` instead.
+shared time column once and hands that text to each file as column 0.
+The manifest lists every output file with its SHA-256 checksum; facts
+that change from run to run (the duration) go to ``run.json`` instead.
 """
 
 from __future__ import annotations
@@ -177,11 +177,11 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray,
     cells that go to the file one by one.  Cells in the fast domain, 0 and
     1e-4 <= |x| < 1e16, which ``%.17g`` writes in fixed notation, get their
     digits from an exact decimal scaling of the whole block; every other
-    cell goes through :func:`fmt`.  The first column's records, 40 bytes a
-    row, are made for the whole table before its first block, unless
-    ``first`` already holds them (from :func:`_column_records`), as when
-    files share a first column.  A list of rows is for tables with text
-    cells; it is formatted cell by cell.
+    cell goes through :func:`fmt`.  Column 0's records, 40 bytes a row, are
+    made for the whole table before its first block.  Given ``first``, the
+    records of column 0 from :func:`_column_records`, as when files share a
+    first column, ``rows`` holds only the columns after it.  A list of rows
+    is for tables with text cells; it is formatted cell by cell.
     """
     if not isinstance(rows, np.ndarray):
         body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
@@ -190,9 +190,9 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray,
     if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] < 1:
         raise TypeError(f"expected a 2-d float64 array with at least one "
                         f"column, got {rows.dtype} with shape {rows.shape}")
-    n_rows, n_cols = rows.shape
     if first is None:
-        first = _column_records(rows[:, 0])
+        first, rows = _column_records(rows[:, 0]), rows[:, 1:]
+    n_rows, n_cols = len(rows), 1 + rows.shape[1]
     step = max(1, _BLOCK_CELLS // n_cols)
     with path.open("wb") as f:
         f.write((",".join(header) + "\n").encode())
@@ -200,7 +200,7 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray,
             block = rows[start:start + step]
             records = np.empty((len(block), n_cols, 5), np.uint64)
             records[:, 0] = first[start:start + step]
-            records[:, 1:] = _records(block[:, 1:].ravel()).reshape(len(block), -1, 5)
+            records[:, 1:] = _records(block.ravel()).reshape(len(block), -1, 5)
             separators = records.view(np.uint8)[:, :, -1]
             separators[:, :-1] = ord(",")
             separators[:, -1] = ord("\n")
@@ -299,14 +299,12 @@ def _run_fbm_gen(cfg: dict[str, Any], out: Path):
     paths = iter_fbm(cfg["n_paths"], cfg["n_steps"], cfg["dt"], cfg["hurst"],
                      cfg["seed"], method=cfg["method"])
     files = []
-    method_label = ""
     for i, path in enumerate(paths):
-        method_label = path.meta.split(";", 1)[0]
         if i == 0:  # after the first draw, not beside the generator's scratch
             times = _column_records(path.times)
         files.append(write_csv(out / f"fbm_{i:04d}.csv", ["t", "value"],
-                               np.column_stack((path.times, path.values)), times))
-    return files, method_label
+                               path.values[:, None], times))
+    return files, path.meta
 
 
 _FBM_SCHEMA = _COMMON | {
@@ -546,10 +544,10 @@ def run_experiment(name: str, config: Mapping[str, Value],
     duration = time.perf_counter() - start
     outputs = []
     for path in files:
-        if not path.is_file() or path.stat().st_size == 0:
+        data = path.read_bytes() if path.is_file() else b""
+        if not data:
             raise OSError(f"experiment output {path} is missing or empty")
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        outputs.append((path.name, digest, path.stat().st_size))
+        outputs.append((path.name, hashlib.sha256(data).hexdigest(), len(data)))
     (out / "manifest.txt").write_text(
         _manifest_text(name, cfg, fbm_method or "n/a", outputs), newline="\n")
     (out / "run.json").write_text(

@@ -5,9 +5,9 @@ Fractional Gaussian noise is sampled exactly via circulant embedding
 complex Gaussian vector is colored by the eigenvalue square roots.  If the
 embedding has a negative eigenvalue for the requested size and Hurst index,
 generation falls back to an exact Cholesky factorization of the increment
-covariance; the method actually used is recorded in ``SamplePath.meta``.
-A :class:`SamplePath` is ``(dt, values, meta)``: its times ``i * dt`` are
-derived, so its grid is uniform by construction.
+covariance.  A :class:`SamplePath` is ``(dt, values, meta)``: its times
+``i * dt`` are derived, so its grid is uniform by construction, and its
+``meta`` is the chain of methods that made it, the fBM method among them.
 
 Randomness comes from one PCG64 stream per path (stream seed = base seed +
 path index); normal variates use numpy's ziggurat sampler.  Paths are drawn
@@ -93,9 +93,10 @@ class SamplePath:
     """A path sampled at the times ``i * dt``, ``i = 0..n_steps``.
 
     ``dt`` must be positive with a finite last time ``n_steps * dt``, and
-    the values finite; ``times`` is computed on each access.  ``meta``
-    carries the generation-method label, e.g.
-    ``"davies-harte;prng=pcg64;normal=ziggurat"``.
+    the values finite; ``times`` is computed on each access.  ``meta`` is
+    the chain of methods that made the path, e.g. ``"davies-harte"`` or
+    ``"fou-euler;cholesky;linear-refined-x2"``; every path shares one PRNG
+    and one normal sampler, ``PRNG_LABEL`` and ``NORMAL_LABEL``.
     """
 
     dt: float
@@ -198,10 +199,6 @@ def _path_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def _meta(method: str) -> str:
-    return f"{method};prng={PRNG_LABEL};normal={NORMAL_LABEL}"
-
-
 def _resolve_method(n_steps: int, hurst: float, method: str):
     """Pick the generator; return (label, normals per path, block colorer)."""
     if method not in FBM_METHODS:
@@ -271,14 +268,13 @@ def iter_fbm(n_paths: int, n_steps: int, dt: float, hurst: float,
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     label, rows, draw = _fbm_generator(n_steps, dt, hurst, method)
-    meta = _meta(label)
 
     def sample_paths() -> Iterator[SamplePath]:
         for start in range(0, n_paths, rows):
             block = draw(int(base_seed) + start,
                          np.empty((min(rows, n_paths - start), n_steps + 1)))
             for values in block:
-                yield SamplePath(dt=dt, values=values, meta=meta)
+                yield SamplePath(dt=dt, values=values, meta=label)
 
     return sample_paths()
 

@@ -19,14 +19,16 @@ It exits 1 when a mutant survives or its run cannot start.
 ``python tests/mutants.py --sweep src/liqlab/MODULE.py`` generates the
 mutants instead: every comparison of the module flipped, one at a time
 (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), except those in
-``EQUIVALENT``.  Each runs the test files that import the module or
-``liqlab.cli``, with the acceptance and pin tests, less those that fail on
-the unchanged tree.  It prints the score and the survivors, and exits 1
-when one is left.
+``EQUIVALENT``.  With ``--ops`` the sweep makes operator mutants instead:
+``+`` and ``-``, and ``*`` and ``/``, swapped (augmented ones too), a
+unary ``-`` or a ``not`` dropped, and ``and`` and ``or`` swapped.  Each
+runs the test files that import the module or ``liqlab.cli``, with the
+acceptance and pin tests, less those that fail on the unchanged tree.  It
+prints the score and the survivors, and exits 1 when one is left.
 
 pytest does not collect this file; ``tests/test_mutants.py`` checks that
 every row still applies to the tree and every ``EQUIVALENT`` entry still
-names a comparison.
+names a mutant of its module.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ _CATBOND = "src/liqlab/catbond.py"
 _EXPONENT = "tests/test_impact.py::TestImpactExponent::test_rejects_samples_it_cannot_fit"
 _RUN = "tests/test_experiments.py::TestRunExperiment::"
 _EDGES = _CLI + "test_checks_at_their_edge_values"
+_EXACT = "tests/test_exact.py::"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -172,7 +175,7 @@ MUTANTS = [
      [_CSV + "test_decades_bound_each_power_of_ten_exactly", _POWERS]),
     # run_experiment's check of the outputs and the runners' config checks
     ("output-check-dropped", _WRITER,
-     "if not path.is_file() or path.stat().st_size == 0:", "if False:",
+     "if not data:", "if False:",
      [_CLI + "test_missing_or_empty_output_is_an_io_error[missing]",
       _CLI + "test_missing_or_empty_output_is_an_io_error[empty]"]),
     ("log-grid-check-dropped", _WRITER,
@@ -481,7 +484,7 @@ MUTANTS = [
       _CLI + "test_size_limit_boundary[fbm-gen-n_paths-2048]"]),
     # fbm-gen formats its shared time column once a run
     ("fbm-gen-formats-the-time-column-per-file", _WRITER,
-     "np.column_stack((path.times, path.values)), times))",
+     "path.values[:, None], times))",
      "np.column_stack((path.times, path.values))))",
      [_RUN + "test_time_column_is_formatted_once_per_run"]),
     # an impact below the normal range, and a stage-1 invariant there
@@ -501,6 +504,16 @@ MUTANTS = [
      "work = ledger.outside_x / p0 + ledger.outside_y",
      [_RUN_CYCLE + "test_x_unit_scaling[exact-8.0]",
       _RUN_CYCLE + "test_x_unit_scaling[original-x-8.0]"]),
+    # forms equal in real arithmetic that only the exact replay tells apart:
+    # a swap's output is the float difference of the reserves, and a removal
+    # one rounded difference
+    ("swap-y-for-x-output-from-the-quotient", _CPMM,
+     "dx = pool.reserve_x - new_x", "dx = pool.reserve_x * dy / new_y",
+     [_EXACT + "TestSwaps::test_swap_y_for_x"]),
+    ("removal-scales-the-x-reserve", _CPMM,
+     "return PoolState(pool.reserve_x - g, pool.reserve_y - h)",
+     "return PoolState(pool.reserve_x * (1.0 - g / pool.reserve_x), pool.reserve_y - h)",
+     [_EXACT + "TestLiquidity::test_remove_liquidity"]),
 ]
 
 # Comparison flips that change no result, by module and id (see
@@ -608,14 +621,20 @@ def main() -> int:
 
 _FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
           ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+_SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"),
+          ast.Div: ("/", "*")}
+_BOOLS = {ast.And: ("and", "or"), ast.Or: ("or", "and")}
 
 
-def comparison_flips(file: str) -> dict[str, str]:
-    """Each comparison of ``file`` with one operator flipped: id to file text.
+def _mutants(file: str, edits) -> dict[str, str]:
+    """Each mutant that ``edits`` makes of ``file``: id to file text.
 
-    An id reads ``scope: comparison -> flipped comparison``, where the scope
-    is the dotted path of the enclosing functions and classes, or
-    ``<module>``; a repeat of an id in one scope gets `` #2``, `` #3``, ...
+    ``edits(node, text, span)`` yields, for one node, each mutant as a list
+    of ``(start, old, new)`` replacements in ``text``; ``span(node)`` is the
+    node's ``(start, stop)`` in ``text``.  An id reads ``scope: node ->
+    mutated node``, where the scope is the dotted path of the enclosing
+    functions and classes, or ``<module>``; a repeat of an id in one scope
+    gets `` #2``, `` #3``, ...
     """
     text = (ROOT / file).read_text()
     lines = text.splitlines(keepends=True)
@@ -625,35 +644,79 @@ def comparison_flips(file: str) -> dict[str, str]:
         # ast columns count UTF-8 bytes
         return starts[lineno - 1] + len(lines[lineno - 1].encode()[:col].decode())
 
-    flips: dict[str, str] = {}
+    def span(node: ast.AST) -> tuple[int, int]:
+        return (offset(node.lineno, node.col_offset),
+                offset(node.end_lineno, node.end_col_offset))
+
+    found: dict[str, str] = {}
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Compare):
-                first = offset(child.lineno, child.col_offset)
-                last = offset(child.end_lineno, child.end_col_offset)
-                operands = [child.left, *child.comparators]
-                for op, left, right in zip(child.ops, operands, operands[1:]):
-                    if type(op) not in _FLIPS:
-                        continue
-                    old, new = _FLIPS[type(op)]
-                    gap = offset(left.end_lineno, left.end_col_offset)
-                    at = text.index(old, gap, offset(right.lineno, right.col_offset))
-                    mutated = text[:at] + new + text[at + len(old):]
-                    mutant_id = (f"{scope}: {' '.join(text[first:last].split())} -> "
-                                 f"{' '.join(mutated[first:last + len(new) - len(old)].split())}")
-                    unique, repeat = mutant_id, 1
-                    while unique in flips:
-                        repeat += 1
-                        unique = f"{mutant_id} #{repeat}"
-                    flips[unique] = mutated
+            for replacements in edits(child, text, span):
+                first, last = span(child)
+                mutated, end = text, last
+                for at, old, new in sorted(replacements, reverse=True):
+                    mutated = mutated[:at] + new + mutated[at + len(old):]
+                    end += len(new) - len(old)
+                mutant_id = (f"{scope}: {' '.join(text[first:last].split())} -> "
+                             f"{' '.join(mutated[first:end].split())}")
+                unique, repeat = mutant_id, 1
+                while unique in found:
+                    repeat += 1
+                    unique = f"{mutant_id} #{repeat}"
+                found[unique] = mutated
             visit(child, scope)
 
     visit(ast.parse(text), "<module>")
-    return flips
+    return found
+
+
+def _comparison_edits(node, text, span):
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if type(op) in _FLIPS:
+                old, new = _FLIPS[type(op)]
+                yield [(text.index(old, span(left)[1], span(right)[0]), old, new)]
+
+
+def _operator_edits(node, text, span):
+    if isinstance(node, ast.BinOp) and type(node.op) in _SWAPS:
+        old, new = _SWAPS[type(node.op)]
+        yield [(text.index(old, span(node.left)[1], span(node.right)[0]), old, new)]
+    elif isinstance(node, ast.AugAssign) and type(node.op) in _SWAPS:
+        old, new = (f"{op}=" for op in _SWAPS[type(node.op)])
+        yield [(text.index(old, span(node.target)[1], span(node.value)[0]), old, new)]
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.Not)):
+        # the operator is dropped, with the space after a not
+        start = span(node)[0]
+        yield [(start, text[start:span(node.operand)[0]].rstrip("("), "")]
+    elif isinstance(node, ast.BoolOp):
+        old, new = _BOOLS[type(node.op)]
+        word = re.compile(rf"\b{old}\b")
+        yield [(word.search(text, span(left)[1], span(right)[0]).start(), old, new)
+               for left, right in zip(node.values, node.values[1:])]
+
+
+def comparison_flips(file: str) -> dict[str, str]:
+    """Each comparison of ``file`` with one operator flipped: id to file text.
+
+    ``<`` and ``<=``, ``>`` and ``>=``, and ``==`` and ``!=`` are flipped.
+    """
+    return _mutants(file, _comparison_edits)
+
+
+def operator_swaps(file: str) -> dict[str, str]:
+    """Each operator of ``file`` swapped or dropped, one at a time: id to file text.
+
+    ``+`` and ``-``, and ``*`` and ``/``, are swapped, in augmented
+    assignments too; a unary ``-`` and a ``not`` are dropped; and ``and``
+    and ``or`` are swapped, at every place of one expression.
+    """
+    return _mutants(file, _operator_edits)
 
 
 def sweep_tests(file: str) -> list[str]:
@@ -668,8 +731,9 @@ def sweep_tests(file: str) -> list[str]:
                      if imports.search(test.read_text()))})
 
 
-def sweep(file: str) -> int:
-    """Run every comparison flip of ``file`` outside ``EQUIVALENT``; 1 if one survives."""
+def sweep(file: str, ops: bool = False) -> int:
+    """Run every comparison flip of ``file``, or with ``ops`` every operator
+    swap, outside ``EQUIVALENT``; 1 if one survives."""
     tests = sweep_tests(file)
     started = time.monotonic()
     baseline = _pytest(tests, ROOT, "-rfE")
@@ -682,8 +746,9 @@ def sweep(file: str) -> int:
                          baseline.stdout, re.MULTILINE)
     for test in failing:
         print(f"deselected, fails on the unchanged tree: {test}")
-    flips = comparison_flips(file)
-    equivalent = {mutant_id for module, mutant_id, _ in EQUIVALENT if module == file}
+    flips = (operator_swaps if ops else comparison_flips)(file)
+    equivalent = {mutant_id for module, mutant_id, _ in EQUIVALENT
+                  if module == file and mutant_id in flips}
     text = (ROOT / file).read_text()
     deselect = [f"--deselect={test}" for test in failing]
     left = _report({mutant_id: run(mutant_id, file, text, mutated, tests, *deselect,
@@ -698,5 +763,10 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sweep", metavar="MODULE",
                         help="flip each comparison of this source file instead")
+    parser.add_argument("--ops", action="store_true",
+                        help="with --sweep, swap each arithmetic and boolean operator "
+                             "instead of flipping comparisons")
     options = parser.parse_args()
-    sys.exit(sweep(options.sweep) if options.sweep else main())
+    if options.ops and not options.sweep:
+        parser.error("--ops needs --sweep")
+    sys.exit(sweep(options.sweep, options.ops) if options.sweep else main())

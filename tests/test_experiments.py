@@ -110,8 +110,8 @@ class TestWriteCsv:
             write_csv(tmp_path / "t.csv", [], np.zeros((2, 0)))
 
     def test_arrays_sharing_a_first_column(self, tmp_path):
-        # both writes take the first column's text from one formatting; the
-        # longer table spans three blocks
+        # both writes take the first column's text from one formatting and
+        # get only the columns after it; the longer table spans three blocks
         for n_rows in (5, 2 * BLOCK_ROWS_OF_3 + 1):
             t = np.arange(n_rows) * 0.1
             first = experiments._column_records(t)
@@ -119,7 +119,7 @@ class TestWriteCsv:
                            [math.nan, math.inf, -0.0, 7.0, 0.1]):
                 values = np.resize(values, n_rows)
                 rows = np.column_stack((t, values, np.negative(values)))
-                path = write_csv(tmp_path / "t.csv", ["t", "a", "b"], rows, first)
+                path = write_csv(tmp_path / "t.csv", ["t", "a", "b"], rows[:, 1:], first)
                 assert path.read_bytes() == reference_csv(["t", "a", "b"], rows.tolist())
 
     def test_zero_and_negative_zero_first_columns(self, tmp_path):

@@ -24,8 +24,10 @@ def test_boundary_maximum():
 
 
 def test_stopping_short_raises():
-    # three steps shrink [0, 5] only to about 1.2, far above 1e-10
-    with pytest.raises(ConvergenceError):
+    # three steps shrink [0, 5] only to 5 * 0.618**3, about 1.2, far above
+    # tol = 1e-10 * 5; the whole message is matched, the width included
+    with pytest.raises(ConvergenceError, match=r"^golden section stopped at width "
+                       r"1\.180e\+00 > 5\.000e-10 after 3 steps$"):
         golden_section_max(lambda x: -(x - 2.0) ** 2, 0.0, 5.0, max_iter=3)
 
 

@@ -51,6 +51,20 @@ def test_comparison_flips_change_one_operator():
         assert ast.dump(ast.parse(mutated)) != ast.dump(ast.parse(text)), mutant_id
 
 
+@pytest.mark.parametrize("file", ["src/liqlab/golden.py", "src/liqlab/cpmm.py"])
+def test_operator_swaps_change_one_operator(file):
+    # golden.py has augmented *=, and cpmm.py a unary -, not, and and or
+    tree = ast.parse((mutants.ROOT / file).read_text())
+    swappable = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in mutants._SWAPS
+                 or isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.Not))
+                 or isinstance(node, ast.BoolOp)]
+    swaps = mutants.operator_swaps(file)
+    assert len(swaps) == len(swappable) > 0
+    for mutant_id, mutated in swaps.items():
+        assert ast.dump(ast.parse(mutated)) != ast.dump(tree), mutant_id
+
+
 def test_sweep_runs_the_tests_that_reach_the_module_through_the_cli():
     # test_experiments.py reaches cpmm only through the CLI, and
     # test_cycle.py imports the CLI beside cycle

@@ -8,11 +8,15 @@ imports), so a mention in a docstring or a comment does not count, and
 neither does ``liqlab/__init__.py``, which imports every public name.  In
 the same places, every field of a public dataclass must be read.  The
 tests read those files and edit none.
+
+The dependency rule: the package imports only numpy and the standard
+library, and no tier-1 test imports scipy, sympy or mpmath.
 """
 
 import ast
 import dataclasses
 import inspect
+import sys
 from pathlib import Path
 
 import liqlab
@@ -82,3 +86,32 @@ def test_every_public_field_is_read():
               for field in dataclasses.fields(getattr(liqlab, name))
               if field.name not in read]
     assert unread == []
+
+
+def _imported_modules(path: Path) -> list[tuple[int, str]]:
+    """The ``(level, top-level module)`` of each import in ``path``; a
+    relative import has level >= 1."""
+    found = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            found += [(0, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.level, (node.module or "").split(".")[0]))
+    return found
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency (pyproject.toml)
+    foreign = [f"{path.name}: {module}" for path in sorted(PACKAGE.glob("*.py"))
+               for level, module in _imported_modules(path)
+               if level == 0 and module != "numpy" and module not in sys.stdlib_module_names]
+    assert foreign == []
+
+
+def test_no_tier_1_test_imports_a_symbolic_or_scipy_package():
+    # scipy, sympy and mpmath serve scratch derivations only; fractions is
+    # the exact oracle a test may use
+    banned = {"scipy", "sympy", "mpmath"}
+    found = [f"{path.name}: {module}" for path in sorted((ROOT / "tests").glob("test_*.py"))
+             for _, module in _imported_modules(path) if module in banned]
+    assert found == []
