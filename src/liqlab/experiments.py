@@ -180,8 +180,9 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray,
     cell goes through :func:`fmt`.  Column 0's records, 40 bytes a row, are
     made for the whole table before its first block.  Given ``first``, the
     records of column 0 from :func:`_column_records`, as when files share a
-    first column, ``rows`` holds only the columns after it.  A list of rows
-    is for tables with text cells; it is formatted cell by cell.
+    first column, ``rows`` holds only the columns after it, one row per
+    record, or :class:`ValueError` is raised before the file is opened.  A
+    list of rows is for tables with text cells; it is formatted cell by cell.
     """
     if not isinstance(rows, np.ndarray):
         body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
@@ -192,6 +193,8 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray,
                         f"column, got {rows.dtype} with shape {rows.shape}")
     if first is None:
         first, rows = _column_records(rows[:, 0]), rows[:, 1:]
+    elif len(first) != len(rows):
+        raise ValueError(f"first has {len(first)} records for {len(rows)} rows")
     n_rows, n_cols = len(rows), 1 + rows.shape[1]
     step = max(1, _BLOCK_CELLS // n_cols)
     with path.open("wb") as f:

@@ -14,8 +14,8 @@ moments do not depend on how paths were batched.  The tree over n rows is
 the tree over the largest power of two below n, plus the tree over the
 rest.  ``pairwise_reduce`` asks a callback for one aligned power-of-two run
 of at most a leaf of about 256 KiB at a time, so a caller can compute the
-summands block by block, and its scratch is one leaf, a half and a
-quarter of a leaf, and one node per tree level.
+summands block by block, and its scratch is one leaf, half a leaf, and
+one node per tree level.
 """
 
 from __future__ import annotations
@@ -71,23 +71,6 @@ def self_financing(prices: np.ndarray, kappa: float, level: float,
 _LEAF_BYTES = 1 << 18
 
 
-def _tree(values: np.ndarray) -> np.ndarray:
-    """Sum a power-of-two run of rows along axis 0 by halving; return a new array.
-
-    Level one adds even and odd rows of ``values`` into a buffer half its
-    size; later levels alternate between that buffer and one a quarter the
-    size.  ``values`` itself is only read.
-    """
-    n, rest = values.shape[0], values.shape[1:]
-    acc = values
-    dst, spare = np.empty((n // 2, *rest)), np.empty((n // 4, *rest))
-    while n > 1:
-        n //= 2
-        np.add(acc[0:2 * n:2], acc[1:2 * n:2], out=dst[:n])
-        acc, dst, spare = dst, spare, dst
-    return np.array(acc[0])
-
-
 def pairwise_reduce(n: int, block: Callable[[int, int], np.ndarray],
                     rest: tuple[int, ...] = ()) -> np.ndarray:
     """Pairwise sum along axis 0 of ``n`` rows of shape ``rest``, leaf by leaf.
@@ -115,7 +98,10 @@ def _subtree(block: Callable[[int, int], np.ndarray], leaf: int, start: int,
     # reference cycle, which would keep ``block``'s arrays until the next
     # garbage collection
     if count <= leaf and count & (count - 1) == 0:
-        return _tree(block(start, start + count))
+        values = block(start, start + count)
+        while len(values) > 1:
+            values = values[0::2] + values[1::2]
+        return np.array(values[0])  # a copy: a one-row leaf is the caller's row
     left = 1 << ((count - 1).bit_length() - 1)  # the largest power of two < count
     return (_subtree(block, leaf, start, left)
             + _subtree(block, leaf, start + left, count - left))

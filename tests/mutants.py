@@ -107,6 +107,10 @@ MUTANTS = [
      "records[start:start + _BLOCK_CELLS - 1] = _records(x[start:start + _BLOCK_CELLS - 1])",
      [_CSV + "test_one_column_and_zero_row_arrays[shape4]",
       _CSV + "test_fallback_cells_on_both_sides_of_a_block_boundary[1]"]),
+    ("writer-first-column-length-unchecked", _WRITER,
+     "elif len(first) != len(rows):", "elif False:",
+     [_CSV + "test_first_column_of_another_length_is_refused[1]",
+      _CSV + "test_first_column_of_another_length_is_refused[2]"]),
     # paths._increments, the leaf blocks of the Monte Carlo moments
     ("increments-last-row-floored", _PATHS,
      "first, last = start // width, -(-stop // width)",
@@ -200,16 +204,22 @@ MUTANTS = [
      "    total = _subtree(block, leaf, 0, n)\n",
      "    def run(start, count):\n"
      "        if count <= leaf and count & (count - 1) == 0:\n"
-     "            return _tree(block(start, start + count))\n"
+     "            values = block(start, start + count)\n"
+     "            while len(values) > 1:\n"
+     "                values = values[0::2] + values[1::2]\n"
+     "            return np.array(values[0])\n"
      "        left = 1 << ((count - 1).bit_length() - 1)\n"
      "        return run(start, left) + run(start + left, count - left)\n"
      "    total = run(0, n)\n",
      ["tests/test_kernels.py::test_pairwise_reduce_lets_go_of_the_summands"]),
-    # kernels._tree, the halving sum of a leaf
+    # the halving sum of a leaf
     ("tree-first-level-into-input", _KERNELS,
-     "dst, spare = np.empty((n // 2, *rest)), np.empty((n // 4, *rest))",
-     "dst, spare = values, np.empty((n // 4, *rest))",
+     "values = values[0::2] + values[1::2]",
+     "values = np.add(values[0::2], values[1::2], out=values[0::2])",
      [_HALVING + "[2]", _HALVING + "[3]"]),
+    ("tree-leaf-returns-a-view", _KERNELS,
+     "return np.array(values[0])", "return values[0]",
+     ["tests/test_kernels.py::test_pairwise_sum_of_one_row_is_a_copy"]),
     # the Monte Carlo estimators' checks of degenerate moments
     ("increment-autocorr-pair-check-dropped", _PATHS,
      "    if n < 2:\n", "    if False:\n",

@@ -97,8 +97,9 @@ class TestValidateConfig:
         assert got["grid"] == [0.3, 0.5, 0.7]
         got = validate_config({"grid": 2.5}, SCHEMA, "demo")
         assert got["grid"] == [2.5]
-        with pytest.raises(ConfigError, match="comma-separated"):
-            validate_config({"grid": "a,b"}, SCHEMA, "demo")
+        for value in ("a,b", True):
+            with pytest.raises(ConfigError, match="comma-separated"):
+                validate_config({"grid": value}, SCHEMA, "demo")
 
     @pytest.mark.parametrize("key, value", [
         ("hurst", float("nan")), ("hurst", float("inf")), ("hurst", -float("inf")),

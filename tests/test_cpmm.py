@@ -177,6 +177,8 @@ class TestImpacts:
     def test_exact_domain(self):
         with pytest.raises(DomainError):
             exact_relative_impact(PoolState(100.0, 100.0), -100.0)
+        with pytest.raises(DomainError, match=r"^dx must exceed -X = -2\.0$"):
+            exact_relative_impact(PoolState(2.0, 1.0), -3.0)
 
     def test_linear_worked_value(self):
         assert linearized_relative_impact(PoolState(100.0, 100.0), 10.0) == -0.2
@@ -225,9 +227,11 @@ class TestPoolState:
     @pytest.mark.parametrize("operation, pool, amounts", [
         (add_liquidity, (1e10, 1e10), (1e308, 1e300)),
         (remove_liquidity, (1e200, 1e200), (1e199, 1e150)),
+        (add_liquidity, (3.0, 1.0), (sys.float_info.max, 5.992310449541054e+307)),
     ])
     def test_overflowing_ratio_check_raises(self, operation, pool, amounts):
-        # both cross products overflow to inf, and inf - inf is nan
+        # both cross products overflow to inf, and inf - inf is nan; or only
+        # one does, and their gap, inf, is not above RATIO_TOL * inf
         with pytest.raises(DomainError, match="ratio check overflowed"):
             operation(PoolState(*pool), *amounts)
 

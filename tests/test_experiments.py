@@ -122,6 +122,16 @@ class TestWriteCsv:
                 path = write_csv(tmp_path / "t.csv", ["t", "a", "b"], rows[:, 1:], first)
                 assert path.read_bytes() == reference_csv(["t", "a", "b"], rows.tolist())
 
+    @pytest.mark.parametrize("n_first", [1, 2])
+    def test_first_column_of_another_length_is_refused(self, tmp_path, n_first):
+        # one record would otherwise fill every row, and two fail in the
+        # block loop after the header is written
+        first = experiments._column_records(np.arange(n_first) * 0.5)
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=f"first has {n_first} records for 3 rows"):
+            write_csv(path, ["t", "v"], np.array([[1.0], [2.0], [3.0]]), first)
+        assert not path.exists()
+
     def test_zero_and_negative_zero_first_columns(self, tmp_path):
         for first in (0.0, -0.0, 0.0):
             rows = np.array([[first, 1.5], [first, -0.0]])

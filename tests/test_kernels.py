@@ -132,6 +132,14 @@ def test_pairwise_sum_matches_halving_reference(n):
         assert values.tobytes() == before.tobytes()
 
 
+def test_pairwise_sum_of_one_row_is_a_copy():
+    # a one-row leaf is a view of the caller's input; its sum must not be
+    values = np.ones((1, 3))
+    for got in (kernels.pairwise_sum(values),
+                kernels.pairwise_reduce(1, lambda start, stop: values[start:stop], (3,))):
+        assert not np.shares_memory(got, values)
+
+
 def test_pairwise_sum_matches_fsum():
     rng = np.random.Generator(np.random.PCG64(5))
     for n in (1, 2, 3, 7, 64, 1001):
