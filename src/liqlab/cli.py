@@ -4,6 +4,9 @@ Usage::
 
     liqlab <experiment> [--config FILE] [--set key=value ...] [--seed N] [--out DIR]
 
+``--seed`` is the base seed of ``fbm-gen``'s paths; the other experiments
+draw no random numbers and take no seed.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (no bracket, a solver that stops before it converges, overflow, division
 by zero), 4 I/O error.
@@ -37,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE",
                         help="one config-file line; overrides --config")
     parser.add_argument("--seed", type=int, default=None,
-                        help="base seed (overrides the config file)")
+                        help="base seed of fbm-gen's paths (overrides the config file)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
     return parser

@@ -1,14 +1,15 @@
-"""Named experiments: seeded runs that write CSV artifacts plus a manifest.
+"""Named experiments: runs that write CSV artifacts plus a manifest.
 
-Every float is serialized as ``%.17g`` (17 significant digits) with LF
-line endings, so reruns with the same configuration and seed are
-byte-identical.  Float tables are formatted in numpy, in blocks of about
-2**14 cells: a cell that ``%.17g`` writes in fixed notation (0, and
-1e-4 <= |x| < 1e16) gets its digits from an exact decimal scaling, and
-every other cell gets its text from :func:`fmt`.  ``fbm-gen`` formats its
-shared time column once and hands that text to each file as column 0.
-The manifest lists every output file with its SHA-256 checksum; facts
-that change from run to run (the duration) go to ``run.json`` instead.
+Only ``fbm-gen`` draws random numbers, so only it takes a seed.  Every
+float is serialized as ``%.17g`` (17 significant digits) with LF line
+endings, so reruns with the same configuration are byte-identical.
+Float tables are formatted in numpy, in blocks of about 2**14 cells: a
+cell that ``%.17g`` writes in fixed notation (0, and 1e-4 <= |x| < 1e16)
+gets its digits from an exact decimal scaling, and every other cell gets
+its text from :func:`fmt`.  ``fbm-gen`` formats its shared time column
+once and hands that text to each file as column 0.  The manifest lists
+every output file with its SHA-256 checksum; facts that change from run
+to run (the duration) go to ``run.json`` instead.
 """
 
 from __future__ import annotations
@@ -213,14 +214,10 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray,
 
 def _manifest_text(experiment: str, config: Mapping[str, Any], fbm_method: str,
                    outputs: list[tuple[str, str, int]]) -> str:
-    lines = [
-        f"experiment={experiment}",
-        f"version={__version__}",
-        f"seed={config['seed']}",
-        f"fbm_method={fbm_method}",
-        f"prng={PRNG_LABEL}",
-        f"normal_transform={NORMAL_LABEL}",
-    ]
+    lines = [f"experiment={experiment}", f"version={__version__}"]
+    if fbm_method:  # only a run that drew paths names its seed and generator
+        lines += [f"seed={config['seed']}", f"fbm_method={fbm_method}",
+                  f"prng={PRNG_LABEL}", f"normal_transform={NORMAL_LABEL}"]
     for key in sorted(config):
         if key != "seed":
             lines.append(f"config.{key}={fmt(config[key])}")
@@ -289,9 +286,6 @@ def _check_grid(cfg: Mapping[str, Any], rows: str, cols: str, bytes_each: int) -
                           f"(got {len(cfg[rows])} x {len(cfg[cols])} rows)")
 
 
-_COMMON = {"seed": Field(0, _non_negative)}
-
-
 def _log_grid(q_min: float, q_max: float, n_points: int) -> np.ndarray:
     if not q_min < q_max:
         raise ConfigError(f"q_min must be below q_max, got {q_min} >= {q_max}")
@@ -310,7 +304,8 @@ def _run_fbm_gen(cfg: dict[str, Any], out: Path):
     return files, path.meta
 
 
-_FBM_SCHEMA = _COMMON | {
+_FBM_SCHEMA = {
+    "seed": Field(0, _non_negative),
     "n_steps": Field(1024, _sized(1, 200)),
     "dt": Field(1.0 / 1024.0, _positive),
     "hurst": Field(0.5, _open_unit),
@@ -334,7 +329,7 @@ def _run_impact_curve(cfg: dict[str, Any], out: Path):
                       ["q", "delta_p", "exponent_model"], np.array(rows))], ""
 
 
-_CURVE_SCHEMA = _COMMON | {
+_CURVE_SCHEMA = {
     "hurst": Field(0.5, _open_unit),
     "sigma": Field(1.0, _positive),
     "k": Field(1.0, _positive),
@@ -408,7 +403,7 @@ def _run_cpmm_compare(cfg: dict[str, Any], out: Path):
     ], ""
 
 
-_CPMM_SCHEMA = _COMMON | {
+_CPMM_SCHEMA = {
     "reserve_x": Field(100.0, _normal),
     "reserve_y": Field(100.0, _normal),
     "u_values": Field((0.01, 0.02, 0.05, 0.1), _open_unit),
@@ -441,7 +436,7 @@ def _run_cycle_run(cfg: dict[str, Any], out: Path):
                        "outside_x", "outside_y"], rows)], ""
 
 
-_CYCLE_SCHEMA = _COMMON | {
+_CYCLE_SCHEMA = {
     "x0": Field(100.0, _positive),
     "y0": Field(100.0, _positive),
     "alpha": Field(10.0, _positive),
@@ -469,7 +464,7 @@ def _run_catbond_optimize(cfg: dict[str, Any], out: Path):
                       np.array(rows))], ""
 
 
-_CATBOND_OPT_SCHEMA = _COMMON | {
+_CATBOND_OPT_SCHEMA = {
     "q": Field(0.2, _probability),
     "r": Field(1.0, _positive),
 }
@@ -508,7 +503,7 @@ def _run_catbond_sensitivity(cfg: dict[str, Any], out: Path):
     ], ""
 
 
-_CATBOND_SENS_SCHEMA = _COMMON | {
+_CATBOND_SENS_SCHEMA = {
     "q_values": Field((0.01, 0.1, 0.3), _probability),
     "r_values": Field((0.1, 0.5, 1.0, 2.0), _positive),
     "delta_r": Field(0.01),
@@ -533,8 +528,11 @@ def run_experiment(name: str, config: Mapping[str, Value],
 
     Returns the ``(name, sha256, bytes)`` of each output, in the order
     ``manifest.txt`` lists them.  ``manifest.txt`` depends only on the
-    experiment, config and seed, so reruns write it byte for byte again;
-    the wall-clock duration goes to ``run.json`` beside it.
+    experiment and its config, so reruns write it byte for byte again;
+    the wall-clock duration goes to ``run.json`` beside it.  A runner
+    returns its files and the method of its path generator, which only
+    ``fbm-gen`` has; only its manifest names the seed, the generator, the
+    PRNG and the normal sampler.
     """
     if name not in _RUNNERS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
@@ -552,7 +550,7 @@ def run_experiment(name: str, config: Mapping[str, Value],
             raise OSError(f"experiment output {path} is missing or empty")
         outputs.append((path.name, hashlib.sha256(data).hexdigest(), len(data)))
     (out / "manifest.txt").write_text(
-        _manifest_text(name, cfg, fbm_method or "n/a", outputs), newline="\n")
+        _manifest_text(name, cfg, fbm_method, outputs), newline="\n")
     (out / "run.json").write_text(
         json.dumps({"duration_seconds": duration}, indent=2) + "\n", newline="\n")
     return outputs

@@ -514,6 +514,20 @@ MUTANTS = [
      "work = ledger.outside_x / p0 + ledger.outside_y",
      [_RUN_CYCLE + "test_x_unit_scaling[exact-8.0]",
       _RUN_CYCLE + "test_x_unit_scaling[original-x-8.0]"]),
+    # only fbm-gen takes a seed, and only its manifest names a generator
+    ("catbond-optimize-takes-a-seed", _WRITER,
+     '_CATBOND_OPT_SCHEMA = {\n',
+     '_CATBOND_OPT_SCHEMA = {\n    "seed": Field(0, _non_negative),\n',
+     ["tests/test_experiments.py::test_deterministic_experiments_refuse_a_seed"
+      "[catbond-optimize-option]",
+      "tests/test_experiments.py::test_settings_table_names_every_key"]),
+    ("manifest-names-a-generator-for-every-run", _WRITER,
+     "    if fbm_method:  # only a run that drew paths names its seed and generator\n"
+     "        lines += [f\"seed={config['seed']}\",",
+     "    if True:\n        lines += [f\"seed={config.get('seed', 0)}\",",
+     ["tests/test_experiments.py::test_deterministic_manifest_is_experiment_version_"
+      "config_and_outputs[impact-curve]",
+      _RUN + "test_manifest_lists_outputs_with_checksums"]),
     # forms equal in real arithmetic that only the exact replay tells apart:
     # a swap's output is the float difference of the reserves, and a removal
     # one rounded difference

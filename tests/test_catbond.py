@@ -113,7 +113,8 @@ class TestIsoFractionShift:
         assert max(gaps) / min(gaps) < 1.01
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"^shifted return must stay positive, got 0\.0$"):
             iso_fraction_shift(BondSpec(0.1, 1.0), -1.0)
 
 

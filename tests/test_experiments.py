@@ -268,10 +268,14 @@ class TestRunExperiment:
         assert calls == [17, 17, 17, 17]
 
     def test_manifest_lists_outputs_with_checksums(self, tmp_path):
+        run_experiment("fbm-gen", {"n_steps": 8, "seed": 6}, tmp_path / "fbm")
+        fbm_text = (tmp_path / "fbm" / "manifest.txt").read_text()
+        for line in ("seed=6", "fbm_method=davies-harte", "prng=pcg64"):
+            assert f"\n{line}\n" in fbm_text
         outputs = run_experiment("impact-curve", {}, tmp_path)
         text = (tmp_path / "manifest.txt").read_text()
         assert "experiment=impact-curve" in text
-        assert "prng=pcg64" in text
+        assert "prng=" not in text  # a run that draws no path names no generator
         for name, digest, size in outputs:
             path = tmp_path / name
             assert path.is_file() and path.stat().st_size == size > 0
@@ -348,9 +352,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name", ["fbm-gen", "impact-verify"])
     def test_byte_identical_reruns(self, name, tmp_path):
-        cfg = {"seed": 42}
-        if name == "fbm-gen":
-            cfg |= {"n_steps": 128}
+        cfg = {"seed": 42, "n_steps": 128} if name == "fbm-gen" else {}
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         ma = run_experiment(name, cfg, a_dir)
         mb = run_experiment(name, cfg, b_dir)
@@ -816,6 +818,92 @@ class TestCli:
         assert set(EXPERIMENT_NAMES) == {
             "fbm-gen", "impact-curve", "impact-verify", "cpmm-compare",
             "cycle-run", "catbond-optimize", "catbond-sensitivity"}
+
+
+# only fbm-gen draws random numbers, so only it takes a seed
+DETERMINISTIC = [name for name in EXPERIMENT_NAMES if name != "fbm-gen"]
+
+
+@pytest.mark.parametrize("seed", [["--seed", "3"], ["--set", "seed=3"]],
+                         ids=["option", "set"])
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_deterministic_experiments_refuse_a_seed(tmp_path, capsys, name, seed):
+    out = tmp_path / "out"
+    assert main([name, *seed, "--out", str(out)]) == 2
+    assert f"unknown key(s) ['seed'] for experiment {name!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_deterministic_manifest_is_experiment_version_config_and_outputs(tmp_path, name):
+    outputs = run_experiment(name, {}, tmp_path)
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert lines[0] == f"experiment={name}"
+    assert [line.split("=", 1)[0] for line in lines] == [
+        "experiment", "version", *(f"config.{key}" for key in sorted(_RUNNERS[name][0])),
+        *(f"output.{i}.{field}" for i in range(len(outputs))
+          for field in ("path", "sha256", "bytes"))]
+
+
+# (experiment, key, another valid value, companion overrides): each key set
+# to the value moves at least one CSV byte of the run with only the
+# companions.  A removal must match the pool ratio 100:121 within 1e-9, so
+# g_amt and h_amt each move by 2e-10 of themselves.
+_REMOVAL = {"closure": False, "g_amt": 5.0, "h_amt": 6.05}
+SETTINGS = [
+    ("fbm-gen", "seed", 1, {}),
+    ("fbm-gen", "n_steps", 512, {}),
+    ("fbm-gen", "dt", 0.5, {}),
+    ("fbm-gen", "hurst", 0.7, {}),
+    ("fbm-gen", "n_paths", 2, {}),
+    ("fbm-gen", "method", "cholesky", {}),
+    ("impact-curve", "hurst", 0.7, {}),
+    ("impact-curve", "sigma", 2.0, {}),
+    ("impact-curve", "k", 2.0, {}),
+    # the impact scales as khat ** (2H - 1), which is 1 at the default H = 1/2
+    ("impact-curve", "khat", 2.0, {"hurst": 0.7}),
+    ("impact-curve", "q_min", 0.1, {}),
+    ("impact-curve", "q_max", 1e3, {}),
+    ("impact-curve", "n_points", 10, {}),
+    ("impact-verify", "sigma", 2.0, {}),
+    ("impact-verify", "k", 2.0, {}),
+    ("impact-verify", "khat", 2.0, {}),
+    ("impact-verify", "q_min", 0.1, {}),
+    ("impact-verify", "q_max", 1e3, {}),
+    ("impact-verify", "n_points", 10, {}),
+    ("impact-verify", "hursts", "0.4,0.6", {}),
+    ("impact-verify", "q_values", "0.5,5", {}),
+    ("cpmm-compare", "reserve_x", 200.0, {}),
+    ("cpmm-compare", "reserve_y", 200.0, {}),
+    ("cpmm-compare", "u_values", "0.03", {}),
+    ("cycle-run", "x0", 200.0, {}),
+    ("cycle-run", "y0", 200.0, {}),
+    ("cycle-run", "alpha", 9.0, {}),
+    ("cycle-run", "m", 10.0, {}),
+    ("cycle-run", "sigma_amt", 2.0, {}),
+    ("cycle-run", "stage3_mode", "original-x", {}),
+    ("cycle-run", "closure", False, {}),
+    ("cycle-run", "g_amt", 5.000000001, _REMOVAL),
+    ("cycle-run", "h_amt", 6.0500000012, _REMOVAL),
+    ("catbond-optimize", "q", 0.1, {}),
+    ("catbond-optimize", "r", 2.0, {}),
+    ("catbond-sensitivity", "q_values", "0.2", {}),
+    ("catbond-sensitivity", "r_values", "3", {}),
+    ("catbond-sensitivity", "delta_r", 0.02, {}),
+]
+
+
+def test_settings_table_names_every_key():
+    assert sorted((name, key) for name, key, _, _ in SETTINGS) == sorted(
+        (name, key) for name, (schema, _) in _RUNNERS.items() for key in schema)
+
+
+@pytest.mark.parametrize("name, key, value, companions", SETTINGS,
+                         ids=[f"{name}-{key}" for name, key, _, _ in SETTINGS])
+def test_every_setting_moves_a_csv(tmp_path, name, key, value, companions):
+    base = run_experiment(name, companions, tmp_path / "base")
+    moved = run_experiment(name, companions | {key: value}, tmp_path / "moved")
+    assert {n: digest for n, digest, _ in moved} != {n: digest for n, digest, _ in base}
 
 
 # adversarial --set values, each a token as typed on the command line

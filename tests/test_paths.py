@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -79,8 +80,13 @@ class TestSamplePath:
         (1e308, 3),
     ], ids=["zero", "negative", "nan", "inf", "last-time-overflows"])
     def test_dt_must_be_positive_with_a_finite_last_time(self, dt, n_values):
-        with pytest.raises(DomainError, match="dt must be positive"):
+        message = f"dt must be positive with a finite last time {n_values - 1} * dt, got {dt}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SamplePath(dt=dt, values=np.zeros(n_values))
+
+    def test_last_time_of_the_largest_float_is_accepted(self):
+        # one step of 1e308 ends at 1e308 itself, below the overflow
+        assert SamplePath(dt=1e308, values=[0.0, 1.0]).times.tolist() == [0.0, 1e308]
 
     def test_values_must_be_finite(self):
         with pytest.raises(DomainError):
@@ -315,6 +321,16 @@ class TestGenerateFbm:
         # an eigenvalue of exactly -_EIG_TOL times the largest is round-off
         monkeypatch.setattr(np.fft, "fft", lambda row: np.array([1.0, -paths._EIG_TOL]))
         assert paths._embedding_eigenvalues(1, 0.5).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("k", [-40, 0, 4, 40])
+    def test_round_off_band_is_scale_free(self, monkeypatch, k):
+        # an eigenvalue of about -1e-14 times the largest is round-off at
+        # every scale: a covariance times 2**k has every eigenvalue times 2**k
+        gamma = np.array([1.0, 0.5, 1.0 + 1e-14]) * 2.0 ** k
+        monkeypatch.setattr(paths, "_fgn_autocov", lambda n_lags, hurst: gamma)
+        lam = np.fft.fft(np.concatenate([gamma, gamma[1:2]])).real
+        assert -paths._EIG_TOL * lam.max() < lam.min() < 0.0
+        assert paths._embedding_eigenvalues(2, 0.5).tolist() == np.clip(lam, 0.0, None).tolist()
 
     def test_fallback_needed_near_hurst_one(self):
         # a real negative eigenvalue where the Cholesky factor still exists

@@ -57,7 +57,7 @@ PINS = [
         "impact_curve.csv":
             "bc96cec05456862b8d25def2f2ddf7c68f0a1e0b10264bab02474838f11288d9",
         "manifest.txt":
-            "61c0592bfa1f882861f02580c03bcb19964d78040eefd0526bc05ca07dc49c3a",
+            "db3927aaffe65be6e4c59b07a8386dcb5adffccedd0719dbd914d7dae0b7ec1d",
     }),
     ("impact-verify", (), {
         "impact_verify.csv":
@@ -65,7 +65,7 @@ PINS = [
         "impact_exponent.csv":
             "d356f3526975bd22a64a59616bfbdf31122bfd58708599d8b4aa65817f8e404f",
         "manifest.txt":
-            "1d10fec43e8957b643b1f79c8279347d110601e8d8ecfff8f2b4b699ef206087",
+            "199fd264457a9109a73c873c7c6459fc79250d6fdf99657de28640b4c2ce5ab6",
     }),
     ("cpmm-compare", (), {
         "cpmm_compare.csv":
@@ -73,19 +73,19 @@ PINS = [
         "pool_trace.csv":
             "23b6d37b5a5b4d3d61d641270d3814c47294d673334c80cc47052393db4d75b0",
         "manifest.txt":
-            "14b1a321bd701bf2aafca9c1ae2229f4e20bbededb7097263e5b49c1801ea894",
+            "01b81da39adf9753da4745173ff6110cc66de35741a4d94e76e2ec51d4c06df5",
     }),
     ("cycle-run", (), {
         "cycle_report.csv":
             "8d33cd7991364dd98b1ec96563100f94ea4b81ce4093490095d4f2839f26a09e",
         "manifest.txt":
-            "eaf87db71fc5696a6a2c6ebfc90136d81fe9a4550da59911dd59432718c74443",
+            "365b46800c695930082fcf4d02cfeefd3e6e998575fadbc4a325e173dd411f76",
     }),
     ("cycle-run", (("stage3_mode", "original-x"),), {
         "cycle_report.csv":
             "e2de1567af20140e2d4205797a6a4aeb4d3176d587d2bf3651e80575285bf7a9",
         "manifest.txt":
-            "183c9d37d494d4820119330fc1b138375abf3470455d49eca56955dceca770d2",
+            "97d9feb0e13547c9a230f19c85f2f60e99c8c06c22c5db8353d76c0f0a8f6df0",
     }),
     # Signed-zero edges: every ledger field accumulates from a +0.0 start
     # (0.0 - 0.0 is +0.0 where -0.0 alone is not), and zero-sized stages
@@ -95,27 +95,27 @@ PINS = [
         "cycle_report.csv":
             "3351e5592c3ea1013f9d5f24d28266c0a7b75d55b5756b5b08a648e0ce5a4566",
         "manifest.txt":
-            "aea1a6526b07c1e7213ca4bfb96c9bec8c6715fe7b5ec50ef2cffc5219f75cd8",
+            "1314c1c9372700c01c1c4bce371ee4685b38fd4374543d99d70f3808ad522ac9",
     }),
     ("cycle-run", (("m", 0.0), ("sigma_amt", 0.0), ("closure", False),
                    ("g_amt", -0.0), ("h_amt", -0.0)), {
         "cycle_report.csv":
             "114760780a6757163621876af9582361832e05dce1a6a518cac58fab77c58d40",
         "manifest.txt":
-            "a5a7bb2f133da5b21b2eb3a4e9eba2ee01e7676114626f19950388567f868bae",
+            "f2d7057c2653500680584621646111992e7ea87242710d1de2ee66257167e87f",
     }),
     ("cycle-run", (("alpha", 1e-300), ("m", 0.0), ("sigma_amt", 0.0),
                    ("closure", False), ("g_amt", 0.0), ("h_amt", 0.0)), {
         "cycle_report.csv":
             "47a4f1a0e626ca296ae32a2081f601f6cdd01ee27ff6d299af0b20e89be6c29d",
         "manifest.txt":
-            "53f16d3f0edf65b2ff4a61f1028d3e377c3bab5f86a265d3081d84c2322c7a8b",
+            "b251962a2795e60fe9715ce0a76781013b2ff03c28b794992586603ae662c142",
     }),
     ("catbond-optimize", (), {
         "catbond_optimize.csv":
             "a1ad8d1fe782ca5eb55c8466ed73821fb87ce687db80381ed5fe84db1fc5ea72",
         "manifest.txt":
-            "8a2ad166ed849a14b5e04f135a9518eabdd34224a6734b24d8b878861c467b76",
+            "703c62d4cbed35630c4c1889ae0c7c7aff406f14342b3f87261d32600511d818",
     }),
     ("catbond-sensitivity", (), {
         "catbond_sensitivity.csv":
@@ -123,7 +123,7 @@ PINS = [
         "iso_shift.csv":
             "a452cd23259e63829e908913210cdaed35d5ba511c8503b869564812734513c3",
         "manifest.txt":
-            "499fcdd01c3865d2170a46e3b9f54cba0b4439e43afdb62a0d8102d75b76c182",
+            "9bcfa6ef485eb4529d7931e250db3dd6cd7b39efda0c538f67bbeb1adf7b335d",
     }),
 ]
 
