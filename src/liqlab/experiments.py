@@ -4,7 +4,7 @@ Only ``fbm-gen`` draws random numbers, so only it takes a seed.  Every
 float is serialized as ``%.17g`` (17 significant digits) with LF line
 endings, so reruns with the same configuration are byte-identical.
 Float tables are formatted in numpy, in blocks of about 2**14 cells: a
-cell that ``%.17g`` writes in fixed notation (0, and 1e-4 <= |x| < 1e16)
+cell that ``%.17g`` writes in fixed notation (0, and 1e-4 <= |x| < 1e17)
 gets its digits from an exact decimal scaling, and every other cell gets
 its text from :func:`fmt`.  ``fbm-gen`` formats its shared time column
 once and hands that text to each file as column 0.  The manifest lists
@@ -105,23 +105,23 @@ def _record_tables() -> tuple[np.ndarray, ...]:
 # first `kept` digits, by `kept`.
 _GROUPS, _LEAD, _KEEP = _record_tables()
 
-# The doubles nearest 10**j, j = -4..15.  Those for j >= 0 are exact, and
+# The doubles nearest 10**j, j = -4..16.  Those for j >= 0 are exact, and
 # those for j < 0 lie above 10**j, so a double is >= _DECADES[j + 4]
 # exactly when it is >= 10**j.
-_DECADES = np.array([float(f"1e{j}") for j in range(-4, 16)])
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 17)])
 
 
 def _records(x: np.ndarray) -> np.ndarray:
     """The ``(len(x), 5)`` uint64 records of the ``%.17g`` text of ``x``.
 
-    A cell in the fast domain, 0 and 1e-4 <= |x| < 1e16, is written in
+    A cell in the fast domain, 0 and 1e-4 <= |x| < 1e17, is written in
     fixed notation.  With k its digits before the point, n = |x| * 10**(17-k)
     rounded half to even is the 17-digit integer of its text; any other cell
     gets :func:`fmt` text.
     """
     a = np.abs(x)
     zero = a == 0
-    fast = zero | ((a >= 1e-4) & (a < 1e16))
+    fast = zero | ((a >= 1e-4) & (a < 1e17))
     a[zero | ~fast] = 1.0
     # 10**(k-1) <= a < 10**k, so the exact product hi + lo lies in [1e16, 1e17)
     k = np.searchsorted(_DECADES, a, side="right") - 4
@@ -151,7 +151,8 @@ def _records(x: np.ndarray) -> np.ndarray:
         n = first
     records[:, 0] = _LEAD[n + 10 * (np.signbit(x) + 2 * np.clip(1 - k, 0, 4))]
     # the point follows digit k - 1; a number below 1 has it in its prefix
-    # and puts it in byte 39, which the separator overwrites
+    # and a 17-digit integer (k = 17) has none, so both put it in byte 39,
+    # which the separator overwrites
     point = np.where(k >= 1, 5 + 2 * k, _RECORD - 1)
     point += _RECORD * np.arange(len(x))
     records.view(np.uint8).reshape(-1)[point] = ord(".")
@@ -176,7 +177,7 @@ def write_csv(path: Path, header: list[str], rows: list[list[Any]] | np.ndarray,
     Every cell gets the text :func:`fmt` gives it.  A float table arrives as
     a 2-d float64 array and is formatted in numpy, in blocks of about 2**14
     cells that go to the file one by one.  Cells in the fast domain, 0 and
-    1e-4 <= |x| < 1e16, which ``%.17g`` writes in fixed notation, get their
+    1e-4 <= |x| < 1e17, which ``%.17g`` writes in fixed notation, get their
     digits from an exact decimal scaling of the whole block; every other
     cell goes through :func:`fmt`.  Column 0's records, 40 bytes a row, are
     made for the whole table before its first block.  Given ``first``, the
@@ -289,7 +290,12 @@ def _check_grid(cfg: Mapping[str, Any], rows: str, cols: str, bytes_each: int) -
 def _log_grid(q_min: float, q_max: float, n_points: int) -> np.ndarray:
     if not q_min < q_max:
         raise ConfigError(f"q_min must be below q_max, got {q_min} >= {q_max}")
-    return np.logspace(np.log10(q_min), np.log10(q_max), n_points)
+    with np.errstate(over="ignore"):  # checked below
+        grid = np.logspace(np.log10(q_min), np.log10(q_max), n_points)
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"q_max is so near the largest float that the log grid's "
+                          f"last point overflows, got {q_max!r}")
+    return grid
 
 
 def _run_fbm_gen(cfg: dict[str, Any], out: Path):

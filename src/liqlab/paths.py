@@ -195,10 +195,6 @@ def _cholesky_factor(n_steps: int, hurst: float) -> np.ndarray:
             f"positive definite in float64") from None
 
 
-def _path_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed)))
-
-
 def _resolve_method(n_steps: int, hurst: float, method: str):
     """Pick the generator; return (label, normals per path, block colorer)."""
     if method not in FBM_METHODS:
@@ -222,14 +218,16 @@ def _resolve_method(n_steps: int, hurst: float, method: str):
     return METHOD_CHOLESKY, n_steps, color
 
 
-def _fbm_generator(n_steps: int, dt: float, hurst: float, method: str):
-    """Validate the grid, resolve the generator once; return (label, rows, draw).
+def _fbm_generator(n_paths: int, n_steps: int, dt: float, hurst: float, method: str):
+    """Validate the sizes, resolve the generator once; return (label, rows, draw).
 
     ``draw(seed, out)`` fills the ``(k, n_steps + 1)`` block ``out`` with the
     fBM paths of PRNG streams ``seed .. seed + k - 1``, one row each, and
     returns it.  ``rows`` is the block height callers should pass, so that a
     block's scratch arrays stay near ``_BLOCK_BYTES``.
     """
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     _check_hurst(hurst)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
@@ -244,7 +242,7 @@ def _fbm_generator(n_steps: int, dt: float, hurst: float, method: str):
     def draw(seed: int, out: np.ndarray) -> np.ndarray:
         z = np.empty((out.shape[0], n_normals))
         for j, row in enumerate(z):
-            _path_rng(seed + j).standard_normal(out=row)
+            np.random.Generator(np.random.PCG64(seed + j)).standard_normal(out=row)
         out[:, 0] = 0.0
         np.cumsum(color(z), axis=1, out=out[:, 1:])
         if scale > 1.0 and np.abs(out[:, 1:]).max() > sys.float_info.max / scale:
@@ -265,18 +263,11 @@ def iter_fbm(n_paths: int, n_steps: int, dt: float, hurst: float,
     ``i`` uses the stream ``base_seed + i`` and is bit-identical to
     ``generate_fbm(n_steps, dt, hurst, base_seed + i, method)``.
     """
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    label, rows, draw = _fbm_generator(n_steps, dt, hurst, method)
-
-    def sample_paths() -> Iterator[SamplePath]:
-        for start in range(0, n_paths, rows):
-            block = draw(int(base_seed) + start,
-                         np.empty((min(rows, n_paths - start), n_steps + 1)))
-            for values in block:
-                yield SamplePath(dt=dt, values=values, meta=label)
-
-    return sample_paths()
+    label, rows, draw = _fbm_generator(n_paths, n_steps, dt, hurst, method)
+    return (SamplePath(dt=dt, values=values, meta=label)
+            for start in range(0, n_paths, rows)
+            for values in draw(int(base_seed) + start,
+                               np.empty((min(rows, n_paths - start), n_steps + 1))))
 
 
 def generate_fbm(n_steps: int, dt: float, hurst: float, seed: int,
@@ -300,9 +291,7 @@ def generate_fbm_batch(n_paths: int, n_steps: int, dt: float, hurst: float,
     ``generate_fbm(n_steps, dt, hurst, base_seed + i, method)``, so batch
     work may be split across workers in any order.
     """
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    _, rows, draw = _fbm_generator(n_steps, dt, hurst, method)
+    _, rows, draw = _fbm_generator(n_paths, n_steps, dt, hurst, method)
     out = np.empty((n_paths, n_steps + 1))
     for start in range(0, n_paths, rows):
         draw(int(base_seed) + start, out[start:start + rows])

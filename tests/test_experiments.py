@@ -8,6 +8,7 @@ import re
 import shlex
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -176,9 +177,28 @@ class TestWriteCsv:
         # a cell's digit count is the number of entries at or below it, so
         # each entry is its power of ten or the first double above it
         decades = experiments._DECADES.tolist()
-        for j, decade in zip(range(-4, 16), decades, strict=True):
+        for j, decade in zip(range(-4, 17), decades, strict=True):
             below = math.nextafter(decade, 0.0)
             assert Fraction(below) < Fraction(10) ** j <= Fraction(decade)
+
+    def test_seventeen_digit_integers_never_reach_fmt(self, tmp_path, monkeypatch):
+        # %.17g writes 1e16 <= |x| < 1e17 in fixed notation: every such
+        # double is an even integer of 17 digits, written with no point
+        top = math.nextafter(1e17, 0.0)
+        magnitudes = np.random.default_rng(32).uniform(1e16, 1e17, size=4090)
+        signs = np.resize([1.0, -1.0], magnitudes.size)
+        edges = [1e16, -1e16, math.nextafter(1e16, math.inf), top, -top, 5e16]
+        rows = np.concatenate([signs * magnitudes, edges]).reshape(-1, 4)
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return fmt(value)
+
+        monkeypatch.setattr(experiments, "fmt", spy)
+        path = write_csv(tmp_path / "t.csv", list("abcd"), rows)
+        assert calls == []
+        assert path.read_bytes() == reference_csv(list("abcd"), rows.tolist())
 
     def test_exact_ties_round_half_to_even(self, tmp_path):
         ties = {1000000000000000.25: "1000000000000000.2",
@@ -354,7 +374,9 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, name, tmp_path):
         cfg = {"seed": 42, "n_steps": 128} if name == "fbm-gen" else {}
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        started = time.perf_counter()
         ma = run_experiment(name, cfg, a_dir)
+        wall = time.perf_counter() - started
         mb = run_experiment(name, cfg, b_dir)
         assert [o[0] for o in ma] == [o[0] for o in mb]
         for (name_a, dig_a, _), (_, dig_b, _) in zip(ma, mb):
@@ -366,6 +388,8 @@ class TestRunExperiment:
         for out in (a_dir, b_dir):
             run = json.loads((out / "run.json").read_text())
             assert run["duration_seconds"] >= 0.0
+        # the duration is of the experiment body, so within the wall time of the call
+        assert json.loads((a_dir / "run.json").read_text())["duration_seconds"] <= wall
 
     def test_only_text_tables_reach_write_csv_as_lists(self, tmp_path, monkeypatch):
         kinds = {}
@@ -486,6 +510,22 @@ class TestCli:
             argv += ["--set", item]
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["impact-curve", "impact-verify"])
+    @pytest.mark.parametrize("q_max, code", [
+        # the largest q_max whose grid ends on a finite point
+        ("1.7976931348622101e+308", 0),
+        # formerly numpy's RuntimeWarning, then exit 3 at q=inf
+        ("1.7976931348622103e+308", 2),
+        ("1.7976931348623157e+308", 2),
+    ])
+    def test_q_max_whose_grid_overflows_is_a_config_error(self, tmp_path, capsys, name,
+                                                          q_max, code):
+        assert main([name, "--set", f"q_max={q_max}", "--out", str(tmp_path)]) == code
+        if code:
+            assert (f"q_max is so near the largest float that the log grid's last point "
+                    f"overflows, got {q_max}") in capsys.readouterr().err
+            assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("content", [None, b""], ids=["missing", "empty"])
     def test_missing_or_empty_output_is_an_io_error(self, tmp_path, monkeypatch, capsys,

@@ -87,3 +87,16 @@ def test_run_reads_pytest_exit_codes(monkeypatch, tmp_path, returncode, outcome)
     monkeypatch.setattr(mutants, "_copy_with", lambda *args: tmp_path)
     monkeypatch.setattr(mutants, "_pytest", pytest_run)
     assert mutants.run("m", "f.py", "a", "b", ["t.py::test"]) == outcome
+
+
+def test_each_outcome_is_printed_as_its_run_ends(capsys):
+    printed = []
+
+    def outcomes():
+        for mutant_id, outcome in [("a", "killed"), ("b", "survived"), ("c", "timed out")]:
+            printed.append(capsys.readouterr().out)  # before this mutant's run
+            yield mutant_id, outcome
+
+    assert mutants._report(outcomes()) == ["b"]
+    assert printed == ["", "killed     a\n", "survived   b\n"]
+    assert capsys.readouterr().out == "timed out  c\n"

@@ -148,6 +148,9 @@ class TestGenerateFbm:
         for draw in (paths.iter_fbm, paths.generate_fbm_batch):
             with pytest.raises(DomainError, match="n_paths must be >= 1, got 0"):
                 draw(0, 8, 0.1, 0.5, 0)
+            # the paths are checked first, ahead of every other size
+            with pytest.raises(DomainError, match="n_paths must be >= 1, got 0"):
+                draw(0, 0, -1.0, 1.5, 0)
 
     @pytest.mark.parametrize("method", ["davies-harte", "cholesky"])
     @pytest.mark.parametrize("hurst", [0.3, 0.75])
@@ -222,7 +225,7 @@ class TestGenerateFbm:
     def test_batch_rows_equal_single_paths(self, method):
         # one path more than a block holds, so the last path starts a block
         # of its own; seeds near 2**31 as the benchmark draws them
-        _, rows, _ = paths._fbm_generator(32, 0.125, 0.7, method)
+        _, rows, _ = paths._fbm_generator(1, 32, 0.125, 0.7, method)
         n_paths, base_seed = rows + 1, 2 ** 31 - 3
         batch = generate_fbm_batch(n_paths, 32, 0.125, 0.7, base_seed, method=method)
         streamed = list(iter_fbm(n_paths, 32, 0.125, 0.7, base_seed, method=method))
