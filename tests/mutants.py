@@ -3,7 +3,9 @@
 A row of ``MUTANTS`` is ``(id, file, old, new, tests)``: one exact
 replacement of ``old`` by ``new`` in ``file`` (relative to the repository
 root), and the pytest ids of the tests of which at least one must fail
-once it is made.
+once it is made.  A row is kept when a sweep (below) makes the same
+mutant, since the rows are the fast guard for a change that edits only
+tests; a new row is added only for a mutant that no sweep makes.
 
 Run as a script, ``python tests/mutants.py`` first runs every named test
 on the unchanged tree, and stops with exit 1 if one fails there: a mutant
@@ -18,15 +20,17 @@ collection: the unchanged run exits 0 or 1.
 It exits 1 when a mutant survives or its run cannot start.
 
 ``python tests/mutants.py --sweep src/liqlab/MODULE.py`` generates the
-mutants instead: every comparison of the module flipped, one at a time
-(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), except those in
-``EQUIVALENT``.  With ``--ops`` the sweep makes operator mutants instead:
-``+`` and ``-``, and ``*`` and ``/``, swapped (augmented ones too), a
-unary ``-`` or a ``not`` dropped, and ``and`` and ``or`` swapped.  Each
-runs the test files that import the module or ``liqlab.cli``, with the
-acceptance and pin tests, less those that fail on the unchanged tree.  It
-prints each outcome as its run ends, then the score and the survivors,
-and exits 1 when one is left.
+mutants instead, one edit at a time, both kinds in one pass: every
+comparison of the module flipped (``<`` and ``<=``, ``>`` and ``>=``,
+``==`` and ``!=``), and every operator swapped or dropped (``+`` and
+``-``, and ``*`` and ``/``, swapped, augmented ones too; a unary ``-`` or
+a ``not`` dropped; ``and`` and ``or`` swapped), except those in
+``EQUIVALENT``.  Each runs the test files that import the module or
+``liqlab.cli``, with the acceptance and pin tests, less those that fail on
+the one unchanged run.  It prints each outcome as its run ends, then the
+score and the survivors, and exits 1 when one is left.  A path that is not
+a ``.py`` file under ``src/liqlab/`` is a usage error (exit 2), found
+before any test runs.
 
 pytest does not collect this file; ``tests/test_mutants.py`` checks that
 every row still applies to the tree and every ``EQUIVALENT`` entry still
@@ -81,12 +85,17 @@ _POSITION = ("tests/test_cycle.py::TestConservation::"
              "test_position_is_stage_2_add_less_stage_4_removal")
 _DRAINED = _RUN_CYCLE + "test_overflowing_reserve_names_the_stage"
 _CPMM = "src/liqlab/cpmm.py"
-_SWAPS = "tests/test_cpmm.py::TestSwaps::"
+_SWAP_TESTS = "tests/test_cpmm.py::TestSwaps::"
 _CATBOND = "src/liqlab/catbond.py"
 _EXPONENT = "tests/test_impact.py::TestImpactExponent::test_rejects_samples_it_cannot_fit"
 _RUN = "tests/test_experiments.py::TestRunExperiment::"
 _EDGES = _CLI + "test_checks_at_their_edge_values"
 _EXACT = "tests/test_exact.py::"
+_CONFIG = "src/liqlab/config.py"
+_VALIDATE = "tests/test_config.py::TestValidateConfig::"
+_RATIO_OVERFLOW = "tests/test_cpmm.py::TestPoolState::test_overflowing_ratio_check_raises"
+_CYCLE_PIN = "tests/test_pins.py::test_experiment_outputs_are_pinned[cycle-run"
+_TRACER = "tests/test_tracer.py::test_hooks_read_what_the_library_passes"
 
 MUTANTS = [
     # write_csv's exact %.17g digits (the float table writer)
@@ -434,13 +443,13 @@ MUTANTS = [
      ["tests/test_cpmm.py::TestSpotPrice::test_infinite_price_is_named"]),
     ("swap-invariant-rejects-the-smallest-normal", _CPMM,
      "if not sys.float_info.min <= k < math.inf:", "if not sys.float_info.min < k < math.inf:",
-     [_SWAPS + "test_smallest_normal_invariant_is_accepted[swap_x_for_y]",
-      _SWAPS + "test_smallest_normal_invariant_is_accepted[swap_y_for_x]"]),
+     [_SWAP_TESTS + "test_smallest_normal_invariant_is_accepted[swap_x_for_y]",
+      _SWAP_TESTS + "test_smallest_normal_invariant_is_accepted[swap_y_for_x]"]),
     ("swap-may-match-the-x-reserve", _CPMM,
      "if dx >= pool.reserve_x:", "if dx > pool.reserve_x:",
-     [_SWAPS + "test_deposit_cannot_reach_reserve"]),
+     [_SWAP_TESTS + "test_deposit_cannot_reach_reserve"]),
     ("swap-accepts-zero-dy", _CPMM,
-     "if not dy > 0.0:", "if not dy >= 0.0:", [_SWAPS + "test_non_positive_amounts"]),
+     "if not dy > 0.0:", "if not dy >= 0.0:", [_SWAP_TESTS + "test_non_positive_amounts"]),
     ("removal-may-take-all-of-x", _CPMM,
      "if g >= pool.reserve_x or", "if g > pool.reserve_x or",
      ["tests/test_cpmm.py::TestLiquidity::test_remove_underflow"]),
@@ -536,10 +545,71 @@ MUTANTS = [
      "return PoolState(pool.reserve_x - g, pool.reserve_y - h)",
      "return PoolState(pool.reserve_x * (1.0 - g / pool.reserve_x), pool.reserve_y - h)",
      [_EXACT + "TestLiquidity::test_remove_liquidity"]),
+    # config: a list key's default is a list, and each entry of a non-empty
+    # list is checked
+    ("config-tuple-default-kept-as-tuple", _CONFIG,
+     "return list(default) if value is default else", "return default if value is default else",
+     [_VALIDATE + "test_defaults_applied"]),
+    ("config-empty-list-check-dropped", _CONFIG,
+     "    if not numbers:\n", "    if False:\n", [_VALIDATE + "test_empty_list_rejected[,]"]),
+    ("config-check-on-the-whole-list", _CONFIG,
+     "for entry in value if isinstance(value, list) else [value]:", "for entry in [value]:",
+     [_VALIDATE + "test_every_list_entry_is_checked"]),
+    ("cli-ratio-mismatch-not-mapped", "src/liqlab/cli.py",
+     "except (BracketError, DomainError, RatioMismatchError, ArithmeticError) as exc:",
+     "except (BracketError, DomainError, ArithmeticError) as exc:",
+     [_CLI + "test_exit_code_map[RatioMismatchError]"]),
+    # a ratio check whose cross products overflow, a NaN probe, and the
+    # estimators' step check, block-wise squares and last row
+    ("ratio-check-overflow-guard-dropped", _CPMM,
+     "    if (math.isfinite(a) and math.isfinite(b)\n"
+     "            and not (math.isfinite(cross) and math.isfinite(other))):\n",
+     "    if False:\n",
+     [_RATIO_OVERFLOW + "[add_liquidity-pool0-amounts0]",
+      _RATIO_OVERFLOW + "[remove_liquidity-pool1-amounts1]"]),
+    ("bracket-nan-probe-check-dropped", _GOLDEN,
+     "    if math.isnan(value):\n", "    if False:\n",
+     [_GOLDEN_TESTS + "test_nan_probe_names_its_point[nan]",
+      _GOLDEN_TESTS + "test_nan_probe_names_its_point[numpy-nan-below-0.1]"]),
+    ("variance-slope-n-steps-check-dropped", _PATHS,
+     "if n_paths < 2 or n_steps < 2:", "if n_paths < 2:",
+     [_FBM + "test_variance_slope_needs_two_paths_and_two_steps[4-1]"]),
+    ("variance-slope-squares-the-whole-batch", _PATHS,
+     "lambda start, stop: (x[start:stop] - mean) ** 2,",
+     "lambda start, stop, squares=(x - mean) ** 2: squares[start:stop],",
+     [_FBM + "test_estimator_holds_one_batch[variance_slope]"]),
+    ("increments-last-row-one-short", _PATHS,
+     "first, last = start // width, -(-stop // width)",
+     "first, last = start // width, -(-stop // width) - 1",
+     [_INCREMENTS + "[1-1-0]", _INCREMENTS + "[7-3-3]"]),
+    # write_csv holds one block of records at a time
+    ("writer-one-block", _WRITER,
+     "step = max(1, _BLOCK_CELLS // n_cols)", "step = max(1, n_rows)",
+     [_CLI + "test_peak_memory_per_unit_is_within_its_size_limit[fbm-gen-n_steps-131072-200]"]),
+    # a phase adds to the ledger, so a zero ledger's signed zeros print as pinned
+    ("cycle-stage-1-books-a-fresh-wallet", _CYCLE,
+     "ledger = _book(ledger, PoolState(x - alpha, new_y), -alpha, new_y - y)",
+     "ledger = CycleLedger(PoolState(x - alpha, new_y), 0.0, 0.0, alpha, -(new_y - y))",
+     [_CYCLE_PIN + "[alpha=1e-300][m=0.0][sigma_amt=0.0][closure=False][g_amt=0.0][h_amt=0.0]]"]),
+    ("cycle-stage-2-books-a-fresh-position", _CYCLE,
+     "ledger = _book(ledger, add_liquidity(ledger.pool, m, n), m, n, provider=True)",
+     "ledger = CycleLedger(add_liquidity(ledger.pool, m, n), m, n, ledger.outside_x - m,\n"
+     "                         ledger.outside_y - n)",
+     [_CYCLE_PIN + "[m=-0.0][sigma_amt=-0.0][closure=False][g_amt=0.0][h_amt=0.0]]"]),
+    # what the benchmark's tracer reads of the library
+    ("write-csv-returns-none", _WRITER,
+     '            f.write(records.tobytes().translate(None, b"\\0"))\n    return path\n',
+     '            f.write(records.tobytes().translate(None, b"\\0"))\n    return None\n',
+     [_TRACER, _POWERS]),
+    ("golden-section-max-iter-renamed", _GOLDEN,
+     'max_iter: int = 200) -> float:\n    """Argmax',
+     'max_steps: int = 200) -> float:\n    max_iter = max_steps\n    """Argmax',
+     [_TRACER]),
+    ("numba-enabled-dropped", _KERNELS, "NUMBA_ENABLED = False\n", "", [_TRACER]),
 ]
 
-# Comparison flips that change no result, by module and id (see
-# ``comparison_flips``), each with the reason.
+# Sweep mutants that change no result, by module and id (see ``sweep``),
+# each with the reason.
 EQUIVALENT = [
     (_WRITER, "_records: a >= 1e-4 -> a > 1e-4",
      "it sends only +-1e-4 to fmt instead of the fast path, and both write "
@@ -628,7 +698,23 @@ def _time_limit(started: float) -> float:
     return 60.0 + 10.0 * (time.monotonic() - started)
 
 
-def main() -> int:
+def _module(path: str) -> str:
+    """``path`` from the repository root, for ``--sweep``: a ``.py`` file
+    under ``src/liqlab/``, or argparse's usage error names it."""
+    file = (ROOT / path).resolve()
+    if file.suffix != ".py" or not file.is_file() or ROOT / "src/liqlab" not in file.parents:
+        raise argparse.ArgumentTypeError(f"{path} is not a .py file under src/liqlab/")
+    return file.relative_to(ROOT).as_posix()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--sweep", metavar="MODULE", type=_module,
+                        help="make this source file's mutants instead, in one pass: each "
+                             "comparison flipped and each operator swapped or dropped")
+    module = parser.parse_args(argv).sweep
+    if module:
+        return sweep(module)
     started = time.monotonic()
     baseline = _pytest(sorted({test for row in MUTANTS for test in row[4]}), ROOT)
     timeout = _time_limit(started)
@@ -723,22 +809,10 @@ def _operator_edits(node, text, span):
                for left, right in zip(node.values, node.values[1:])]
 
 
-def comparison_flips(file: str) -> dict[str, str]:
-    """Each comparison of ``file`` with one operator flipped: id to file text.
-
-    ``<`` and ``<=``, ``>`` and ``>=``, and ``==`` and ``!=`` are flipped.
-    """
-    return _mutants(file, _comparison_edits)
-
-
-def operator_swaps(file: str) -> dict[str, str]:
-    """Each operator of ``file`` swapped or dropped, one at a time: id to file text.
-
-    ``+`` and ``-``, and ``*`` and ``/``, are swapped, in augmented
-    assignments too; a unary ``-`` and a ``not`` are dropped; and ``and``
-    and ``or`` are swapped, at every place of one expression.
-    """
-    return _mutants(file, _operator_edits)
+def _sweep_edits(node, text, span):
+    # a node is a comparison or an operator, so at most one of these yields
+    yield from _comparison_edits(node, text, span)
+    yield from _operator_edits(node, text, span)
 
 
 def sweep_tests(file: str) -> list[str]:
@@ -753,9 +827,9 @@ def sweep_tests(file: str) -> list[str]:
                      if imports.search(test.read_text()))})
 
 
-def sweep(file: str, ops: bool = False) -> int:
-    """Run every comparison flip of ``file``, or with ``ops`` every operator
-    swap, outside ``EQUIVALENT``; 1 if one survives."""
+def sweep(file: str) -> int:
+    """Run every comparison flip and operator swap of ``file`` outside
+    ``EQUIVALENT``, against one unchanged run; 1 if one survives."""
     tests = sweep_tests(file)
     started = time.monotonic()
     baseline = _pytest(tests, ROOT, "-rfE")
@@ -768,27 +842,18 @@ def sweep(file: str, ops: bool = False) -> int:
                          baseline.stdout, re.MULTILINE)
     for test in failing:
         print(f"deselected, fails on the unchanged tree: {test}")
-    flips = (operator_swaps if ops else comparison_flips)(file)
+    found = _mutants(file, _sweep_edits)
     equivalent = {mutant_id for module, mutant_id, _ in EQUIVALENT
-                  if module == file and mutant_id in flips}
+                  if module == file and mutant_id in found}
     text = (ROOT / file).read_text()
     deselect = [f"--deselect={test}" for test in failing]
     left = _report((mutant_id, run(mutant_id, file, text, mutated, tests, *deselect,
                                    timeout=timeout))
-                   for mutant_id, mutated in flips.items() if mutant_id not in equivalent)
-    print(f"{file}: {len(flips) - len(equivalent) - len(left)} killed, "
-          f"{len(equivalent)} equivalent, of {len(flips)}; survivors: {left or 'none'}")
+                   for mutant_id, mutated in found.items() if mutant_id not in equivalent)
+    print(f"{file}: {len(found) - len(equivalent) - len(left)} killed, "
+          f"{len(equivalent)} equivalent, of {len(found)}; survivors: {left or 'none'}")
     return 1 if left else 0
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--sweep", metavar="MODULE",
-                        help="flip each comparison of this source file instead")
-    parser.add_argument("--ops", action="store_true",
-                        help="with --sweep, swap each arithmetic and boolean operator "
-                             "instead of flipping comparisons")
-    options = parser.parse_args()
-    if options.ops and not options.sweep:
-        parser.error("--ops needs --sweep")
-    sys.exit(sweep(options.sweep, options.ops) if options.sweep else main())
+    sys.exit(main())

@@ -1,8 +1,9 @@
 """Every row of ``tests/mutants.py`` still applies to the tree: its text to
 replace occurs exactly once in its file, and every test it names is
-collected.  Every ``EQUIVALENT`` entry still names a comparison flip of its
+collected.  Every ``EQUIVALENT`` entry still names a sweep mutant of its
 module.  A refactor that strands a mutant fails here and must update the
-row or the entry."""
+row or the entry.  A sweep makes both kinds of mutant against one
+unchanged run, and a path it cannot sweep is refused before any test runs."""
 
 import ast
 import importlib.util
@@ -37,12 +38,12 @@ def test_each_named_test_is_collected():
 
 def test_each_equivalent_mutant_is_a_comparison_flip():
     for file, mutant_id, reason in mutants.EQUIVALENT:
-        assert reason and mutant_id in mutants.comparison_flips(file), mutant_id
+        assert reason and mutant_id in mutants._mutants(file, mutants._sweep_edits), mutant_id
 
 
 def test_comparison_flips_change_one_operator():
     text = (mutants.ROOT / "src/liqlab/golden.py").read_text()
-    flips = mutants.comparison_flips("src/liqlab/golden.py")
+    flips = mutants._mutants("src/liqlab/golden.py", mutants._comparison_edits)
     flippable = [op for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Compare)
                  for op in node.ops if type(op) in mutants._FLIPS]
     assert len(flips) == len(flippable) > 0
@@ -59,10 +60,54 @@ def test_operator_swaps_change_one_operator(file):
                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in mutants._SWAPS
                  or isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.Not))
                  or isinstance(node, ast.BoolOp)]
-    swaps = mutants.operator_swaps(file)
+    swaps = mutants._mutants(file, mutants._operator_edits)
     assert len(swaps) == len(swappable) > 0
     for mutant_id, mutated in swaps.items():
         assert ast.dump(ast.parse(mutated)) != ast.dump(tree), mutant_id
+
+
+def test_sweep_runs_both_kinds_against_one_baseline(monkeypatch):
+    file = "src/liqlab/golden.py"
+    baselines, ran = [], []
+
+    def pytest_run(tests, cwd, *options, timeout=None):
+        baselines.append(tests)
+        return subprocess.CompletedProcess(tests, 0, "", "")
+
+    def run(mutant_id, module, old, new, tests, *options, timeout=None):
+        ran.append(mutant_id)
+        return "killed"
+
+    monkeypatch.setattr(mutants, "_pytest", pytest_run)
+    monkeypatch.setattr(mutants, "run", run)
+    assert mutants.sweep(file) == 0
+    flips = mutants._mutants(file, mutants._comparison_edits)
+    swaps = mutants._mutants(file, mutants._operator_edits)
+    equivalent = {mutant_id for module, mutant_id, _ in mutants.EQUIVALENT if module == file}
+    assert len(baselines) == 1
+    assert flips and swaps and equivalent <= flips.keys() | swaps.keys()
+    assert len(ran) == len(set(ran)) == len(flips) + len(swaps) - len(equivalent)
+    assert set(ran) == (flips.keys() | swaps.keys()) - equivalent
+
+
+@pytest.mark.parametrize("path", ["src/liqlab/nope.py", "README.md", "tests/mutants.py",
+                                  "src/liqlab"])
+def test_a_path_it_cannot_sweep_is_a_usage_error(monkeypatch, capsys, path):
+    def pytest_run(*args, **kwargs):
+        raise AssertionError("a test run started")
+
+    monkeypatch.setattr(mutants, "_pytest", pytest_run)
+    with pytest.raises(SystemExit) as stop:
+        mutants.main(["--sweep", path])
+    assert stop.value.code == 2
+    assert f"argument --sweep: {path} is not a .py file" in capsys.readouterr().err
+
+
+def test_a_sweep_path_is_read_from_the_repository_root():
+    # a mutant is made in a copy at the same relative path, so an absolute
+    # path must not reach it: it would name this tree's file
+    assert mutants._module(str(mutants.ROOT / "src/liqlab/golden.py")) == "src/liqlab/golden.py"
+    assert mutants._module("./src/liqlab/../liqlab/kernels.py") == "src/liqlab/kernels.py"
 
 
 def test_sweep_runs_the_tests_that_reach_the_module_through_the_cli():
