@@ -1,7 +1,7 @@
 """Bracketed one-dimensional solvers: golden-section maximization,
 sign-change bracketing and bisection by plain halving.  A solver that
-stops short of its tolerance raises :class:`ConvergenceError`; none
-returns a bare midpoint.
+stops short of its tolerance raises :class:`ConvergenceError`, and a NaN
+probe raises :class:`BracketError`; none returns a bare midpoint.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from .errors import BracketError, ConvergenceError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_HALVINGS = 200
+_MAX_STEPS = 664  # the bracket's doublings or halvings: 2**664 < 1e200, 2**-664 > 1e-200
+_NAN = "derivative is NaN at {!r}; no sign change can be bracketed"
 
 
 def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
@@ -52,35 +54,27 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
 def bracket_decreasing(deriv: Callable[[float], float]) -> tuple[float, float]:
     """Bracket the sign change of a decreasing ``deriv`` by doubling/halving.
 
-    The search starts at 1 and doubles up to 1e200 or halves down to
-    1e-200, so ``lo`` and ``hi = 2 * lo`` are powers of two.  Returns
-    ``(lo, hi)`` with ``deriv(lo) > 0 >= deriv(hi)``.  Raises
+    The search makes at most 664 doublings or halvings from 1, so ``lo`` and
+    ``hi = 2 * lo`` are powers of two, ``lo >= 2**-664`` and ``hi <= 2**664``.
+    Returns ``(lo, hi)`` with ``deriv(lo) > 0 >= deriv(hi)``.  Raises
     :class:`BracketError` when no sign change exists within those limits,
     i.e. no interior maximum can be bracketed, and when a probe reads NaN.
     """
-    if _probe(deriv, 1.0) > 0.0:
-        lo, hi = 1.0, 2.0
-        while _probe(deriv, hi) > 0.0:
-            lo = hi
-            hi *= 2.0
-            if hi > 1e200:
-                raise BracketError(
-                    f"derivative still positive at {lo:.3e}; no interior maximum")
-    else:
-        hi, lo = 1.0, 0.5
-        while _probe(deriv, lo) <= 0.0:
-            hi = lo
-            lo *= 0.5
-            if lo < 1e-200:
-                raise BracketError(
-                    f"derivative non-positive down to {hi:.3e}; no interior maximum")
-    return lo, hi
+    up = _probe(deriv, 1.0) > 0.0
+    step = 2.0 if up else 0.5
+    x, y = 1.0, step
+    for _ in range(_MAX_STEPS):
+        if (_probe(deriv, y) > 0.0) != up:
+            return (x, y) if up else (y, x)
+        x, y = y, y * step
+    where = "still positive at" if up else "non-positive down to"
+    raise BracketError(f"derivative {where} {x:.3e}; no interior maximum")
 
 
 def _probe(deriv: Callable[[float], float], x: float) -> float:
     value = deriv(x)
     if math.isnan(value):
-        raise BracketError(f"derivative is NaN at {x!r}; no sign change can be bracketed")
+        raise BracketError(_NAN.format(x))
     return value
 
 
@@ -92,15 +86,19 @@ def bisect_decreasing(fn: Callable[[float], float], rel_tol: float) -> float:
     midpoint is returned.  Raises :class:`ConvergenceError` if the bracket is
     still wider after ``_MAX_HALVINGS`` halvings, as it is whenever
     ``rel_tol`` asks for more than the float spacing allows (``0.0``, say).
+    A NaN probe, of the bracket or of a halving, raises :class:`BracketError`.
     """
     lo, hi = bracket_decreasing(fn)
     for _ in range(_MAX_HALVINGS):
         if hi - lo <= rel_tol * hi:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
-        if fn(mid) > 0.0:
+        value = fn(mid)
+        if value > 0.0:
             lo = mid
-        else:
+        elif value <= 0.0:
             hi = mid
+        else:  # a NaN fails both comparisons
+            raise BracketError(_NAN.format(mid))
     raise ConvergenceError(
         f"bisection stopped at [{lo!r}, {hi!r}] after {_MAX_HALVINGS} halvings")

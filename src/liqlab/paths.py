@@ -68,6 +68,12 @@ def _check_sigma(sigma: float) -> None:
         raise DomainError(f"sigma must have a finite square, got {sigma}")
 
 
+def _check_grid(n_steps: int, dt: float) -> None:
+    if not (dt > 0.0 and math.isfinite(n_steps * dt)):
+        raise DomainError(f"dt must be positive with a finite last time "
+                          f"{n_steps} * dt, got {dt}")
+
+
 @dataclass(frozen=True)
 class FouParams:
     """Parameters of dP = kappa * (P - level) dt + sigma dB^H.
@@ -109,9 +115,7 @@ class SamplePath:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) < 2:
             raise DomainError("a path needs a 1-d array of at least two samples")
-        if not (self.dt > 0.0 and math.isfinite((len(values) - 1) * self.dt)):
-            raise DomainError(f"dt must be positive with a finite last time "
-                              f"{len(values) - 1} * dt, got {self.dt}")
+        _check_grid(len(values) - 1, self.dt)
         if not np.all(np.isfinite(values)):
             raise DomainError("path values must be finite")
 
@@ -231,10 +235,7 @@ def _fbm_generator(n_paths: int, n_steps: int, dt: float, hurst: float, method: 
     _check_hurst(hurst)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    if not math.isfinite(n_steps * dt):
-        raise DomainError(f"time grid overflows: n_steps * dt = {n_steps} * {dt}")
+    _check_grid(n_steps, dt)
     label, n_normals, color = _resolve_method(n_steps, hurst, method)
     scale = dt ** hurst
     rows = max(1, _BLOCK_BYTES // (16 * n_normals))

@@ -162,8 +162,7 @@ MUTANTS = [
       "[subnormal-swap_y_for_x]"]),
     # SamplePath's checks of its grid and values
     ("sample-path-dt-check-dropped", _PATHS,
-     "if not (self.dt > 0.0 and math.isfinite((len(values) - 1) * self.dt)):",
-     "if False:",
+     "        _check_grid(len(values) - 1, self.dt)\n", "",
      [_SAMPLE_PATH + "test_dt_must_be_positive_with_a_finite_last_time[zero]",
       _SAMPLE_PATH + "test_dt_must_be_positive_with_a_finite_last_time[nan]",
       _SAMPLE_PATH + "test_dt_must_be_positive_with_a_finite_last_time[last-time-overflows]"]),
@@ -257,7 +256,7 @@ MUTANTS = [
      "if n_paths < 2 or n_steps < 2:", "if n_paths < 2 or n_steps <= 2:",
      [_FBM + "test_variance_slope_of_two_paths_and_two_steps"]),
     ("fbm-accepts-zero-dt", _PATHS,
-     "if not dt > 0.0:", "if not dt >= 0.0:",
+     "if not (dt > 0.0 and", "if not (dt >= 0.0 and",
      [_FBM + "test_zero_dt_rejected"]),
     ("fbm-overflow-check-at-the-largest-float", _PATHS,
      "np.abs(out[:, 1:]).max() > sys.float_info.max / scale",
@@ -418,14 +417,22 @@ MUTANTS = [
     ("golden-section-final-check-at-tol", _GOLDEN,
      "if b - a > tol:", "if b - a >= tol:", [_GOLDEN_TESTS + "test_quadratic_argmax"]),
     ("bracket-first-probe-zero-goes-up", _GOLDEN,
-     "if _probe(deriv, 1.0) > 0.0:", "if _probe(deriv, 1.0) >= 0.0:",
+     "up = _probe(deriv, 1.0) > 0.0", "up = _probe(deriv, 1.0) >= 0.0",
      [_GOLDEN_TESTS + "test_bracket_decreasing_expands_down"]),
+    # one direction's zero read as positive; the sweep's flip does both at once
     ("bracket-doubling-passes-a-zero", _GOLDEN,
-     "while _probe(deriv, hi) > 0.0:", "while _probe(deriv, hi) >= 0.0:",
+     "if (_probe(deriv, y) > 0.0) != up:",
+     "if ((v := _probe(deriv, y)) > 0.0 or up and v == 0.0) != up:",
      [_GOLDEN_TESTS + "test_bracket_decreasing_expands_up"]),
     ("bracket-halving-stops-at-a-zero", _GOLDEN,
-     "while _probe(deriv, lo) <= 0.0:", "while _probe(deriv, lo) < 0.0:",
+     "if (_probe(deriv, y) > 0.0) != up:",
+     "if ((v := _probe(deriv, y)) > 0.0 or not up and v == 0.0) != up:",
      [_GOLDEN_TESTS + "test_bracket_decreasing_expands_down"]),
+    # the bracket's step count, one short and one long of 2**664 < 1e200
+    ("bracket-663-steps", _GOLDEN, "_MAX_STEPS = 664", "_MAX_STEPS = 663",
+     [_GOLDEN_TESTS + "test_bracket_is_pinned_at_its_limits"]),
+    ("bracket-665-steps", _GOLDEN, "_MAX_STEPS = 664", "_MAX_STEPS = 665",
+     [_GOLDEN_TESTS + "test_bracket_is_pinned_at_its_limits"]),
     ("bisect-stop-test-strict", _GOLDEN,
      "if hi - lo <= rel_tol * hi:", "if hi - lo < rel_tol * hi:",
      [_GOLDEN_TESTS + "test_bisect_matches_plain_halving[0.00048828125-linear]"]),
@@ -559,7 +566,7 @@ MUTANTS = [
      "except (BracketError, DomainError, RatioMismatchError, ArithmeticError) as exc:",
      "except (BracketError, DomainError, ArithmeticError) as exc:",
      [_CLI + "test_exit_code_map[RatioMismatchError]"]),
-    # a ratio check whose cross products overflow, a NaN probe, and the
+    # a ratio check whose cross products overflow, NaN probes, and the
     # estimators' step check, block-wise squares and last row
     ("ratio-check-overflow-guard-dropped", _CPMM,
      "    if (math.isfinite(a) and math.isfinite(b)\n"
@@ -571,6 +578,9 @@ MUTANTS = [
      "    if math.isnan(value):\n", "    if False:\n",
      [_GOLDEN_TESTS + "test_nan_probe_names_its_point[nan]",
       _GOLDEN_TESTS + "test_nan_probe_names_its_point[numpy-nan-below-0.1]"]),
+    ("bisect-nan-probe-read-as-not-positive", _GOLDEN,
+     "        elif value <= 0.0:\n", "        elif True:\n",
+     [_GOLDEN_TESTS + "test_nan_probe_names_its_point[nan-at-a-halving]"]),
     ("variance-slope-n-steps-check-dropped", _PATHS,
      "if n_paths < 2 or n_steps < 2:", "if n_paths < 2:",
      [_FBM + "test_variance_slope_needs_two_paths_and_two_steps[4-1]"]),
@@ -614,10 +624,6 @@ EQUIVALENT = [
     (_WRITER, "_records: a >= 1e-4 -> a > 1e-4",
      "it sends only +-1e-4 to fmt instead of the fast path, and both write "
      "0.0001 (test_powers_of_ten_and_their_neighbours checks the fast path's)"),
-    (_GOLDEN, "bracket_decreasing: hi > 1e200 -> hi >= 1e200",
-     "hi is a power of two, and none equals 1e200"),
-    (_GOLDEN, "bracket_decreasing: lo < 1e-200 -> lo <= 1e-200",
-     "lo is a power of two, and none equals 1e-200"),
     (_PATHS, "_fbm_generator.draw: scale > 1.0 -> scale >= 1.0",
      "at scale 1.0 the check compares with the largest float, which no finite "
      "path exceeds, and a path is a sum of colored normals far below it"),

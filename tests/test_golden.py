@@ -66,6 +66,24 @@ def test_bracket_failure_when_monotone():
         bracket_decreasing(lambda x: -1.0)
 
 
+def test_bracket_is_pinned_at_its_limits():
+    # 664 doublings or halvings from 1: 2**664 < 1e200 and 2**-664 > 1e-200
+    assert bracket_decreasing(lambda x: 5e199 - x) == (2.0 ** 663, 2.0 ** 664)
+    assert bracket_decreasing(lambda x: 2e-200 - x) == (2.0 ** -664, 2.0 ** -663)
+    with pytest.raises(BracketError, match=r"^derivative still positive at 7\.655e\+199; "
+                       r"no interior maximum$"):
+        bracket_decreasing(lambda x: 9e199 - x)
+    with pytest.raises(BracketError, match=r"^derivative non-positive down to 1\.306e-200; "
+                       r"no interior maximum$"):
+        bracket_decreasing(lambda x: 5e-201 - x)
+    # a constant derivative of either sign is probed at 1 and at 664 more points
+    for sign, step in ((1.0, 2.0), (-1.0, 0.5)):
+        probes = []
+        with pytest.raises(BracketError):
+            bracket_decreasing(lambda x: probes.append(x) or sign)
+        assert probes == [step ** k for k in range(665)]
+
+
 def test_shrinks_to_interior_peak():
     peak = math.pi
     fn = lambda x: -abs(x - peak)
@@ -89,23 +107,34 @@ def test_bisect_decreasing_raises_when_tolerance_unreachable():
     # positive up to 3, then NaN: the doubling used to stop at (2.0, 4.0)
     (lambda x: 3.0 - x if x <= 3.0 else math.nan, "4.0"),
     (lambda x: np.float64(math.nan) if x < 0.1 else -1.0, "0.0625"),
-], ids=["nan", "nan-above-3", "numpy-nan-below-0.1"])
+    # finite at the bracket's probes, NaN at the first halving's: the halving
+    # used to read it as "not positive" and return 2.000000000000001
+    (lambda x: 3.0 - x if x in (1.0, 2.0, 4.0) else math.nan, "3.0"),
+], ids=["nan", "nan-above-3", "numpy-nan-below-0.1", "nan-at-a-halving"])
 def test_nan_probe_names_its_point(deriv, x):
     # formerly a NaN read as "not positive": bracket (0.5, 1.0) and a
     # "root" of 0.5000000000000002 for the first case
-    for solve in (bracket_decreasing, lambda fn: bisect_decreasing(fn, 1e-15)):
+    bisect = lambda fn: bisect_decreasing(fn, 1e-15)
+    # the bracket probes only powers of two, and brackets the last case
+    for solve in (bisect,) if x == "3.0" else (bracket_decreasing, bisect):
         with pytest.raises(BracketError, match=f"NaN at {x};"):
             solve(deriv)
+    if x == "3.0":
+        assert bracket_decreasing(deriv) == (2.0, 4.0)
 
 
 def halving_reference(fn, rel_tol):
-    """``bisect_decreasing`` as plain halving: one evaluation per halving."""
+    """``bisect_decreasing`` as plain halving: one evaluation per halving,
+    and a NaN one raises."""
     lo, hi = bracket_decreasing(fn)
     for _ in range(golden._MAX_HALVINGS):
         if hi - lo <= rel_tol * hi:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
-        if fn(mid) > 0.0:
+        value = fn(mid)
+        if math.isnan(value):
+            raise BracketError(f"derivative is NaN at {mid!r}; no sign change can be bracketed")
+        if value > 0.0:
             lo = mid
         else:
             hi = mid

@@ -7,8 +7,10 @@ unchanged run, and a path it cannot sweep is refused before any test runs."""
 
 import ast
 import importlib.util
+import io
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -41,14 +43,24 @@ def test_each_equivalent_mutant_is_a_comparison_flip():
         assert reason and mutant_id in mutants._mutants(file, mutants._sweep_edits), mutant_id
 
 
+def _tokens(text):
+    return [(token.type, token.string)
+            for token in tokenize.generate_tokens(io.StringIO(text).readline)]
+
+
 def test_comparison_flips_change_one_operator():
     text = (mutants.ROOT / "src/liqlab/golden.py").read_text()
     flips = mutants._mutants("src/liqlab/golden.py", mutants._comparison_edits)
     flippable = [op for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Compare)
                  for op in node.ops if type(op) in mutants._FLIPS]
     assert len(flips) == len(flippable) > 0
+    before = _tokens(text)
     for mutant_id, mutated in flips.items():
-        assert abs(len(mutated) - len(text)) == 1, mutant_id
+        after = _tokens(mutated)
+        changed = [(old[1], new[1]) for old, new in zip(before, after) if old != new]
+        # != and == are one length, < and <= are not
+        assert len(after) == len(before) and len(changed) == 1, mutant_id
+        assert changed[0] in mutants._FLIPS.values(), mutant_id
         assert ast.dump(ast.parse(mutated)) != ast.dump(ast.parse(text)), mutant_id
 
 
@@ -67,7 +79,8 @@ def test_operator_swaps_change_one_operator(file):
 
 
 def test_sweep_runs_both_kinds_against_one_baseline(monkeypatch):
-    file = "src/liqlab/golden.py"
+    # impact.py has EQUIVALENT entries to skip
+    file = "src/liqlab/impact.py"
     baselines, ran = [], []
 
     def pytest_run(tests, cwd, *options, timeout=None):
@@ -85,7 +98,7 @@ def test_sweep_runs_both_kinds_against_one_baseline(monkeypatch):
     swaps = mutants._mutants(file, mutants._operator_edits)
     equivalent = {mutant_id for module, mutant_id, _ in mutants.EQUIVALENT if module == file}
     assert len(baselines) == 1
-    assert flips and swaps and equivalent <= flips.keys() | swaps.keys()
+    assert flips and swaps and equivalent and equivalent <= flips.keys() | swaps.keys()
     assert len(ran) == len(set(ran)) == len(flips) + len(swaps) - len(equivalent)
     assert set(ran) == (flips.keys() | swaps.keys()) - equivalent
 
