@@ -1,7 +1,7 @@
 """Bracketed one-dimensional solvers: golden-section maximization,
 sign-change bracketing and bisection by plain halving.  A solver that
 stops short of its tolerance raises :class:`ConvergenceError`, and a NaN
-probe raises :class:`BracketError`; none returns a bare midpoint.
+probe raises :class:`BracketError` in all three; none returns a bare midpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
     The interval shrinks until its width falls below
     ``tol = rel_tol * max(1, |lo|, |hi|)``; the midpoint of the final
     interval is returned.  Raises :class:`ConvergenceError` when the
-    interval is still wider than ``tol`` after ``max_iter`` steps.
+    interval is still wider than ``tol`` after ``max_iter`` steps, and
+    :class:`BracketError` when a probe it compares reads NaN.
     """
     if not hi > lo:
         raise BracketError(f"empty bracket [{lo}, {hi}]")
@@ -40,10 +41,12 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = fn(c)
-        else:
+        elif fc <= fd:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = fn(d)
+        else:  # a NaN fails both comparisons
+            raise BracketError(f"objective is NaN at {c if math.isnan(fc) else d!r}")
     if b - a > tol:
         raise ConvergenceError(
             f"golden section stopped at width {b - a:.3e} > {tol:.3e} "

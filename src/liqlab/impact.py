@@ -206,7 +206,8 @@ def optimal_impact_leverage_form(q: float, price_level: float,
     error is that of nested plain halving.  The result agrees with
     :func:`optimal_impact_sqrt` and is independent of ``price_level``.
     Subnormal sigma^2/P^2 or dp/P raise :class:`DomainError`; an optimal f
-    or dp outside [1e-200, 1e200] raises :class:`BracketError`.
+    or dp outside (2**-664, 2**664] (1.306e-200 to 7.655e199), the reach of
+    :func:`~liqlab.golden.bracket_decreasing`, raises :class:`BracketError`.
     """
     if model.hurst != 0.5:
         raise DomainError("leverage form is defined for hurst == 0.5")

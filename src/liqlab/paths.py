@@ -10,7 +10,9 @@ covariance.  A :class:`SamplePath` is ``(dt, values, meta)``: its times
 ``meta`` is the chain of methods that made it, the fBM method among them.
 
 Randomness comes from one PCG64 stream per path (stream seed = base seed +
-path index); normal variates use numpy's ziggurat sampler.  Paths are drawn
+path index); normal variates use numpy's ziggurat sampler.  A seed is a
+non-negative integer, Python's or numpy's; any other seed raises
+:class:`DomainError` before anything is drawn.  Paths are drawn
 in blocks of a few rows: each row still takes its normals from its own
 stream, and the coloring, FFT, cumulative sum and scaling then run once per
 block, with the same floating-point operations on every row as a block of
@@ -222,13 +224,15 @@ def _resolve_method(n_steps: int, hurst: float, method: str):
     return METHOD_CHOLESKY, n_steps, color
 
 
-def _fbm_generator(n_paths: int, n_steps: int, dt: float, hurst: float, method: str):
-    """Validate the sizes, resolve the generator once; return (label, rows, draw).
+def _fbm_generator(n_paths: int, n_steps: int, dt: float, hurst: float,
+                   base_seed: int, method: str):
+    """Validate the sizes and the seed, resolve the generator once; return
+    (label, rows, draw).
 
-    ``draw(seed, out)`` fills the ``(k, n_steps + 1)`` block ``out`` with the
-    fBM paths of PRNG streams ``seed .. seed + k - 1``, one row each, and
-    returns it.  ``rows`` is the block height callers should pass, so that a
-    block's scratch arrays stay near ``_BLOCK_BYTES``.
+    ``draw(start, out)`` fills the ``(k, n_steps + 1)`` block ``out`` with
+    the fBM paths ``start .. start + k - 1``, path ``i`` from the PRNG stream
+    ``base_seed + i``, and returns it.  ``rows`` is the block height callers
+    should pass, so that a block's scratch arrays stay near ``_BLOCK_BYTES``.
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
@@ -236,14 +240,17 @@ def _fbm_generator(n_paths: int, n_steps: int, dt: float, hurst: float, method: 
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     _check_grid(n_steps, dt)
+    if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {base_seed!r}")
+    first = int(base_seed)
     label, n_normals, color = _resolve_method(n_steps, hurst, method)
     scale = dt ** hurst
     rows = max(1, _BLOCK_BYTES // (16 * n_normals))
 
-    def draw(seed: int, out: np.ndarray) -> np.ndarray:
+    def draw(start: int, out: np.ndarray) -> np.ndarray:
         z = np.empty((out.shape[0], n_normals))
         for j, row in enumerate(z):
-            np.random.Generator(np.random.PCG64(seed + j)).standard_normal(out=row)
+            np.random.Generator(np.random.PCG64(first + start + j)).standard_normal(out=row)
         out[:, 0] = 0.0
         np.cumsum(color(z), axis=1, out=out[:, 1:])
         if scale > 1.0 and np.abs(out[:, 1:]).max() > sys.float_info.max / scale:
@@ -264,11 +271,10 @@ def iter_fbm(n_paths: int, n_steps: int, dt: float, hurst: float,
     ``i`` uses the stream ``base_seed + i`` and is bit-identical to
     ``generate_fbm(n_steps, dt, hurst, base_seed + i, method)``.
     """
-    label, rows, draw = _fbm_generator(n_paths, n_steps, dt, hurst, method)
+    label, rows, draw = _fbm_generator(n_paths, n_steps, dt, hurst, base_seed, method)
     return (SamplePath(dt=dt, values=values, meta=label)
             for start in range(0, n_paths, rows)
-            for values in draw(int(base_seed) + start,
-                               np.empty((min(rows, n_paths - start), n_steps + 1))))
+            for values in draw(start, np.empty((min(rows, n_paths - start), n_steps + 1))))
 
 
 def generate_fbm(n_steps: int, dt: float, hurst: float, seed: int,
@@ -292,10 +298,10 @@ def generate_fbm_batch(n_paths: int, n_steps: int, dt: float, hurst: float,
     ``generate_fbm(n_steps, dt, hurst, base_seed + i, method)``, so batch
     work may be split across workers in any order.
     """
-    _, rows, draw = _fbm_generator(n_paths, n_steps, dt, hurst, method)
+    _, rows, draw = _fbm_generator(n_paths, n_steps, dt, hurst, base_seed, method)
     out = np.empty((n_paths, n_steps + 1))
     for start in range(0, n_paths, rows):
-        draw(int(base_seed) + start, out[start:start + rows])
+        draw(start, out[start:start + rows])
     return out
 
 
@@ -321,7 +327,7 @@ def refine_linear(path: SamplePath, factor: int) -> SamplePath:
     The path is treated as the fixed piecewise-linear function through its
     samples; new points are linear interpolants, existing points are kept.
     """
-    if factor < 1 or int(factor) != factor:
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise DomainError(f"factor must be a positive integer, got {factor}")
     if factor == 1:
         return path
@@ -380,21 +386,20 @@ def _increments(batch: np.ndarray, offset: int, width: int):
 
 
 def increment_autocorr(n_paths: int, n_steps: int, dt: float, hurst: float,
-                       base_seed: int, lag: int = 1) -> float:
-    """Pooled increment autocorrelation at the given lag across a batch.
+                       base_seed: int) -> float:
+    """Pooled lag-1 increment autocorrelation across a batch.
 
-    The increments ``a = inc[:, :-lag]`` and ``b = inc[:, lag:]`` are
-    pooled over all paths, centred by their pairwise means, and reduced
-    pairwise; each leaf block is recomputed from the batch, so no
-    batch-sized array besides the batch itself is held.
+    The increments ``a = inc[:, :-1]`` and ``b = inc[:, 1:]`` are pooled
+    over all paths, centred by their pairwise means, and reduced pairwise;
+    each leaf block is recomputed from the batch, so no batch-sized array
+    besides the batch itself is held.  For fBM the population value is
+    ``2**(2H - 1) - 1``.
     """
-    if lag < 1 or lag >= n_steps:
-        raise DomainError(f"lag must be in [1, n_steps), got {lag}")
-    width = n_steps - lag
+    width = n_steps - 1
     n = n_paths * width
     if n < 2:
         raise DomainError(f"increment_autocorr needs at least two pooled pairs, "
-                          f"got n_paths * (n_steps - lag) = {n}")
+                          f"got n_paths * (n_steps - 1) = {n}")
     batch = generate_fbm_batch(n_paths, n_steps, dt, hurst, base_seed)
 
     def centred(offset):
@@ -407,7 +412,7 @@ def increment_autocorr(n_paths: int, n_steps: int, dt: float, hurst: float,
             n, lambda start, stop: first(start, stop) * second(start, stop))
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked on squares below
-        a, b = centred(0), centred(lag)
+        a, b = centred(0), centred(1)
         squares = dot(a, a) * dot(b, b)
     if not math.isfinite(squares):
         raise DomainError("increment_autocorr: a centred sum of squares of the increments, "

@@ -235,7 +235,7 @@ MUTANTS = [
     ("increment-autocorr-pair-check-dropped", _PATHS,
      "    if n < 2:\n", "    if False:\n",
      [_FBM + "test_increment_autocorr_needs_two_pairs[1-2-1]",
-      _FBM + "test_increment_autocorr_needs_two_pairs[1-3-2]"]),
+      _FBM + "test_increment_autocorr_needs_two_pairs[4-1-0]"]),
     ("increment-autocorr-squares-check-dropped", _PATHS,
      "if not squares > 0.0:", "if False:",
      [_FBM + "test_increment_autocorr_of_underflowing_increments"]),
@@ -270,8 +270,8 @@ MUTANTS = [
      [_FBM + "test_eigenvalue_at_the_round_off_bound_is_clipped"]),
     # fBM generation: one stream per path, the conjugate mirror, every block
     ("one-stream-for-a-whole-block", _PATHS,
-     "np.random.Generator(np.random.PCG64(seed + j))",
-     "np.random.Generator(np.random.PCG64(seed))",
+     "np.random.Generator(np.random.PCG64(first + start + j))",
+     "np.random.Generator(np.random.PCG64(first + start))",
      [_FBM + "test_batch_rows_equal_single_paths[auto]",
       _FBM + "test_batch_rows_equal_single_paths[cholesky]"]),
     ("coloring-conj-dropped", _PATHS,
@@ -318,10 +318,12 @@ MUTANTS = [
      "if not math.isfinite(p0):", "if False:",
      ["tests/test_paths.py::TestSimulateFou::test_p0_must_be_finite[nan]",
       "tests/test_paths.py::TestSimulateFou::test_p0_must_be_finite[inf]"]),
-    ("autocorr-lag-check-dropped", _PATHS,
-     "if lag < 1 or lag >= n_steps:", "if False:",
-     [_FBM + "test_lag_outside_the_steps_rejected[0]",
-      _FBM + "test_lag_outside_the_steps_rejected[16]"]),
+    ("fbm-seed-check-dropped", _PATHS,
+     "if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:", "if False:",
+     [_FBM + "test_seed_must_be_a_non_negative_integer"]),
+    ("refine-factor-type-check-dropped", _PATHS,
+     "if not isinstance(factor, (int, np.integer)) or factor < 1:", "if factor < 1:",
+     ["tests/test_paths.py::TestRefineLinear::test_bad_factor"]),
     # the impact module's argument checks
     ("impact-sqrt-q-check-dropped", _IMPACT,
      '(sigma^2 / k) * sqrt(q)."""\n    if not q > 0.0:',
@@ -578,6 +580,10 @@ MUTANTS = [
      "    if math.isnan(value):\n", "    if False:\n",
      [_GOLDEN_TESTS + "test_nan_probe_names_its_point[nan]",
       _GOLDEN_TESTS + "test_nan_probe_names_its_point[numpy-nan-below-0.1]"]),
+    ("golden-section-nan-probe-read-as-not-greater", _GOLDEN,
+     "        elif fc <= fd:\n", "        elif True:\n",
+     [_GOLDEN_TESTS + "test_golden_section_nan_probe_names_its_point[nan]",
+      _GOLDEN_TESTS + "test_golden_section_nan_probe_names_its_point[nan-at-a-later-probe]"]),
     ("bisect-nan-probe-read-as-not-positive", _GOLDEN,
      "        elif value <= 0.0:\n", "        elif True:\n",
      [_GOLDEN_TESTS + "test_nan_probe_names_its_point[nan-at-a-halving]"]),

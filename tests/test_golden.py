@@ -36,6 +36,19 @@ def test_empty_bracket_rejected():
         golden_section_max(lambda x: x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("fn, hi, x", [
+    (lambda x: math.nan, 1.0, "0.3819660112501051"),
+    (lambda x: math.nan if x > 0.5 else -x, 1.0, "0.6180339887498949"),
+    # finite at the first two probes, NaN at the third
+    (lambda x: math.nan if x < 1.5 else -(x - 2.0) ** 2, 5.0, "1.1803398874989484"),
+], ids=["nan", "nan-above-0.5", "nan-at-a-later-probe"])
+def test_golden_section_nan_probe_names_its_point(fn, hi, x):
+    # formerly a NaN read as "not greater", so the interval moved right on
+    # every step: 0.9999999999534882 for the first case, as for a flat one
+    with pytest.raises(BracketError, match=f"^objective is NaN at {x}$"):
+        golden_section_max(fn, 0.0, hi)
+
+
 @given(st.floats(min_value=-50.0, max_value=50.0),
        st.floats(min_value=0.1, max_value=10.0))
 def test_random_concave_quadratics(center, curvature):

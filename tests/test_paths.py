@@ -29,6 +29,18 @@ def fbm_covariance(s: float, t: float, hurst: float) -> float:
     return 0.5 * (s ** h2 + t ** h2 - abs(t - s) ** h2)
 
 
+def lag1_autocorr(batch: np.ndarray) -> float:
+    """Pooled lag-1 autocorrelation of a batch's increments, from ``np.diff``.
+
+    The reference for ``paths.increment_autocorr``: both factors are pooled
+    over the rows and centred by ``np.mean``.
+    """
+    inc = np.diff(batch, axis=1)
+    a, b = inc[:, :-1].ravel(), inc[:, 1:].ravel()
+    a, b = a - np.mean(a), b - np.mean(b)
+    return (a @ b) / math.sqrt((a @ a) * (b @ b))
+
+
 class TestFbmCovariance:
     def test_brownian_case_is_min(self):
         assert fbm_covariance(1.0, 2.0, 0.5) == 1.0
@@ -154,6 +166,24 @@ class TestGenerateFbm:
             with pytest.raises(DomainError, match="n_paths must be >= 1, got 0"):
                 draw(0, 0, -1.0, 1.5, 0)
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        # formerly int(seed): 1.5 drew seed 1's path, 2.9 base seed 2's batch,
+        # and -1 reached numpy's own ValueError inside the first draw
+        for seed in (1.5, 2.9, 2.0, -1, np.int64(-1), "1", None):
+            message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+            for draw in (lambda: generate_fbm(16, 1.0 / 16, 0.7, seed),
+                         lambda: generate_fbm_batch(3, 16, 1.0 / 16, 0.7, seed),
+                         lambda: iter_fbm(3, 16, 1.0 / 16, 0.7, seed),
+                         # checked before the generator is resolved
+                         lambda: generate_fbm(16, 1.0 / 16, 0.7, seed, method="magic")):
+                with pytest.raises(DomainError, match=message):
+                    draw()
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.int8(5)])
+    def test_numpy_integer_seeds_draw_their_streams(self, seed):
+        assert generate_fbm_batch(3, 16, 1.0 / 16, 0.7, seed).tobytes() == (
+            generate_fbm_batch(3, 16, 1.0 / 16, 0.7, 5).tobytes())
+
     @pytest.mark.parametrize("method", ["davies-harte", "cholesky"])
     @pytest.mark.parametrize("hurst", [0.3, 0.75])
     def test_increment_covariance_matches_oracle(self, method, hurst):
@@ -192,23 +222,25 @@ class TestGenerateFbm:
         inc = np.diff(path.values)
         assert inc.var() == pytest.approx(0.25, rel=0.05)
 
-    @pytest.mark.parametrize("lag", [1, 5])
-    def test_increment_autocorr_of_one_path(self, lag):
-        # a single row is where a lagged slice of the increments could be a
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_increment_autocorr_of_one_path(self, seed):
+        # a single row is where a shifted slice of the increments could be a
         # view; centring one must not shift the other
-        inc = np.diff(generate_fbm(64, 1.0 / 64, 0.7, 3).values)
-        a = inc[:-lag] - inc[:-lag].mean()
-        b = inc[lag:] - inc[lag:].mean()
-        expected = (a @ b) / math.sqrt((a @ a) * (b @ b))
-        got = paths.increment_autocorr(1, 64, 1.0 / 64, 0.7, 3, lag=lag)
+        expected = lag1_autocorr(generate_fbm_batch(1, 64, 1.0 / 64, 0.7, seed))
+        got = paths.increment_autocorr(1, 64, 1.0 / 64, 0.7, seed)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    def test_increment_autocorr_of_several_leaves(self, hurst):
+        # 300 x 255 pairs span three leaf blocks of the pairwise reduction
+        expected = lag1_autocorr(generate_fbm_batch(300, 256, 1.0 / 256, hurst, 13))
+        got = paths.increment_autocorr(300, 256, 1.0 / 256, hurst, 13)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_increment_autocorr_lag_vanishes_for_brownian(self):
         n_paths = 10_000
-        tol = 4.0 / math.sqrt(n_paths)
-        for lag in (1, 2):
-            rho = paths.increment_autocorr(n_paths, 64, 0.01, 0.5, 51, lag=lag)
-            assert abs(rho) < tol
+        rho = paths.increment_autocorr(n_paths, 64, 0.01, 0.5, 51)
+        assert abs(rho) < 4.0 / math.sqrt(n_paths)
 
     @pytest.mark.parametrize("width, lag, offset", [
         (1, 1, 0), (1, 1, 1), (1, 4, 4), (7, 3, 0), (7, 3, 3), (5, 1, 1)])
@@ -227,7 +259,7 @@ class TestGenerateFbm:
     def test_batch_rows_equal_single_paths(self, method):
         # one path more than a block holds, so the last path starts a block
         # of its own; seeds near 2**31 as the benchmark draws them
-        _, rows, _ = paths._fbm_generator(1, 32, 0.125, 0.7, method)
+        _, rows, _ = paths._fbm_generator(1, 32, 0.125, 0.7, 0, method)
         n_paths, base_seed = rows + 1, 2 ** 31 - 3
         batch = generate_fbm_batch(n_paths, 32, 0.125, 0.7, base_seed, method=method)
         streamed = list(iter_fbm(n_paths, 32, 0.125, 0.7, base_seed, method=method))
@@ -358,15 +390,11 @@ class TestGenerateFbm:
         with pytest.raises(DomainError, match="variance_slope needs"):
             paths.variance_slope(n_paths, n_steps, 0.1, 0.7, 1)
 
-    @pytest.mark.parametrize("lag", [0, 16])
-    def test_lag_outside_the_steps_rejected(self, lag):
-        with pytest.raises(DomainError, match=rf"lag must be in \[1, n_steps\), got {lag}"):
-            paths.increment_autocorr(4, 16, 1.0 / 16, 0.7, 3, lag=lag)
-
-    @pytest.mark.parametrize("n_paths, n_steps, lag", [(1, 2, 1), (1, 3, 2)])
-    def test_increment_autocorr_needs_two_pairs(self, n_paths, n_steps, lag):
-        with pytest.raises(DomainError, match="at least two pooled pairs, got .* = 1"):
-            paths.increment_autocorr(n_paths, n_steps, 0.5, 0.7, 3, lag=lag)
+    @pytest.mark.parametrize("n_paths, n_steps, pairs", [(1, 2, 1), (4, 1, 0)])
+    def test_increment_autocorr_needs_two_pairs(self, n_paths, n_steps, pairs):
+        with pytest.raises(DomainError, match=re.escape(
+                f"at least two pooled pairs, got n_paths * (n_steps - 1) = {pairs}")):
+            paths.increment_autocorr(n_paths, n_steps, 0.5, 0.7, 3)
 
     def test_increment_autocorr_of_two_pairs(self):
         # two centred points lie on a line, so their correlation is +-1
@@ -464,6 +492,14 @@ class TestRefineLinear:
         assert refine_linear(path, 1) is path
 
     def test_bad_factor(self):
+        # 2.0 was accepted, and its meta ended in linear-refined-x2.0
         path = SamplePath(dt=1.0, values=[0.0, 1.0])
-        with pytest.raises(DomainError):
-            refine_linear(path, 0)
+        for factor in (0, -2, 2.0, 2.5, "2", None):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"factor must be a positive integer, got {factor}")):
+                refine_linear(path, factor)
+
+    def test_numpy_integer_factor(self):
+        path = SamplePath(dt=1.0, values=[0.0, 1.0])
+        fine = refine_linear(path, np.int64(2))
+        assert fine.meta == ";linear-refined-x2" and fine.values.tolist() == [0.0, 0.5, 1.0]

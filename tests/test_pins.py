@@ -140,12 +140,13 @@ MOMENT_PINS = [
     (0.7, "1.3132106408660091", "0.3037471726446746"),
 ]
 
-# (hurst, variance_slope repr, increment_autocorr reprs at lags 1 and 3) at
-# 300 paths x 256 steps: each sum spans three leaf blocks of the pairwise
-# reduction, 128 rows for the variance and 2**15 increments for the lag sums
+# (hurst, variance_slope repr, (increment_autocorr repr,)) at 300 paths x 256
+# steps: each sum spans three leaf blocks of the pairwise reduction, 128 rows
+# for the variance and 2**15 increments for the pair sums; a one-tuple, so
+# that the test ids stay [...-autocorrs0] and [...-autocorrs1]
 MULTI_BLOCK_MOMENT_PINS = [
-    (0.3, "0.5976975401977482", ("-0.24344460442732774", "-0.02927506524289045")),
-    (0.7, "1.3802710032551384", ("0.3148476569639859", "0.14115997427050017")),
+    (0.3, "0.5976975401977482", ("-0.24344460442732774",)),
+    (0.7, "1.3802710032551384", ("0.3148476569639859",)),
 ]
 
 # (method, n_paths, SHA-256 of the batch bytes) at 256 steps: a block holds
@@ -212,7 +213,7 @@ def test_monte_carlo_moments_are_pinned(hurst, slope, autocorr):
 def test_multi_block_monte_carlo_moments_are_pinned(hurst, slope, autocorrs):
     args = (300, 256, 1.0 / 256, hurst, 13)
     assert repr(variance_slope(*args)) == slope
-    assert tuple(repr(increment_autocorr(*args, lag=lag)) for lag in (1, 3)) == autocorrs
+    assert (repr(increment_autocorr(*args)),) == autocorrs
 
 
 @pytest.mark.parametrize("method, n_paths, digest", BATCH_PINS)
